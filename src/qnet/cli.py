@@ -192,9 +192,9 @@ def _cmd_walk(args) -> int:
         "initial": initial_tag,
         "nodes": h.shape[0],
     }
-    avg = long_time_average(WalkSpec(generator=h, initial=initial))
-    payload["average"] = avg.long_time
-    if args.times is not None:
+    if args.times is None:
+        res = long_time_average(WalkSpec(generator=h, initial=initial))
+    else:
         grid = _parse_linspace(args.times, "--times")
         res = evolve(WalkSpec(generator=h, initial=initial, times=grid))
         payload["times"] = res.times
@@ -202,6 +202,7 @@ def _cmd_walk(args) -> int:
         payload["variance"] = res.variance
         if args.matrix_out:
             _write_matrix(args.matrix_out, res.series)
+    payload["average"] = res.long_time
     _emit(payload, args.output)
     return 0
 

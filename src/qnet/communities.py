@@ -1,8 +1,9 @@
 """Pairwise closeness matrices from walk dynamics and the partitions built on them.
 
 All closeness matrices are real symmetric with a zero diagonal, so any of
-them can feed the same agglomeration routine. Long-time quantities use the
-eigenspace-projector form exclusively.
+them can feed the same agglomeration routine. Long-time quantities are sums
+over eigenspaces, evaluated as GEMMs on the grouped eigenvector blocks V_a of
+the Hamiltonian; at most one n x n eigenspace term exists at a time.
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from scipy.cluster.vq import kmeans2
 
 from .config import DEFAULT_TOLS, Tolerances
 from .graphs import Graph, adjacency_matrix, connected_components
-from .linalg import hermitian_eig
-from .walks import uniform_superposition
+from .linalg import EigenDecomposition, assert_hermitian, hermitian_eig
+from .walks import WalkSpec, long_time_average, uniform_superposition
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,18 @@ def closeness_short_time_transport(
     return _finalize(mean, "short-time-transport", time=float(t))
 
 
+def _eigenspace_transport(dec: EigenDecomposition) -> np.ndarray:
+    """sum_a |(V_a V_a^H)_ij|^2: one GEMM over all singleton groups, since
+    |v v^H|^2 = |v|^2 (|v|^2)^T, plus one explicit term per degenerate group."""
+    single = np.repeat(dec.group_sizes == 1, dec.group_sizes)
+    mag = np.abs(dec.vectors[:, single]) ** 2
+    c = mag @ mag.T
+    for block in dec.blocks:
+        if block.shape[1] > 1:
+            c += np.abs(block @ block.conj().T) ** 2
+    return c
+
+
 def closeness_long_time_transport(
     h: np.ndarray,
     t: float | None = None,
@@ -85,20 +98,29 @@ def closeness_long_time_transport(
     node pairs, while a horizon of a few hop times reflects the link
     structure. Both branches are closed-form in the eigendecomposition; no
     quadrature is involved.
+
+    The finite-t branch needs sum_ab K_ab (Pi_a)_ij conj(Pi_b)_ij with the
+    window kernel K_ab = (1/t) int_0^t e^{-i(l_a - l_b)s} ds. K is a Gram
+    matrix, hence Hermitian PSD: with K = sum_r mu_r k_r k_r^H the sum is
+    sum_r mu_r |V diag(k_r) V^H|^2, one GEMM per numerically nonzero mode.
     """
     h = np.asarray(h, dtype=complex)
     dec = hermitian_eig(h, tols=tols)
-    stack = np.stack(dec.projectors)
     if t is None:
-        c = np.abs(stack).__pow__(2).sum(axis=0)
-        return _finalize(c, "long-time-transport")
+        return _finalize(_eigenspace_transport(dec), "long-time-transport")
     if t <= 0:
         raise ValueError(f"horizon must be positive, got {t}")
     # window average of e^{-i(l_a - l_b) s} over s in [0, t]
     delta = dec.group_values[:, None] - dec.group_values[None, :]
     x = 0.5 * delta * t
-    kernel = np.exp(-1j * x) * np.sinc(x / np.pi)
-    c = np.real(np.einsum("aij,ab,bij->ij", stack, kernel, stack.conj()))
+    mu, modes = np.linalg.eigh(np.exp(-1j * x) * np.sinc(x / np.pi))
+    # drop modes below the numerical rank of K (numpy.linalg.matrix_rank's cut)
+    keep = mu > len(mu) * np.finfo(float).eps * mu[-1]
+    v = dec.vectors
+    labels = dec.group_labels
+    c = np.zeros(h.shape)
+    for m, k in zip(mu[keep], modes[:, keep].T):
+        c += m * np.abs((v * k[labels]) @ v.conj().T) ** 2
     return _finalize(c, "long-time-transport", time=float(t))
 
 
@@ -112,22 +134,21 @@ def closeness_fidelity(
     F(t) = tr(rho0 rho(t)) / tr(rho0^2); its infinite-time mean reduces to a
     sum over eigenspace projectors. policy picks rho0 per pair (i, j):
     "superposition" uses (|i> + |j>)/sqrt(2), "mixed" uses (|i><i| + |j><j|)/2.
+    Each eigenspace term is built from its block and added before the next.
     """
+    if policy not in ("superposition", "mixed"):
+        raise ValueError(f"unknown fidelity policy {policy!r}")
     h = np.asarray(h, dtype=complex)
     dec = hermitian_eig(h, tols=tols)
     n = h.shape[0]
     c = np.zeros((n, n))
-    if policy == "superposition":
-        for proj in dec.projectors:
-            d = np.real(np.diag(proj))
-            q = 0.5 * (d[:, None] + d[None, :] + 2.0 * np.real(proj))
-            c += q ** 2
-    elif policy == "mixed":
-        for proj in dec.projectors:
-            d = np.real(np.diag(proj))
+    for block in dec.blocks:
+        proj = block @ block.conj().T
+        d = np.real(np.diag(proj))
+        if policy == "superposition":
+            c += (0.5 * (d[:, None] + d[None, :] + 2.0 * np.real(proj))) ** 2
+        else:
             c += 0.5 * (d[:, None] ** 2 + d[None, :] ** 2 + 2.0 * np.abs(proj) ** 2)
-    else:
-        raise ValueError(f"unknown fidelity policy {policy!r}")
     return _finalize(c, f"fidelity-{policy}")
 
 
@@ -148,18 +169,14 @@ def closeness_link_failure(h: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> Cl
     """
     h = np.asarray(h, dtype=complex)
     n = h.shape[0]
-    hermitian_eig(h, tols=tols)  # symmetry gate
+    assert_hermitian(h, tols)
     links = [(i, j) for i in range(n) for j in range(i + 1, n) if abs(h[i, j]) > 0]
     if not links:
         raise ValueError("no links to remove")
     psi0 = uniform_superposition(n)
 
     def mean_occupations(op: np.ndarray) -> np.ndarray:
-        dec = hermitian_eig(op, tols=tols)
-        out = np.zeros(n)
-        for proj in dec.projectors:
-            out += np.abs(proj @ psi0) ** 2
-        return out
+        return long_time_average(WalkSpec(op, psi0), tols).long_time
 
     base = mean_occupations(h)
     responses = np.zeros((n, len(links)))
@@ -366,7 +383,8 @@ def magnetic_partition(g: Graph, theta: float, k: int, seed: int = 0,
     eigenvalue groups of the magnetic Laplacian.
 
     Node features are the rows of |Pi| where Pi projects onto the k lowest
-    eigenspaces, degenerate groups kept whole. The entries |Pi_uv| aggregate
+    eigenspaces, degenerate groups kept whole; Pi = V V^H with V the
+    eigenvector columns of those groups. The entries |Pi_uv| aggregate
     the magnitudes and relative phases of the low eigenvectors while staying
     invariant under the per-eigenvector gauge freedom, which individual
     eigenvector coordinates are not. Directed cycles lower phase-winding
@@ -377,8 +395,8 @@ def magnetic_partition(g: Graph, theta: float, k: int, seed: int = 0,
         raise ValueError(f"k must lie in [1, {g.n}], got {k}")
     lap = magnetic_laplacian(g, theta)
     dec = hermitian_eig(lap, tols=tols)
-    pi = np.sum(dec.projectors[: min(k, len(dec.projectors))], axis=0)
-    features = np.abs(pi)
+    low = dec.vectors[:, : int(dec.group_sizes[:k].sum())]
+    features = np.abs(low @ low.conj().T)
     _, labels = kmeans2(features, k, minit="++", seed=seed)
     groups: dict[int, list[int]] = {}
     for node, lab in enumerate(labels):

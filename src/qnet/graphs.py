@@ -18,6 +18,10 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import DisconnectedGraphError, GraphFormatError, SymmetryError
 
+# Every analysis builds dense n x n operators; one complex matrix at this size
+# is 6.4 GB, so larger node counts are rejected where graphs enter.
+MAX_NODES = 20_000
+
 
 class Edge(NamedTuple):
     src: int
@@ -51,6 +55,8 @@ def build_graph(
     """Validate and freeze a graph: ids in range, weights >= 0, no duplicates."""
     if n < 0:
         raise GraphFormatError(f"node count must be >= 0, got {n}")
+    if n > MAX_NODES:
+        raise GraphFormatError(f"node count {n} exceeds the limit of {MAX_NODES} nodes")
     out: list[Edge] = []
     seen: set[tuple[int, int]] = set()
     for raw in edges:
@@ -104,6 +110,11 @@ def load_edge_list(text: str, directed: bool | None = None) -> Graph:
                 header_nodes = int(tokens[1])
             except ValueError:
                 raise GraphFormatError(f"line {ln}: bad node count {tokens[1]!r}") from None
+            if header_nodes > MAX_NODES:
+                raise GraphFormatError(
+                    f"line {ln}: node count {header_nodes} exceeds the limit of "
+                    f"{MAX_NODES} nodes"
+                )
             continue
         if tokens[0].lower() == "directed":
             if saw_edge:

@@ -1,9 +1,12 @@
 """Hermitian spectral plumbing and fixed-step master-equation integration.
 
 Design notes:
-  * Eigendecompositions come from LAPACK (numpy.linalg.eigh) and are wrapped
-    with degeneracy-grouped eigenspace projectors, since downstream long-time
-    averages are sums over eigenspaces, not individual eigenvectors.
+  * Eigendecompositions come from LAPACK (numpy.linalg.eigh) and group the
+    eigenvector columns into one block V_a per degenerate eigenvalue, since
+    downstream long-time averages are sums over eigenspaces, not individual
+    eigenvectors. Consumers work on the blocks with matvecs and GEMMs; the
+    projector P_a = V_a V_a^H is never stored, so a decomposition holds O(n^2)
+    numbers however simple the spectrum.
   * Matrix functions of Hermitian operators are built from the decomposition
     directly, (V * f(w)) @ V^H, instead of generic Pade routines.
   * The density-matrix integrator is a fixed-step classical RK4 with
@@ -12,8 +15,9 @@ Design notes:
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -44,15 +48,48 @@ def is_unitary(u: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> bool:
     return bool(np.abs(u.conj().T @ u - eye).max() <= tols.unitary_atol)
 
 
+class _Projectors(Sequence):
+    """P_a = V_a V_a^H per group, built when indexed: len() costs nothing and
+    no more than one n x n projector exists unless the caller keeps them."""
+
+    def __init__(self, blocks: tuple[np.ndarray, ...]):
+        self._blocks = blocks
+
+    def __len__(self) -> int:
+        return len(self._blocks)
+
+    def __getitem__(self, a):
+        if isinstance(a, slice):
+            return [self[k] for k in range(*a.indices(len(self)))]
+        block = self._blocks[a]
+        return block @ block.conj().T
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Ascending eigenvalues, orthonormal eigenvector columns, and
-    eigenspace projectors grouped by a degeneracy tolerance."""
+    """Ascending eigenvalues and orthonormal eigenvector columns, grouped by a
+    degeneracy tolerance into contiguous column blocks, one per eigenspace."""
 
     eigenvalues: np.ndarray          # (n,) real, ascending
     vectors: np.ndarray              # (n, n), column k pairs with eigenvalues[k]
-    projectors: tuple[np.ndarray, ...]   # one per degenerate group
-    group_values: np.ndarray         # (n_groups,) representative eigenvalue per projector
+    group_sizes: np.ndarray          # (n_groups,) column count of each block
+    group_values: np.ndarray         # (n_groups,) representative eigenvalue per group
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """Column views V_a of `vectors`, one per group (no copies)."""
+        ends = np.cumsum(self.group_sizes)
+        return tuple(self.vectors[:, e - k:e] for k, e in zip(self.group_sizes, ends))
+
+    @property
+    def group_labels(self) -> np.ndarray:
+        """(n,) group index of every eigenvector column."""
+        return np.repeat(np.arange(len(self.group_sizes)), self.group_sizes)
+
+    @property
+    def projectors(self) -> Sequence[np.ndarray]:
+        """Eigenspace projectors V_a V_a^H, computed on access."""
+        return _Projectors(self.blocks)
 
     @property
     def ground_vector(self) -> np.ndarray:
@@ -60,19 +97,7 @@ class EigenDecomposition:
 
     @property
     def ground_degeneracy(self) -> int:
-        # the trace of a projector is its rank
-        return int(round(float(np.real(np.trace(self.projectors[0])))))
-
-
-def _group_indices(w: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Chain consecutive eigenvalues whose gap is within tol into groups."""
-    groups: list[list[int]] = [[0]]
-    for k in range(1, len(w)):
-        if w[k] - w[k - 1] <= tol:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    return [np.array(g) for g in groups]
+        return int(self.group_sizes[0])
 
 
 def hermitian_eig(
@@ -80,7 +105,7 @@ def hermitian_eig(
     degeneracy_tol: float | None = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> EigenDecomposition:
-    """Eigendecompose a Hermitian matrix with grouped eigenspace projectors.
+    """Eigendecompose a Hermitian matrix with eigenvectors grouped by eigenspace.
 
     degeneracy_tol defaults to tols.degeneracy_rtol times the spectral range;
     a zero range (multiple of the identity) collapses to a single group.
@@ -88,24 +113,15 @@ def hermitian_eig(
     m = np.asarray(m)
     assert_hermitian(m, tols)
     w, v = np.linalg.eigh(m)
-    spread = float(w[-1] - w[0])
     if degeneracy_tol is None:
-        degeneracy_tol = tols.degeneracy_rtol * spread
-    if spread == 0.0:
-        idx_groups = [np.arange(len(w))]
-    else:
-        idx_groups = _group_indices(w, degeneracy_tol)
-    projectors = []
-    group_values = []
-    for idx in idx_groups:
-        block = v[:, idx]
-        projectors.append(block @ block.conj().T)
-        group_values.append(float(w[idx].mean()))
+        degeneracy_tol = tols.degeneracy_rtol * float(w[-1] - w[0])
+    breaks = np.flatnonzero(np.diff(w) > degeneracy_tol) + 1
+    bounds = np.concatenate(([0], breaks, [len(w)]))
     return EigenDecomposition(
         eigenvalues=w,
         vectors=v,
-        projectors=tuple(projectors),
-        group_values=np.array(group_values),
+        group_sizes=np.diff(bounds),
+        group_values=np.array([w[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])]),
     )
 
 
@@ -121,10 +137,7 @@ def matrix_function_hermitian(m: np.ndarray, f: Callable[[np.ndarray], np.ndarra
 def expm_hermitian(m: np.ndarray, scale: complex = 1.0,
                    tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """exp(scale * m) for Hermitian m. Purely imaginary scales give unitaries."""
-    m = np.asarray(m)
-    assert_hermitian(m, tols)
-    w, v = np.linalg.eigh(m)
-    return (v * np.exp(scale * w)) @ v.conj().T
+    return matrix_function_hermitian(m, lambda w: np.exp(scale * w), tols)
 
 
 def lindblad_rhs(h: np.ndarray, jumps: Sequence[np.ndarray] = (),

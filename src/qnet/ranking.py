@@ -91,15 +91,15 @@ def adiabatic_rank(gm: GoogleMatrix | np.ndarray, tols: Tolerances = DEFAULT_TOL
 
     A degenerate ground space (ties in the stationary structure, e.g. damping
     1 on a disconnected graph) is flagged and all ground vectors returned;
-    scores then come from the basis-independent ground-projector diagonal.
+    scores then come from the basis-independent ground-projector diagonal,
+    the squared row norms of the ground eigenvector block.
     """
     h = rank_hamiltonian(gm)
     dec = hermitian_eig(h, tols=tols)
     rank = dec.ground_degeneracy
     ground_energy = float(dec.group_values[0])
     if rank > 1:
-        scores = np.real(np.diag(dec.projectors[0]))
-        scores = np.clip(scores, 0.0, None)
+        scores = np.sum(np.abs(dec.blocks[0]) ** 2, axis=1)
         scores /= scores.sum()
         return RankingResult(
             variant="adiabatic",

@@ -1,7 +1,9 @@
 """Continuous-time walk evolution, long-time averages, and chirality probes.
 
-Long-time averages always use the closed eigenspace-projector form; time
-quadrature of the instantaneous series appears only in tests as an oracle.
+Long-time averages always use the closed eigenspace form, evaluated on the
+grouped eigenvector blocks V_a of the generator as sum_a |V_a V_a^H psi|^2
+without forming any projector; time quadrature of the instantaneous series
+appears only in tests as an oracle.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ class WalkSpec:
 class OccupationResult:
     times: np.ndarray | None = None
     series: np.ndarray | None = None      # (T, n) instantaneous occupations
-    long_time: np.ndarray | None = None   # (n,) eigenspace-projector average
+    long_time: np.ndarray | None = None   # (n,) infinite-time average
     variance: np.ndarray | None = None    # (n,) fluctuation variance of the series
 
 
@@ -75,8 +77,26 @@ def _check_distributions(p: np.ndarray, tols: Tolerances) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
+def _dephased_occupations(dec: EigenDecomposition, kind: str, state: np.ndarray,
+                          tols: Tolerances) -> np.ndarray:
+    """Infinite-time occupations sum_a diag(P_a rho0 P_a) with P_a = V_a V_a^H."""
+    v = dec.vectors
+    if kind == "pure":
+        # column a of amps is V_a (V_a^H psi), summed within each block
+        starts = np.cumsum(dec.group_sizes) - dec.group_sizes
+        amps = np.add.reduceat(v * (v.conj().T @ state), starts, axis=1)
+        avg = np.sum(np.abs(amps) ** 2, axis=1)
+    else:
+        # rho0 in the eigenbasis, with coherences between different groups dephased
+        labels = dec.group_labels
+        coh = np.where(labels[:, None] == labels[None, :], v.conj().T @ state @ v, 0.0)
+        avg = np.real(np.sum((v @ coh) * v.conj(), axis=1))
+    return _check_distributions(avg[np.newaxis, :], tols)[0]
+
+
 def evolve(spec: WalkSpec, tols: Tolerances = DEFAULT_TOLS) -> OccupationResult:
-    """Occupation series p_i(t) = <i| U_t rho0 U_t^H |i> on the time grid."""
+    """Occupation series p_i(t) = <i| U_t rho0 U_t^H |i> on the time grid,
+    with the infinite-time average from the same eigendecomposition."""
     gen = np.asarray(spec.generator, dtype=complex)
     dec = hermitian_eig(gen, tols=tols)
     if spec.times is None:
@@ -98,24 +118,17 @@ def evolve(spec: WalkSpec, tols: Tolerances = DEFAULT_TOLS) -> OccupationResult:
     return OccupationResult(
         times=times,
         series=probs,
+        long_time=_dephased_occupations(dec, kind, state, tols),
         variance=probs.var(axis=0),
     )
 
 
 def long_time_average(spec: WalkSpec, tols: Tolerances = DEFAULT_TOLS) -> OccupationResult:
-    """Infinite-time mean occupations via the eigenspace projectors."""
+    """Infinite-time mean occupations from the grouped eigenvector blocks."""
     gen = np.asarray(spec.generator, dtype=complex)
     dec = hermitian_eig(gen, tols=tols)
     kind, state = _initial_state(spec.initial, gen.shape[0], tols)
-    n = gen.shape[0]
-    avg = np.zeros(n)
-    for proj in dec.projectors:
-        if kind == "pure":
-            avg += np.abs(proj @ state) ** 2
-        else:
-            avg += np.real(np.diag(proj @ state @ proj))
-    avg = _check_distributions(avg[np.newaxis, :], tols)[0]
-    return OccupationResult(long_time=avg)
+    return OccupationResult(long_time=_dephased_occupations(dec, kind, state, tols))
 
 
 def uniform_superposition(n: int) -> np.ndarray:
