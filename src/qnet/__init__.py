@@ -4,6 +4,7 @@ from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
     ConvergenceError,
     DisconnectedGraphError,
+    DistributionError,
     GraphFormatError,
     IntegrationInstabilityError,
     QnetError,

@@ -35,6 +35,7 @@ from .entropy import (
 from .errors import (
     ConvergenceError,
     DisconnectedGraphError,
+    DistributionError,
     GraphFormatError,
     IntegrationInstabilityError,
     SymmetryError,
@@ -88,6 +89,8 @@ def _plain(x):
     if isinstance(x, (list, tuple)):
         return [_plain(v) for v in x]
     if isinstance(x, np.ndarray):
+        if x.dtype.kind in "biu" or (x.dtype.kind == "f" and np.isfinite(x).all()):
+            return x.tolist()  # already plain bools, ints and finite floats
         return [_plain(v) for v in x.tolist()]
     if isinstance(x, (np.bool_, bool)):
         return bool(x)
@@ -332,8 +335,7 @@ def _cmd_percolate(args) -> int:
         return 0
     width, height = _parse_lattice(args.lattice)
     if args.p is not None:
-        stats = bond_percolation(width, height, args.p, trials=args.trials,
-                                 seed=args.seed, threads=args.threads)
+        stats = bond_percolation(width, height, args.p, trials=args.trials, seed=args.seed)
         if args.trials_out:
             _write_trials(args.trials_out, [stats])
         _emit(stats.as_dict(), args.output)
@@ -341,7 +343,7 @@ def _cmd_percolate(args) -> int:
     if args.scan is not None:
         grid = _parse_grid(args.scan, "--scan")
         curve = bond_percolation_curve(width, height, grid, trials=args.trials,
-                                       seed=args.seed, threads=args.threads)
+                                       seed=args.seed)
         if args.trials_out:
             _write_trials(args.trials_out, curve)
         payload = {
@@ -350,8 +352,7 @@ def _cmd_percolate(args) -> int:
         }
         _emit(payload, args.output)
         return 0
-    res = cep_lattice(width, height, args.link_p, trials=args.trials,
-                      seed=args.seed, threads=args.threads)
+    res = cep_lattice(width, height, args.link_p, trials=args.trials, seed=args.seed)
     if args.trials_out:
         _write_trials(args.trials_out, [res.stats])
     _emit(res.as_dict(), args.output)
@@ -479,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     perc.add_argument("--n-values", default="64,128,256", metavar="LIST")
     perc.add_argument("--c-values", default="0.5,3.0", metavar="LIST")
     perc.add_argument("--trials", type=int, default=100)
-    perc.add_argument("--threads", type=int, default=1)
     perc.add_argument("--trials-out", metavar="FILE", help="write per-trial records as CSV")
 
     layers = sub.add_parser("layers", help="cluster graph layers by state distance")
@@ -511,13 +511,15 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", None) is None:
             args.seed = _default_seed()
         return _DISPATCH[args.command](args)
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (np.linalg.LinAlgError, IntegrationInstabilityError, ConvergenceError,
+            DistributionError) as exc:
+        print(f"qnet: numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (UsageError, GraphFormatError, SymmetryError,
             DisconnectedGraphError, ValueError) as exc:
         print(f"qnet: error: {exc}", file=sys.stderr)
         return 1
-    except (IntegrationInstabilityError, ConvergenceError) as exc:
-        print(f"qnet: numerical failure: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"qnet: i/o failure: {exc}", file=sys.stderr)
         return 3

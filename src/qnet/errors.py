@@ -26,5 +26,10 @@ class ConvergenceError(QnetError, RuntimeError):
     """An iterative solver hit its iteration cap before reaching tolerance."""
 
 
+class DistributionError(QnetError, RuntimeError):
+    """A computed probability distribution drifted off the simplex: its sum or
+    its most negative entry is beyond tolerance."""
+
+
 class SupportViolationWarning(UserWarning):
     """Relative entropy diverged because supp(rho) is not inside supp(sigma)."""

@@ -4,16 +4,37 @@ bond percolation on lattices.
 Monte Carlo conventions: every trial draws from its own seeded substream, and
 sweeps over a probability grid reuse each trial's uniforms (common random
 numbers), which makes per-trial outcomes exactly monotone in p.
+
+Both Monte Carlo loops run on array kernels, one pass per trial:
+
+- Lattice runs stack the trial's copies of the lattice, one per p, as a
+  block-diagonal graph and label it with a single compiled
+  ``scipy.sparse.csgraph.connected_components`` call. A copy spans when a
+  label of its left column is also a label of its right column; cluster
+  sizes and the size histogram come from ``np.bincount`` on the labels.
+- Subgraph emergence draws a trial's uniforms once and keeps the pairs with
+  u below the largest p as index arrays. For the triangle it computes the
+  trial's first-appearance threshold directly: links enter in increasing-u
+  order until one joins two nodes with a common neighbour, and every p above
+  that link's u contains a triangle. Other targets are matched by networkx
+  on hosts built from the masked index arrays, one per p until the first hit.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .graphs import Graph, build_graph
+
+# Lattices are checked against this site count before anything is allocated;
+# a 2048 x 2048 lattice is the largest square one.
+MAX_LATTICE_SITES = 2**22
+# Lattice copies labelled in one components call hold at most this many sites
+# together (always at least one copy), which bounds the index arrays of a call.
+_BATCH_SITES = 2**20
 
 
 @dataclass(frozen=True)
@@ -97,9 +118,19 @@ _NAMED_TARGETS: dict[str, tuple[int, list[tuple[int, int]]]] = {
 }
 
 
-def target_graph(target: str | Graph) -> Graph:
+class _Target(NamedTuple):
+    n: int
+    edges: list[tuple[int, int]]
+
+    @property
+    def is_triangle(self) -> bool:
+        return self.n == 3 and sorted(map(sorted, self.edges)) == [[0, 1], [0, 2], [1, 2]]
+
+
+def _target(target: str | Graph) -> _Target:
+    """Node count and links of a named or explicit target, validated."""
     if isinstance(target, Graph):
-        tg = target
+        n, edges = target.n, [(e.src, e.dst) for e in target.edges]
     else:
         try:
             n, edges = _NAMED_TARGETS[target]
@@ -107,40 +138,66 @@ def target_graph(target: str | Graph) -> Graph:
             raise ValueError(
                 f"unknown target {target!r}; named targets: {sorted(_NAMED_TARGETS)}"
             ) from None
-        tg = build_graph(n, [(u, v, 1.0, 0.0) for u, v in edges])
-    if tg.n > 5:
-        raise ValueError(f"exact search is capped at 5 target nodes, got {tg.n}")
-    if tg.edge_count == 0:
+    if n > 5:
+        raise ValueError(f"exact search is capped at 5 target nodes, got {n}")
+    if not edges:
         raise ValueError("target graph needs at least one link")
-    return tg
+    return _Target(n, edges)
 
 
-def _has_triangle(nbrs: list[set[int]], edges: list[tuple[int, int]]) -> bool:
-    for u, v in edges:
-        if nbrs[u] & nbrs[v]:
-            return True
-    return False
+def _first_triangle_link(src: np.ndarray, dst: np.ndarray) -> int:
+    """Position of the first link, inserting in the given order, whose
+    endpoints already share a neighbour; -1 when the links hold no triangle."""
+    nbrs: defaultdict[int, set[int]] = defaultdict(set)
+    for k, (a, b) in enumerate(zip(src.tolist(), dst.tolist())):
+        if nbrs[a] & nbrs[b]:
+            return k
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return -1
 
 
-def contains_subgraph(g: Graph, target: str | Graph) -> bool:
-    """Exact (non-induced) containment check for targets of up to 5 nodes."""
-    tg = target_graph(target)
-    edges = [(e.src, e.dst) for e in g.edges]
+def _contains(tg: _Target, src: np.ndarray, dst: np.ndarray) -> bool:
+    """Non-induced containment of the target in the loopless host whose
+    links are the index pairs (src[k], dst[k])."""
     if tg.n == 2:
-        return len(edges) > 0
-    nbrs: list[set[int]] = [set() for _ in range(g.n)]
-    for u, v in edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    t_edges = [(e.src, e.dst) for e in tg.edges]
-    if (tg.n, sorted(map(sorted, t_edges))) == (3, [[0, 1], [0, 2], [1, 2]]):
-        return _has_triangle(nbrs, edges)
+        return len(src) > 0
+    if tg.is_triangle:
+        return _first_triangle_link(src, dst) >= 0
     import networkx as nx
     from networkx.algorithms import isomorphism
 
-    host = nx.Graph(edges)
-    pattern = nx.Graph(t_edges)
+    host = nx.Graph(zip(src.tolist(), dst.tolist()))
+    pattern = nx.Graph(tg.edges)
     return isomorphism.GraphMatcher(host, pattern).subgraph_is_monomorphic()
+
+
+def contains_subgraph(g: Graph, target: str | Graph) -> bool:
+    """Exact (non-induced) containment check for targets of up to 5 nodes;
+    self-loops of the host are ignored."""
+    tg = _target(target)
+    links = np.array([(e.src, e.dst) for e in g.edges if e.src != e.dst],
+                     dtype=np.intp).reshape(-1, 2)
+    return _contains(tg, links[:, 0], links[:, 1])
+
+
+def _first_containing(tg: _Target, u: np.ndarray, iu: np.ndarray, ju: np.ndarray,
+                      ps: np.ndarray) -> int:
+    """Index of the first p in the ascending grid ps at which the links
+    {(iu[k], ju[k]) : u[k] < p} contain the target; len(ps) if none does."""
+    cand = np.flatnonzero(u < ps[-1])
+    uc, a, b = u[cand], iu[cand], ju[cand]
+    if tg.is_triangle:
+        # a triangle is present at p exactly when p exceeds the u of the link
+        # that closes the first one as links enter in increasing-u order
+        order = np.argsort(uc, kind="stable")
+        k = _first_triangle_link(a[order], b[order])
+        return len(ps) if k < 0 else int(np.searchsorted(ps, uc[order[k]], side="right"))
+    for ci, p in enumerate(ps):
+        keep = uc < p
+        if _contains(tg, a[keep], b[keep]):
+            return ci
+    return len(ps)
 
 
 @dataclass(frozen=True)
@@ -184,12 +241,14 @@ def subgraph_emergence(
     """
     if z <= 0:
         raise ValueError(f"z must be positive, got {z}")
-    tg = target_graph(target)
-    name = target if isinstance(target, str) else f"custom-{tg.n}n-{tg.edge_count}l"
+    tg = _target(target)
+    name = target if isinstance(target, str) else f"custom-{tg.n}n-{len(tg.edges)}l"
     c_sorted = sorted(float(c) for c in c_values)
+    if not c_sorted:
+        raise ValueError("c_values must not be empty")
     if c_sorted != [float(c) for c in c_values]:
         raise ValueError("c_values must be ascending")
-    z_crit = tg.n / tg.edge_count
+    z_crit = tg.n / len(tg.edges)
     if abs(z - z_crit) < 1e-12:
         regime = "critical"
     elif z < z_crit:
@@ -201,26 +260,17 @@ def subgraph_emergence(
     streams = root.spawn(len(n_values))
     for ni, n in enumerate(n_values):
         iu, ju = np.triu_indices(n, 1)
-        trial_seeds = streams[ni].spawn(trials)
+        ps = np.array([min(1.0, c * n ** (-z)) for c in c_values])
         hits = np.zeros(len(c_values))
-        for ts in trial_seeds:
-            rng = np.random.default_rng(ts)
-            u = rng.random(len(iu))
-            for ci, c in enumerate(c_values):
-                p = min(1.0, c * n ** (-z))
-                keep = u < p
-                sample = build_graph(
-                    n, [(int(a), int(b)) for a, b in zip(iu[keep], ju[keep])]
-                )
-                if contains_subgraph(sample, tg):
-                    hits[ci:] += 1  # CRN: containment is monotone in c
-                    break
+        for ts in streams[ni].spawn(trials):
+            u = np.random.default_rng(ts).random(len(iu))
+            hits[_first_containing(tg, u, iu, ju, ps):] += 1  # CRN: monotone in c
         fractions[ni] = hits / trials
     sharpness = fractions[:, -1] - fractions[:, 0]
     return EmergenceResult(
         target=name,
         target_nodes=tg.n,
-        target_links=tg.edge_count,
+        target_links=len(tg.edges),
         z=float(z),
         z_critical=float(z_crit),
         regime=regime,
@@ -262,53 +312,43 @@ class ClusterStats:
         }
 
 
-def _lattice_run(width: int, height: int, open_h: np.ndarray, open_v: np.ndarray):
-    """Union-find pass over the open bonds; returns (spanning, largest, hist)."""
-    n = width * height
-    parent = list(range(n))
-    size = [1] * n
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    wm1 = width - 1
-    for idx in np.flatnonzero(open_h):
-        y, x = divmod(int(idx), wm1)
-        a = find(y * width + x)
-        b = find(y * width + x + 1)
-        if a != b:
-            if size[a] < size[b]:
-                a, b = b, a
-            parent[b] = a
-            size[a] += size[b]
-    for idx in np.flatnonzero(open_v):
-        s = int(idx)
-        a = find(s)
-        b = find(s + width)
-        if a != b:
-            if size[a] < size[b]:
-                a, b = b, a
-            parent[b] = a
-            size[a] += size[b]
-    left_roots = {find(y * width) for y in range(height)}
-    right_roots = {find(y * width + width - 1) for y in range(height)}
-    spanning = not left_roots.isdisjoint(right_roots)
-    roots = {find(i) for i in range(n)}
-    hist: dict[int, int] = {}
-    largest = 0
-    for r in roots:
-        s = size[r]
-        hist[s] = hist.get(s, 0) + 1
-        if s > largest:
-            largest = s
-    return spanning, largest / n, hist
+def _lattice_bonds(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """Site indices (y * width + x) at the two ends of every bond: the
+    horizontal bonds row by row, then the vertical bonds, in draw order."""
+    sites = np.arange(width * height).reshape(height, width)
+    src = np.concatenate([sites[:, :-1].ravel(), sites[:-1, :].ravel()])
+    dst = np.concatenate([sites[:, 1:].ravel(), sites[1:, :].ravel()])
+    return src, dst
 
 
-def _bond_counts(width: int, height: int) -> tuple[int, int]:
-    return (width - 1) * height, (height - 1) * width
+def _lattice_clusters(width: int, height: int, src: np.ndarray, dst: np.ndarray,
+                      u: np.ndarray, ps: np.ndarray):
+    """Cluster statistics of the bond configurations {u < p} for every p in
+    ps, as one block-diagonal graph of len(ps) lattice copies labelled by a
+    single components call. Returns per copy: spanning (bool), largest
+    cluster size, and the nonzero entries of its size histogram as
+    (copy, size, count) arrays sorted by copy, then size."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n, copies = width * height, len(ps)
+    copy, bond = np.divmod(np.flatnonzero(u < ps[:, np.newaxis]), len(u))
+    offset = copy * n
+    graph = coo_matrix((np.ones(len(bond)), (src[bond] + offset, dst[bond] + offset)),
+                       shape=(copies * n, copies * n))
+    count, labels = connected_components(graph, directed=False)
+    labels = labels.reshape(copies, n)
+    on_left = np.zeros(count, dtype=bool)
+    on_left[labels[:, ::width]] = True
+    spanning = on_left[labels[:, width - 1::width]].any(axis=1)
+    # no cluster crosses copies, so each label belongs to exactly one copy
+    copy_of = np.empty(count, dtype=np.intp)
+    copy_of[labels] = np.arange(copies)[:, np.newaxis]
+    sizes = np.bincount(labels.ravel(), minlength=count)
+    keys, counts = np.unique(copy_of * (n + 1) + sizes, return_counts=True)
+    hist_copy, hist_size = np.divmod(keys, n + 1)
+    largest = hist_size[np.searchsorted(hist_copy, np.arange(copies), side="right") - 1]
+    return spanning, largest, (hist_copy, hist_size, counts)
 
 
 def bond_percolation_curve(
@@ -317,49 +357,52 @@ def bond_percolation_curve(
     p_values: Sequence[float],
     trials: int = 100,
     seed: int = 0,
-    threads: int = 1,
 ) -> list[ClusterStats]:
     """Bond percolation at each p with common random numbers across the grid."""
     if width < 2 or height < 1:
         raise ValueError("lattice needs width >= 2 and height >= 1")
+    if width * height > MAX_LATTICE_SITES:
+        raise ValueError(f"lattice of {width * height} sites exceeds the limit of "
+                         f"{MAX_LATTICE_SITES} sites")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     ps = [float(p) for p in p_values]
     if any(not 0.0 <= p <= 1.0 for p in ps):
         raise ValueError("bond probabilities must lie in [0, 1]")
-    nh, nv = _bond_counts(width, height)
-    trial_seeds = np.random.SeedSequence(seed).spawn(trials)
-
-    def one_trial(ts) -> list:
+    n = width * height
+    src, dst = _lattice_bonds(width, height)
+    nh = (width - 1) * height
+    grid = np.array(ps)
+    batch = max(1, _BATCH_SITES // n)
+    spans = np.zeros((len(ps), trials), dtype=bool)
+    largest = np.zeros((len(ps), trials), dtype=np.intp)
+    hists: list[dict[int, int]] = [{} for _ in ps]
+    for t, ts in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         rng = np.random.default_rng(ts)
         uh = rng.random(nh)
-        uv = rng.random(nv)
-        return [_lattice_run(width, height, uh < p, uv < p) for p in ps]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(one_trial, trial_seeds))
-    else:
-        per_trial = [one_trial(ts) for ts in trial_seeds]
+        uv = rng.random(len(src) - nh)
+        u = np.concatenate([uh, uv])
+        for lo in range(0, len(ps), batch):
+            hi = min(lo + batch, len(ps))
+            spans[lo:hi, t], largest[lo:hi, t], (copy, size, count) = _lattice_clusters(
+                width, height, src, dst, u, grid[lo:hi])
+            for k, s, c in zip(copy.tolist(), size.tolist(), count.tolist()):
+                hist = hists[lo + k]
+                hist[s] = hist.get(s, 0) + c
 
     out = []
     for pi, p in enumerate(ps):
-        rows = [per_trial[t][pi] for t in range(trials)]
-        spans = np.array([r[0] for r in rows], dtype=float)
-        largests = np.array([r[1] for r in rows])
-        hist: dict[int, int] = {}
-        for _, _, h in rows:
-            for k, v in h.items():
-                hist[k] = hist.get(k, 0) + v
-        prob = float(spans.mean())
+        fractions = [size / n for size in largest[pi].tolist()]
+        prob = float(spans[pi].mean())
         ci = 1.96 * float(np.sqrt(prob * (1.0 - prob) / trials))
         out.append(ClusterStats(
             p=p, width=width, height=height, trials=trials,
             spanning_prob=prob,
             spanning_ci=ci,
-            largest_fraction_mean=float(largests.mean()),
-            histogram=hist,
-            records=tuple(TrialRecord(bool(r[0]), float(r[1])) for r in rows),
+            largest_fraction_mean=float(np.mean(fractions)),
+            histogram=dict(sorted(hists[pi].items())),
+            records=tuple(TrialRecord(s, f)
+                          for s, f in zip(spans[pi].tolist(), fractions)),
         ))
     return out
 
@@ -370,10 +413,9 @@ def bond_percolation(
     p: float,
     trials: int = 100,
     seed: int = 0,
-    threads: int = 1,
 ) -> ClusterStats:
     """Left-right spanning statistics of one bond probability."""
-    return bond_percolation_curve(width, height, [p], trials, seed, threads)[0]
+    return bond_percolation_curve(width, height, [p], trials, seed)[0]
 
 
 def estimate_spanning_crossing(curve: Sequence[ClusterStats]) -> float | None:
@@ -412,13 +454,12 @@ def cep_lattice(
     link: LinkState | float,
     trials: int = 100,
     seed: int = 0,
-    threads: int = 1,
 ) -> CepResult:
     """Convert every lattice link with the optimal singlet probability, then
     report whether that entanglement level spans the lattice classically."""
     link_obj = link if isinstance(link, LinkState) else LinkState(float(link))
     scp = singlet_conversion_probability(link_obj)
-    stats = bond_percolation(width, height, scp, trials, seed, threads)
+    stats = bond_percolation(width, height, scp, trials, seed)
     return CepResult(
         link_p=link_obj.p,
         conversion_probability=scp,

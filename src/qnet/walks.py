@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .errors import DisconnectedGraphError
+from .errors import DisconnectedGraphError, DistributionError
 from .graphs import Graph, adjacency_matrix, build_operators, is_connected
 from .linalg import EigenDecomposition, hermitian_eig
 
@@ -69,11 +69,11 @@ def _initial_state(initial, n: int, tols: Tolerances):
 def _check_distributions(p: np.ndarray, tols: Tolerances) -> np.ndarray:
     sums = p.sum(axis=-1)
     if np.abs(sums - 1.0).max() > tols.distribution_sum_atol:
-        raise RuntimeError(
+        raise DistributionError(
             f"occupation distribution sum drifted to {sums[np.abs(sums - 1).argmax()]:.12f}"
         )
     if p.min() < -tols.distribution_negative_atol:
-        raise RuntimeError(f"negative occupation {p.min():.3e}")
+        raise DistributionError(f"negative occupation {p.min():.3e}")
     return np.clip(p, 0.0, None)
 
 

@@ -1,0 +1,112 @@
+"""Pure-Python reference implementations of the percolation Monte Carlo
+loops, kept as exact-equality oracles for the array kernels in
+qnet.percolation: a union-find pass per (trial, p) on the lattice, and one
+rebuilt graph plus one containment search per (trial, c) for emergence.
+Both draw their uniforms from the same seeded substreams as the library.
+"""
+from __future__ import annotations
+
+import networkx as nx
+import numpy as np
+from networkx.algorithms import isomorphism
+
+from qnet import Graph, build_graph
+from qnet.percolation import _NAMED_TARGETS
+
+
+def lattice_run(width: int, height: int, open_h: np.ndarray, open_v: np.ndarray):
+    """Union-find pass over the open bonds; returns (spanning, largest, hist)."""
+    n = width * height
+    parent = list(range(n))
+    size = [1] * n
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a: int, b: int) -> None:
+        a, b = find(a), find(b)
+        if a != b:
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            size[a] += size[b]
+
+    for idx in np.flatnonzero(open_h):
+        y, x = divmod(int(idx), width - 1)
+        union(y * width + x, y * width + x + 1)
+    for idx in np.flatnonzero(open_v):
+        union(int(idx), int(idx) + width)
+    left_roots = {find(y * width) for y in range(height)}
+    right_roots = {find(y * width + width - 1) for y in range(height)}
+    hist: dict[int, int] = {}
+    largest = 0
+    for r in {find(i) for i in range(n)}:
+        hist[size[r]] = hist.get(size[r], 0) + 1
+        largest = max(largest, size[r])
+    return not left_roots.isdisjoint(right_roots), largest / n, hist
+
+
+def bond_percolation_curve(width: int, height: int, p_values, trials: int, seed: int):
+    """Per p: (spanning_prob, largest_fraction_mean, histogram, records) with
+    records a list of (spanning, largest_fraction) per trial."""
+    nh, nv = (width - 1) * height, (height - 1) * width
+    runs = []
+    for ts in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(ts)
+        uh = rng.random(nh)
+        uv = rng.random(nv)
+        runs.append([lattice_run(width, height, uh < p, uv < p) for p in p_values])
+    out = []
+    for pi in range(len(p_values)):
+        rows = [trial[pi] for trial in runs]
+        hist: dict[int, int] = {}
+        for _, _, h in rows:
+            for k, v in h.items():
+                hist[k] = hist.get(k, 0) + v
+        out.append((
+            float(np.array([r[0] for r in rows], dtype=float).mean()),
+            float(np.array([r[1] for r in rows]).mean()),
+            hist,
+            [(r[0], r[1]) for r in rows],
+        ))
+    return out
+
+
+def contains_subgraph(g: Graph, target: str) -> bool:
+    """Neighbour-set triangle test, networkx monomorphism for other targets."""
+    t_nodes, t_edges = _NAMED_TARGETS[target]
+    edges = [(e.src, e.dst) for e in g.edges]
+    if t_nodes == 2:
+        return len(edges) > 0
+    if target == "triangle":
+        nbrs: list[set[int]] = [set() for _ in range(g.n)]
+        for u, v in edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        return any(nbrs[u] & nbrs[v] for u, v in edges)
+    matcher = isomorphism.GraphMatcher(nx.Graph(edges), nx.Graph(t_edges))
+    return matcher.subgraph_is_monomorphic()
+
+
+def emergence_fractions(target: str, z: float, n_values, c_values, trials: int,
+                        seed: int) -> np.ndarray:
+    """Fraction of G(n, c n^-z) samples holding the target, one rebuilt graph
+    per (trial, c) until the first hit."""
+    fractions = np.zeros((len(n_values), len(c_values)))
+    streams = np.random.SeedSequence(seed).spawn(len(n_values))
+    for ni, n in enumerate(n_values):
+        iu, ju = np.triu_indices(n, 1)
+        hits = np.zeros(len(c_values))
+        for ts in streams[ni].spawn(trials):
+            u = np.random.default_rng(ts).random(len(iu))
+            for ci, c in enumerate(c_values):
+                keep = u < min(1.0, c * n ** (-z))
+                sample = build_graph(n, [(int(a), int(b)) for a, b in zip(iu[keep], ju[keep])])
+                if contains_subgraph(sample, target):
+                    hits[ci:] += 1
+                    break
+        fractions[ni] = hits / trials
+    return fractions

@@ -2,13 +2,16 @@
 byte-determinism."""
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from qnet import cli, walks
 from qnet.cli import main
 
 K4_EDGES = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -202,6 +205,48 @@ def test_repeat_runs_are_byte_identical(capsys):
         assert first == second
 
 
+def _elementwise_plain(x):
+    """Payload conversion that visits every array element on its own."""
+    if isinstance(x, dict):
+        return {str(k): _elementwise_plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_elementwise_plain(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return [_elementwise_plain(v) for v in x.tolist()]
+    if isinstance(x, (np.bool_, bool)):
+        return bool(x)
+    if isinstance(x, (np.integer, int)):
+        return int(x)
+    if isinstance(x, (np.floating, float)):
+        v = float(x)
+        if math.isnan(v):
+            return "nan"
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        return v
+    return x
+
+
+def test_emitted_arrays_match_elementwise_conversion(capsys):
+    rng = np.random.default_rng(31)
+    floats = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, (7, 5))
+    nonfinite = floats.copy()
+    nonfinite[1, 2], nonfinite[3, 0], nonfinite[6, 4] = np.nan, np.inf, -np.inf
+    payload = {
+        "bool": rng.random((3, 4)) < 0.5,
+        "int": rng.integers(-2**40, 2**40, size=(4, 3)),
+        "uint8": rng.integers(0, 255, size=6).astype(np.uint8),
+        "float": floats,
+        "float32": rng.standard_normal(5).astype(np.float32),
+        "nonfinite": nonfinite,
+        "empty": np.zeros((0, 3)),
+        "nested": [{"row": floats[2]}, (np.arange(3), 0.5)],
+    }
+    cli._emit(payload, None)
+    expected = json.dumps(_elementwise_plain(payload), indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out.encode() == expected.encode()
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -242,6 +287,42 @@ def test_unstable_integration_is_numerical_failure(capsys, tmp_path):
                "--alpha", "0.5", "--dt", "50"])
     capsys.readouterr()
     assert rc == 2
+
+
+def test_linalg_failure_is_numerical_failure(capsys, monkeypatch):
+    def fail(rho):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(cli, "vn_entropy", fail)
+    rc = main(["entropy", "--toy", "triangle"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "qnet: numerical failure:" in err
+
+
+def test_drifted_walk_distribution_is_numerical_failure(capsys, monkeypatch):
+    exact = walks.hermitian_eig
+
+    def inflated(m, **kwargs):  # eigenvectors 10% too long: sums read 1.21
+        dec = exact(m, **kwargs)
+        return dataclasses.replace(dec, vectors=1.1 * dec.vectors)
+    monkeypatch.setattr(walks, "hermitian_eig", inflated)
+    rc = main(["walk", "--toy", "k2", "--times", "0:1:5"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "qnet: numerical failure: occupation distribution sum drifted" in err
+
+
+def test_oversized_lattice_is_usage_error(capsys):
+    rc = main(["percolate", "--lattice", "100000x100000", "--p", "0.5", "--trials", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "qnet: error:" in err and "exceeds the limit" in err
+
+
+def test_threads_flag_is_gone(capsys):
+    rc = main(["percolate", "--lattice", "8x8", "--p", "0.5", "--threads", "2"])
+    capsys.readouterr()
+    assert rc == 1
 
 
 def test_magnetic_needs_theta(capsys):

@@ -2,6 +2,8 @@
 and lattice bond percolation."""
 from __future__ import annotations
 
+import tracemalloc
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from qnet import (
     QubitState,
     bond_percolation,
     bond_percolation_curve,
+    build_graph,
     cep_lattice,
     contains_subgraph,
     estimate_spanning_crossing,
@@ -20,7 +23,10 @@ from qnet import (
     subgraph_emergence,
     toys,
 )
+from qnet import percolation
 from qnet.percolation import ClusterStats
+
+import _percolation_reference as reference
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +160,40 @@ def test_emergence_validation():
         subgraph_emergence("triangle", z=1.0, n_values=[16], c_values=[2.0, 1.0])
     with pytest.raises(ValueError, match="z must"):
         subgraph_emergence("triangle", z=-1.0, n_values=[16], c_values=[1.0])
+    with pytest.raises(ValueError, match="empty"):
+        subgraph_emergence("triangle", z=1.0, n_values=[16], c_values=[])
+
+
+@pytest.mark.parametrize("target,z,n_values,c_values,trials", [
+    ("edge", 2.0, [8, 24], [0.05, 0.3, 1.0, 3.0], 30),
+    ("path3", 1.5, [12, 30], [0.2, 0.6, 1.5], 25),
+    ("triangle", 1.0, [16, 48, 96], [0.3, 1.0, 2.0, 4.0], 40),
+    ("triangle", 0.8, [20], [0.05, 0.2, 0.5, 50.0], 30),
+    ("square", 1.0, [14, 28], [0.5, 1.5, 4.0], 15),
+    ("clique4", 2.0 / 3.0, [18, 30], [0.5, 1.5, 3.0], 12),
+])
+def test_emergence_equals_per_c_rebuild_reference(target, z, n_values, c_values, trials):
+    for seed in (1, 2):
+        res = subgraph_emergence(target, z=z, n_values=n_values, c_values=c_values,
+                                 trials=trials, seed=seed)
+        expected = reference.emergence_fractions(target, z, n_values, c_values, trials, seed)
+        assert np.array_equal(res.fractions, expected)
+
+
+def test_containment_equals_reference_on_random_graphs():
+    rng = np.random.default_rng(74)
+    for _ in range(40):
+        n = int(rng.integers(4, 14))
+        g = sample_quantum_random_graph(n, float(rng.uniform(0.05, 0.6)), seed=rng)
+        for target in ("edge", "path3", "triangle", "square", "clique4"):
+            assert contains_subgraph(g, target) == reference.contains_subgraph(g, target)
+
+
+def test_containment_ignores_host_self_loops():
+    g = build_graph(3, [(0, 0), (0, 1), (1, 2)], allow_self_loops=True)
+    assert not contains_subgraph(g, "triangle")
+    assert contains_subgraph(g, "path3")
+    assert not contains_subgraph(build_graph(2, [(1, 1)], allow_self_loops=True), "edge")
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +231,64 @@ def test_curve_is_seed_deterministic():
     assert [r.spanning for r in a.records] == [r.spanning for r in b.records]
 
 
-def test_threaded_run_matches_serial():
-    serial = bond_percolation_curve(8, 8, [0.4, 0.6], trials=16, seed=5, threads=1)
-    threaded = bond_percolation_curve(8, 8, [0.4, 0.6], trials=16, seed=5, threads=4)
-    for s, t in zip(serial, threaded):
-        assert s.spanning_prob == t.spanning_prob
-        assert s.histogram == t.histogram
+def test_batched_kernel_matches_reference_union_find():
+    ps = [0.4, 0.6]
+    curve = bond_percolation_curve(8, 8, ps, trials=16, seed=5)
+    _assert_matches_reference(curve, 8, 8, ps, trials=16, seed=5)
+
+
+def _assert_matches_reference(curve, width, height, ps, trials, seed):
+    expected = reference.bond_percolation_curve(width, height, ps, trials, seed)
+    assert [s.p for s in curve] == [float(p) for p in ps]
+    for stats, (prob, largest_mean, hist, records) in zip(curve, expected):
+        assert [(r.spanning, r.largest_fraction) for r in stats.records] == records
+        assert stats.histogram == hist
+        assert stats.spanning_prob == prob
+        assert stats.largest_fraction_mean == largest_mean
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_lattice_kernel_equals_reference_on_random_shapes(case):
+    rng = np.random.default_rng(300 + case)
+    width, height = int(rng.integers(2, 13)), int(rng.integers(1, 13))
+    grid = sorted(rng.uniform(0.0, 1.0, size=int(rng.integers(1, 6))).tolist())
+    ps = [0.0] + grid + [1.0] if case % 2 else grid
+    trials = int(rng.integers(1, 9))
+    curve = bond_percolation_curve(width, height, ps, trials=trials, seed=case)
+    _assert_matches_reference(curve, width, height, ps, trials, case)
+
+
+@pytest.mark.parametrize("width,height,ps", [
+    (2, 1, [0.0, 0.5, 1.0]),
+    (9, 1, [0.3, 0.7, 0.95]),
+    (2, 7, [0.0, 1.0]),
+    (16, 16, [0.44, 0.47, 0.5, 0.53, 0.56]),
+    (13, 5, list(np.linspace(0.3, 0.7, 9))),
+])
+def test_lattice_kernel_equals_reference_on_edge_shapes(width, height, ps):
+    curve = bond_percolation_curve(width, height, ps, trials=6, seed=11)
+    _assert_matches_reference(curve, width, height, ps, 6, 11)
+
+
+def test_lattice_kernel_splits_large_grids_into_batches(monkeypatch):
+    # 40 sites per batch holds one 6 x 6 copy at a time
+    monkeypatch.setattr(percolation, "_BATCH_SITES", 40)
+    ps = [0.2, 0.45, 0.5, 0.55, 0.8]
+    curve = bond_percolation_curve(6, 6, ps, trials=5, seed=12)
+    _assert_matches_reference(curve, 6, 6, ps, 5, 12)
+
+
+def test_oversized_lattice_rejected_before_allocation():
+    side = 100_000
+    assert side * side > percolation.MAX_LATTICE_SITES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            bond_percolation_curve(side, side, [0.5], trials=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_lattice_validation():
