@@ -14,7 +14,7 @@ import numpy as np
 from scipy.cluster.vq import kmeans2
 
 from .config import DEFAULT_TOLS, Tolerances
-from .graphs import Graph, adjacency_matrix, connected_components
+from .graphs import Graph, _components, adjacency_matrix
 from .linalg import EigenDecomposition, assert_hermitian, hermitian_eig
 from .walks import WalkSpec, long_time_average, uniform_superposition
 
@@ -196,31 +196,11 @@ def closeness_link_failure(h: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> Cl
                 d = 0.0
             c[u, v] = c[v, u] = 1.0 / (1.0 + d)
     zero = [int(u) for u in range(n) if np.abs(responses[u]).max() < 1e-14]
-    comp_graph = [(i, j) for i in range(n) for j in range(i + 1, n) if abs(h[i, j]) > 0]
     notes: dict = {"zero_response_nodes": zero}
-    comps = _component_split(n, comp_graph)
+    comps = _components(n, links)
     if len(comps) > 1:
         notes["components"] = comps
     return _finalize(c, "link-failure", notes=notes)
-
-
-def _component_split(n: int, pairs: list[tuple[int, int]]) -> list[list[int]]:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    return sorted(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +386,4 @@ def magnetic_partition(g: Graph, theta: float, k: int, seed: int = 0,
         labels=_labels_from_groups(g.n, [list(c) for c in communities]),
         communities=communities,
         method="magnetic",
-    )
-
-
-def component_partition(g: Graph) -> Partition:
-    """Connected components as a trivial partition (useful as a baseline)."""
-    comps = connected_components(g)
-    return Partition(
-        labels=_labels_from_groups(g.n, comps),
-        communities=tuple(tuple(c) for c in comps),
-        method="components",
     )

@@ -1,12 +1,12 @@
 """Central numerical tolerances.
 
 Every tolerance used by the library lives in one frozen record so that a
-single override (pass a modified copy to the routines that accept one)
-changes behaviour consistently instead of chasing scattered constants.
+single override (a dataclasses.replace copy passed to the routines that
+accept one) changes behaviour consistently instead of chasing scattered constants.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -14,28 +14,23 @@ class Tolerances:
     # operator symmetry checks
     hermitian_rtol: float = 1e-12       # max|M - M^H| relative to max|M|
     unitary_atol: float = 1e-10         # max|U^H U - I|
-    # eigendecomposition post-conditions
-    orthonormal_atol: float = 1e-10     # max|V^H V - I|
-    projector_atol: float = 1e-9        # idempotence / completeness of eigenprojectors
-    reconstruction_rtol: float = 1e-9   # |V diag(w) V^H - M| relative to max|M|
+    # eigendecomposition
     degeneracy_rtol: float = 1e-9       # eigenvalue grouping, relative to spectral range
     # master-equation integration
     trace_drift_atol: float = 1e-6      # |tr(rho) - 1| before renormalization
     negative_eig_atol: float = 1e-8     # most negative admissible density eigenvalue
     trace_annihilation_atol: float = 1e-9  # |tr(rhs(rho0))| for a valid generator
     # density-matrix validation and entropy
+    density_hermitian_atol: float = 1e-10  # max|rho - rho^H|
     density_trace_atol: float = 1e-10
     density_psd_atol: float = 1e-10
     eig_clip_floor: float = 1e-14       # eigenvalues below this count as exact zeros
     support_mass_atol: float = 1e-12    # mass allowed outside a reference support
-    # probability distributions
+    # probability distributions and stochastic matrices
     distribution_sum_atol: float = 1e-9
     distribution_negative_atol: float = 1e-12
     # stationary-state detection for dissipative ranking
     steady_state_atol: float = 1e-8     # max-norm change per step at convergence
-    # convenience copier so call sites can tweak one field
-    def with_(self, **changes) -> "Tolerances":
-        return replace(self, **changes)
 
 
 DEFAULT_TOLS = Tolerances()

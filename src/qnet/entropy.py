@@ -11,7 +11,7 @@ from scipy.cluster import hierarchy
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import GraphFormatError, SupportViolationWarning
 from .graphs import Graph, build_graph, build_operators
-from .linalg import expm_hermitian
+from .linalg import check_density_matrix, expm_hermitian
 
 
 @dataclass(frozen=True)
@@ -26,14 +26,7 @@ class DensityMatrix:
 def make_density(matrix: np.ndarray, construction: str = "external",
                  tau: float | None = None, tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:
     m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"density matrix must be square, got {m.shape}")
-    if np.abs(m - m.conj().T).max() > 1e-10:
-        raise ValueError("density matrix is not hermitian")
-    if abs(np.trace(m).real - 1.0) > tols.density_trace_atol:
-        raise ValueError(f"density matrix trace {np.trace(m).real!r} != 1")
-    if np.linalg.eigvalsh(m)[0] < -tols.density_psd_atol:
-        raise ValueError("density matrix has a negative eigenvalue")
+    check_density_matrix(m, tols)
     return DensityMatrix(matrix=m, construction=construction, tau=tau)
 
 
@@ -67,6 +60,19 @@ def vn_entropy(rho, tols: Tolerances = DEFAULT_TOLS) -> float:
     return float(-(w * np.log2(w)).sum() + 0.0)
 
 
+def _log_on_support(r: np.ndarray, sigma: np.ndarray, tols: Tolerances) -> tuple[float, float]:
+    """(mass of r outside the support of sigma, tr[r log2 sigma] on that support).
+
+    Eigenvalues of sigma at or below tols.eig_clip_floor span its null space.
+    """
+    ws, vs = np.linalg.eigh(sigma)
+    null = ws <= tols.eig_clip_floor
+    null_vecs, keep = vs[:, null], ~null
+    leaked = float(np.real(np.trace(null_vecs.conj().T @ r @ null_vecs)))
+    weights = np.real(np.einsum("ij,jk,ki->i", vs[:, keep].conj().T, r, vs[:, keep]))
+    return leaked, float((weights * np.log2(ws[keep])).sum())
+
+
 def kl_divergence(rho, sigma, tols: Tolerances = DEFAULT_TOLS) -> float:
     """Relative entropy tr[rho (log2 rho - log2 sigma)] in bits.
 
@@ -74,26 +80,17 @@ def kl_divergence(rho, sigma, tols: Tolerances = DEFAULT_TOLS) -> float:
     math.inf is returned and a SupportViolationWarning explains the overlap.
     """
     r = _as_matrix(rho)
-    s = _as_matrix(sigma)
-    ws, vs = np.linalg.eigh(s)
-    null = ws <= tols.eig_clip_floor
-    if null.any():
-        null_vecs = vs[:, null]
-        leaked = float(np.real(np.trace(null_vecs.conj().T @ r @ null_vecs)))
-        if leaked > tols.support_mass_atol:
-            warnings.warn(
-                f"support violation: {leaked:.3e} of the state lies outside the "
-                "reference support; divergence is infinite",
-                SupportViolationWarning,
-            )
-            return float("inf")
+    leaked, cross_term = _log_on_support(r, _as_matrix(sigma), tols)
+    if leaked > tols.support_mass_atol:
+        warnings.warn(
+            f"support violation: {leaked:.3e} of the state lies outside the "
+            "reference support; divergence is infinite",
+            SupportViolationWarning,
+        )
+        return float("inf")
     wr = np.linalg.eigvalsh(r)
     wr = wr[wr > tols.eig_clip_floor]
     entropy_term = float((wr * np.log2(wr)).sum())
-    keep = ~null
-    log_s = np.log2(ws[keep])
-    weights = np.real(np.einsum("ij,jk,ki->i", vs[:, keep].conj().T, r, vs[:, keep]))
-    cross_term = float((weights * log_s).sum())
     return entropy_term - cross_term
 
 
@@ -144,20 +141,14 @@ def log_likelihood(rho, model, tols: Tolerances = DEFAULT_TOLS) -> float:
         sigma = model.density(r.shape[0]).matrix
     else:
         sigma = _as_matrix(model)
-    ws, vs = np.linalg.eigh(sigma)
-    null = ws <= tols.eig_clip_floor
-    if null.any():
-        null_vecs = vs[:, null]
-        leaked = float(np.real(np.trace(null_vecs.conj().T @ r @ null_vecs)))
-        if leaked > tols.support_mass_atol:
-            warnings.warn(
-                f"model support misses {leaked:.3e} of the observed state",
-                SupportViolationWarning,
-            )
-            return float("-inf")
-    keep = ~null
-    weights = np.real(np.einsum("ij,jk,ki->i", vs[:, keep].conj().T, r, vs[:, keep]))
-    return float((weights * np.log2(ws[keep])).sum())
+    leaked, cross_term = _log_on_support(r, sigma, tols)
+    if leaked > tols.support_mass_atol:
+        warnings.warn(
+            f"model support misses {leaked:.3e} of the observed state",
+            SupportViolationWarning,
+        )
+        return float("-inf")
+    return cross_term
 
 
 # ---------------------------------------------------------------------------

@@ -216,7 +216,6 @@ class OperatorBundle:
     stochastic_generator: np.ndarray  # Lap @ D^-1, columns sum to zero
     quantum_generator: np.ndarray    # D^-1/2 Lap D^-1/2, Hermitian
     isolated: tuple[int, ...]        # nodes excluded from the D^-1 generators
-    tags: dict
 
     @property
     def degree_matrix(self) -> np.ndarray:
@@ -264,12 +263,6 @@ def build_operators(
         stochastic_generator=l_s,
         quantum_generator=l_q,
         isolated=isolated,
-        tags={
-            "adjacency": "hermitian",
-            "laplacian": "hermitian-psd",
-            "stochastic_generator": "column-sum-zero",
-            "quantum_generator": "hermitian-psd",
-        },
     )
 
 
@@ -327,20 +320,21 @@ def google_matrix(g: Graph, damping: float = 0.85) -> GoogleMatrix:
 # structure checks
 
 
-def _neighbor_lists(g: Graph) -> list[list[int]]:
-    nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    for e in g.edges:
-        nbrs[e.src].append(e.dst)
-        nbrs[e.dst].append(e.src)
+def _neighbor_lists(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
     return nbrs
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Components of the undirected view, each sorted, in discovery order."""
-    nbrs = _neighbor_lists(g)
-    seen = [False] * g.n
+def _components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Components of n nodes joined by undirected pairs, each sorted, ordered
+    by their smallest member."""
+    nbrs = _neighbor_lists(n, pairs)
+    seen = [False] * n
     comps = []
-    for start in range(g.n):
+    for start in range(n):
         if seen[start]:
             continue
         queue = [start]
@@ -357,6 +351,11 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
+def connected_components(g: Graph) -> list[list[int]]:
+    """Components of the undirected view, each sorted, in discovery order."""
+    return _components(g.n, ((e.src, e.dst) for e in g.edges))
+
+
 def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(connected_components(g)) == 1
 
@@ -370,7 +369,7 @@ class BipartiteResult:
 
 def is_bipartite(g: Graph) -> BipartiteResult:
     """Two-color the undirected view; on failure return an odd-cycle witness."""
-    nbrs = _neighbor_lists(g)
+    nbrs = _neighbor_lists(g.n, ((e.src, e.dst) for e in g.edges))
     color = np.full(g.n, -1, dtype=int)
     parent = np.full(g.n, -1, dtype=int)
     for start in range(g.n):

@@ -11,11 +11,14 @@ Design notes:
     directly, (V * f(w)) @ V^H, instead of generic Pade routines.
   * The density-matrix integrator is a fixed-step classical RK4 with
     re-hermitization and trace renormalization after every step; it refuses
-    to continue when the state drifts off the physical manifold.
+    to continue when the state drifts off the physical manifold. Its one
+    loop, _master_equation_states, also drives the dissipative rankings'
+    steady-state search, so integrate_master_equation and ranking share it.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+import itertools
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,6 +43,18 @@ def assert_hermitian(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS, name: str =
             f"{name} is not hermitian: max |M - M^H| = {worst:.3e} at entry "
             f"({i},{j}), allowed {allowed:.3e}"
         )
+
+
+def check_density_matrix(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> None:
+    """Raise ValueError unless m is a square, Hermitian, unit-trace PSD matrix."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"density matrix must be square, got {m.shape}")
+    if np.abs(m - m.conj().T).max() > tols.density_hermitian_atol:
+        raise ValueError("density matrix is not hermitian")
+    if abs(np.trace(m).real - 1.0) > tols.density_trace_atol:
+        raise ValueError(f"density matrix trace {np.trace(m).real} != 1")
+    if np.linalg.eigvalsh(m)[0] < -tols.density_psd_atol:
+        raise ValueError("density matrix has a negative eigenvalue")
 
 
 def is_unitary(u: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> bool:
@@ -140,9 +155,8 @@ def expm_hermitian(m: np.ndarray, scale: complex = 1.0,
     return matrix_function_hermitian(m, lambda w: np.exp(scale * w), tols)
 
 
-def lindblad_rhs(h: np.ndarray, jumps: Sequence[np.ndarray] = (),
-                 unitary_weight: float = 1.0, dissipative_weight: float = 1.0):
-    """Right-hand side d rho/dt = -i wu [H, rho] + wd sum_k (L rho L^H - {L^H L, rho}/2).
+def lindblad_rhs(h: np.ndarray, jumps: Sequence[np.ndarray] = ()):
+    """Right-hand side d rho/dt = -i [H, rho] + sum_k (L rho L^H - {L^H L, rho}/2).
 
     Returns a closure suitable for integrate_master_equation. The jump list
     may be empty (pure Hamiltonian evolution of a density matrix).
@@ -153,12 +167,12 @@ def lindblad_rhs(h: np.ndarray, jumps: Sequence[np.ndarray] = (),
     anti = sum((Ld @ L for L, Ld in pairs), np.zeros_like(h))
 
     def rhs(rho: np.ndarray) -> np.ndarray:
-        out = -1j * unitary_weight * (h @ rho - rho @ h)
+        out = -1j * (h @ rho - rho @ h)
         if pairs:
             diss = -0.5 * (anti @ rho + rho @ anti)
             for L, Ld in pairs:
                 diss += L @ rho @ Ld
-            out = out + dissipative_weight * diss
+            out = out + diss
         return out
 
     return rhs
@@ -202,6 +216,43 @@ def check_physical_state(rho: np.ndarray, t: float, tols: Tolerances = DEFAULT_T
         )
 
 
+def _step_count(t_final: float, dt: float) -> int:
+    """Number of fixed steps of size dt that reach t_final (0 if t_final <= 0)."""
+    return int(np.ceil(t_final / dt - 1e-12)) if t_final > 0 else 0
+
+
+def _master_equation_states(
+    rhs: Callable[[np.ndarray], np.ndarray],
+    rho0: np.ndarray,
+    dt: float,
+    tols: Tolerances = DEFAULT_TOLS,
+) -> Iterator[np.ndarray]:
+    """rho0, then the state after each RK4 step of size dt, without end.
+
+    dt, rho0 and the rhs are validated before the first state is yielded.
+    Each later state is re-hermitized, checked by check_physical_state at
+    t = k dt, and trace-renormalized before it is yielded.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    rho = np.asarray(rho0, dtype=complex).copy()
+    assert_hermitian(rho, tols, name="initial state")
+    if abs(np.trace(rho).real - 1.0) > tols.density_trace_atol:
+        raise ValueError(f"initial state trace is {np.trace(rho).real:.9f}, expected 1")
+    drift = complex(np.trace(rhs(rho)))
+    if abs(drift) > tols.trace_annihilation_atol * max(1.0, float(np.abs(rho).max())):
+        raise ValueError(
+            f"rhs does not annihilate the trace: tr(rhs(rho0)) = {drift:.3e}"
+        )
+    yield rho
+    for k in itertools.count(1):
+        rho = rk4_step(rhs, rho, dt)
+        rho = 0.5 * (rho + rho.conj().T)
+        check_physical_state(rho, k * dt, tols)
+        rho = rho / np.real(np.trace(rho))
+        yield rho
+
+
 def integrate_master_equation(
     rhs: Callable[[np.ndarray], np.ndarray],
     rho0: np.ndarray,
@@ -215,27 +266,13 @@ def integrate_master_equation(
     beyond tols.trace_drift_atol (before renormalization) or an eigenvalue
     below -tols.negative_eig_atol aborts with IntegrationInstabilityError.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     if t_final < 0:
         raise ValueError(f"t_final must be non-negative, got {t_final}")
-    rho = np.asarray(rho0, dtype=complex).copy()
-    assert_hermitian(rho, tols, name="initial state")
-    if abs(np.trace(rho).real - 1.0) > tols.density_trace_atol:
-        raise ValueError(f"initial state trace is {np.trace(rho).real:.9f}, expected 1")
-    drift = complex(np.trace(rhs(rho)))
-    if abs(drift) > tols.trace_annihilation_atol * max(1.0, float(np.abs(rho).max())):
-        raise ValueError(
-            f"rhs does not annihilate the trace: tr(rhs(rho0)) = {drift:.3e}"
-        )
-    steps = int(np.ceil(t_final / dt - 1e-12)) if t_final > 0 else 0
-    times = np.arange(steps + 1) * dt
-    states = np.empty((steps + 1,) + rho.shape, dtype=complex)
-    states[0] = rho
+    states = _master_equation_states(rhs, rho0, dt, tols)
+    rho = next(states)
+    steps = _step_count(t_final, dt)
+    out = np.empty((steps + 1,) + rho.shape, dtype=complex)
+    out[0] = rho
     for k in range(1, steps + 1):
-        rho = rk4_step(rhs, rho, dt)
-        rho = 0.5 * (rho + rho.conj().T)
-        check_physical_state(rho, times[k], tols)
-        rho = rho / np.real(np.trace(rho))
-        states[k] = rho
-    return Trajectory(times=times, states=states)
+        out[k] = next(states)
+    return Trajectory(times=np.arange(steps + 1) * dt, states=out)

@@ -10,7 +10,7 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import ConvergenceError
 from .graphs import Graph, GoogleMatrix, adjacency_matrix, google_matrix
-from .linalg import check_physical_state, hermitian_eig, rk4_step
+from .linalg import _master_equation_states, _step_count, hermitian_eig
 from .walks import _initial_state
 
 SZEGEDY_EDGE_SPACE_CAP = 4096  # dense edge-space vectors, n*n entries
@@ -54,7 +54,8 @@ def _as_transition(gm: GoogleMatrix | np.ndarray) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"transition matrix must be square, got {mat.shape}")
     col_sums = mat.sum(axis=0)
-    if np.abs(col_sums - 1.0).max() > 1e-9 or mat.min() < -1e-12:
+    if (np.abs(col_sums - 1.0).max() > DEFAULT_TOLS.distribution_sum_atol
+            or mat.min() < -DEFAULT_TOLS.distribution_negative_atol):
         raise ValueError("matrix is not column-stochastic")
     return mat
 
@@ -225,28 +226,47 @@ def _dissipator(gmat: np.ndarray, jump_form: str):
     raise ValueError(f"unknown jump_form {jump_form!r}")
 
 
-def _steady_state(rhs, rho0: np.ndarray, t_final: float, dt: float, tols: Tolerances):
-    rho = rho0.astype(complex)
-    steps = int(np.ceil(t_final / dt - 1e-12))
-    converged = False
-    t_conv = None
-    for k in range(1, steps + 1):
-        nxt = rk4_step(rhs, rho, dt)
-        nxt = 0.5 * (nxt + nxt.conj().T)
-        check_physical_state(nxt, k * dt, tols)
-        nxt = nxt / np.real(np.trace(nxt))
-        if np.abs(nxt - rho).max() <= tols.steady_state_atol:
-            rho = nxt
-            converged = True
-            t_conv = k * dt
-            break
-        rho = nxt
-    return rho, converged, t_conv
-
-
 def _symmetrized_hamiltonian(g: Graph) -> np.ndarray:
     a = np.abs(adjacency_matrix(g))
     return 0.5 * (a + a.T)
+
+
+def _dissipative_rank(g: Graph, unitary_weight: float, dissipative_weight: float,
+                      damping: float, t_final: float, dt: float | None, jump_form: str,
+                      initial: int | np.ndarray | None, tols: Tolerances):
+    """Scores, converged flag and convergence time of the steady state of
+    d rho/dt = -i wu [H, rho] + wd * dissipator.
+
+    The master-equation states are consumed until the max-norm change of one
+    step is at most tols.steady_state_atol, or until t_final is reached.
+    """
+    h = _symmetrized_hamiltonian(g)
+    diss = _dissipator(google_matrix(g, damping).matrix, jump_form)
+
+    def rhs(rho: np.ndarray) -> np.ndarray:
+        # x * 1.0 == x exactly, so weight 1 skips one array pass per evaluation
+        out = diss(rho) if dissipative_weight == 1.0 else dissipative_weight * diss(rho)
+        if unitary_weight:
+            out = out - 1j * unitary_weight * (h @ rho - rho @ h)
+        return out
+
+    if dt is None:
+        dt = 0.01 / max(np.abs(h).max(), 1.0)
+    if initial is None:
+        rho0 = np.eye(g.n, dtype=complex) / g.n
+    else:
+        kind, state = _initial_state(initial, g.n, tols)
+        rho0 = np.outer(state, state.conj()) if kind == "pure" else state
+    states = _master_equation_states(rhs, rho0, dt, tols)
+    rho = next(states)
+    converged, t_conv = False, None
+    for k in range(1, _step_count(t_final, dt) + 1):
+        prev, rho = rho, next(states)
+        if np.abs(rho - prev).max() <= tols.steady_state_atol:
+            converged, t_conv = True, k * dt
+            break
+    scores = np.clip(np.real(np.diag(rho)), 0.0, None)
+    return scores / scores.sum(), converged, t_conv
 
 
 def interpolated_rank(
@@ -268,33 +288,10 @@ def interpolated_rank(
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    h = _symmetrized_hamiltonian(g)
-    gmat = google_matrix(g, damping).matrix
-    diss = _dissipator(gmat, jump_form)
-
-    def rhs(rho: np.ndarray) -> np.ndarray:
-        out = alpha * diss(rho)
-        if alpha < 1.0:
-            out = out - 1j * (1.0 - alpha) * (h @ rho - rho @ h)
-        return out
-
-    if dt is None:
-        dt = 0.01 / max(np.abs(h).max(), 1.0)
-    if initial is None:
-        rho0 = np.eye(g.n, dtype=complex) / g.n
-    else:
-        kind, state = _initial_state(initial, g.n, tols)
-        rho0 = np.outer(state, state.conj()) if kind == "pure" else state
-    rho, converged, t_conv = _steady_state(rhs, rho0, t_final, dt, tols)
-    scores = np.clip(np.real(np.diag(rho)), 0.0, None)
-    scores /= scores.sum()
-    return RankingResult(
-        variant="interpolated",
-        scores=scores,
-        alpha=float(alpha),
-        converged=converged,
-        convergence_time=t_conv,
-    )
+    scores, converged, t_conv = _dissipative_rank(
+        g, 1.0 - alpha, alpha, damping, t_final, dt, jump_form, initial, tols)
+    return RankingResult(variant="interpolated", scores=scores, alpha=float(alpha),
+                         converged=converged, convergence_time=t_conv)
 
 
 def qsw_activity(
@@ -306,27 +303,9 @@ def qsw_activity(
     initial: int | np.ndarray | None = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> RankingResult:
-    """Steady-state activity with unitary and dissipative parts at full weight."""
-    h = _symmetrized_hamiltonian(g)
-    gmat = google_matrix(g, damping).matrix
-    diss = _dissipator(gmat, jump_form)
-
-    def rhs(rho: np.ndarray) -> np.ndarray:
-        return -1j * (h @ rho - rho @ h) + diss(rho)
-
-    if dt is None:
-        dt = 0.01 / max(np.abs(h).max(), 1.0)
-    if initial is None:
-        rho0 = np.eye(g.n, dtype=complex) / g.n
-    else:
-        kind, state = _initial_state(initial, g.n, tols)
-        rho0 = np.outer(state, state.conj()) if kind == "pure" else state
-    rho, converged, t_conv = _steady_state(rhs, rho0, t_final, dt, tols)
-    scores = np.clip(np.real(np.diag(rho)), 0.0, None)
-    scores /= scores.sum()
-    return RankingResult(
-        variant="qsw",
-        scores=scores,
-        converged=converged,
-        convergence_time=t_conv,
-    )
+    """Steady-state activity with unitary and dissipative parts at full weight:
+    the equal-weight case of the master equation of interpolated_rank."""
+    scores, converged, t_conv = _dissipative_rank(
+        g, 1.0, 1.0, damping, t_final, dt, jump_form, initial, tols)
+    return RankingResult(variant="qsw", scores=scores,
+                         converged=converged, convergence_time=t_conv)

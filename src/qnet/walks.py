@@ -14,7 +14,7 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import DisconnectedGraphError, DistributionError
 from .graphs import Graph, adjacency_matrix, build_operators, is_connected
-from .linalg import EigenDecomposition, hermitian_eig
+from .linalg import EigenDecomposition, check_density_matrix, hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -54,14 +54,9 @@ def _initial_state(initial, n: int, tols: Tolerances):
             raise ValueError("zero state vector")
         return "pure", arr / norm
     if arr.ndim == 2:
+        check_density_matrix(arr, tols)
         if arr.shape != (n, n):
             raise ValueError(f"density matrix shape {arr.shape} != ({n}, {n})")
-        if np.abs(arr - arr.conj().T).max() > 1e-10:
-            raise ValueError("density matrix is not hermitian")
-        if abs(np.trace(arr).real - 1.0) > tols.density_trace_atol:
-            raise ValueError(f"density matrix trace {np.trace(arr).real} != 1")
-        if np.linalg.eigvalsh(arr)[0] < -tols.density_psd_atol:
-            raise ValueError("density matrix has a negative eigenvalue")
         return "mixed", arr
     raise ValueError("initial must be a node id, a vector, or a density matrix")
 

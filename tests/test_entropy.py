@@ -12,6 +12,7 @@ from qnet import (
     GraphFormatError,
     LayerStack,
     SupportViolationWarning,
+    WalkSpec,
     aggregate_layers,
     build_graph,
     density_propagator,
@@ -21,6 +22,7 @@ from qnet import (
     kl_divergence,
     layer_cluster,
     log_likelihood,
+    long_time_average,
     make_density,
     toys,
     vn_entropy,
@@ -101,15 +103,21 @@ def test_propagator_entropy_decreases_with_tau():
     assert all(a >= b - 1e-10 for a, b in zip(ent, ent[1:]))
 
 
-def test_make_density_validation():
+def _walk_initial(m):
+    return long_time_average(WalkSpec(np.zeros((2, 2)), m))
+
+
+@pytest.mark.parametrize("validate", [make_density, _walk_initial],
+                         ids=["make_density", "walk_initial"])
+def test_make_density_validation(validate):
     with pytest.raises(ValueError, match="square"):
-        make_density(np.ones((2, 3)))
+        validate(np.ones((2, 3)))
     with pytest.raises(ValueError, match="hermitian"):
-        make_density(np.array([[0.5, 1.0], [0.0, 0.5]]))
+        validate(np.array([[0.5, 1.0], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="trace"):
-        make_density(np.eye(2))
+        validate(np.eye(2))
     with pytest.raises(ValueError, match="negative"):
-        make_density(np.diag([1.5, -0.5]))
+        validate(np.diag([1.5, -0.5]))
 
 
 # ---------------------------------------------------------------------------

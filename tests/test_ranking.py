@@ -8,9 +8,11 @@ import pytest
 from qnet import (
     ConvergenceError,
     adiabatic_rank,
+    adjacency_matrix,
     build_graph,
     classical_pagerank,
     google_matrix,
+    integrate_master_equation,
     interpolated_rank,
     qsw_activity,
     rank_hamiltonian,
@@ -19,9 +21,9 @@ from qnet import (
     szegedy_step_matrix,
     toys,
 )
-from qnet.ranking import szegedy_step_operator
+from qnet.ranking import _dissipator, _symmetrized_hamiltonian, szegedy_step_operator
 
-from _helpers import random_directed_graph
+from _helpers import random_connected_graph, random_directed_graph
 
 # two-node chain 0 -> 1 at damping 0.85: the stationary point of
 # p0 = 0.15/2 + 0.85 p1 / 2, p1 = 0.15/2 + 0.85 (p0 + p1/2) in closed form
@@ -35,6 +37,12 @@ SZEGEDY_CHAIN3 = (0.25823932727522253, 0.2921190696726222, 0.44964160305215534)
 # 0 -> {1, 2}, 1 -> 3 (teleport makes the dangling columns identical, the
 # coherent term feeds the longer branch); pinned from a converged run
 FORK4_ALPHA_HALF_GAP = 0.022025266441871638
+
+# L1 bound between qsw_activity and the exact Liouvillian kernel: the run
+# stops once one step changes rho by at most 1e-8, which leaves a residual
+# of order 1e-8 / (dt * spectral gap); the worst case measured over the
+# graphs of the test below was 3.2e-5 (dephasing, n = 6)
+QSW_KERNEL_L1 = 1e-4
 
 
 def test_classical_cycle_is_uniform():
@@ -190,3 +198,66 @@ def test_qsw_activity_flows_downstream():
     assert r.scores[1] > r.scores[0]
     assert r.scores.sum() == pytest.approx(1.0, abs=1e-8)
     assert r.variant == "qsw"
+
+
+def test_interpolated_short_run_is_integrator_final_state():
+    # stopped well before convergence, the ranking returns the normalized
+    # diagonal of the same state integrate_master_equation ends in
+    g = build_graph(4, [(0, 1), (0, 2), (1, 3)], directed=True)
+    alpha, dt, t_final = 0.4, 0.01, 0.5
+    h = _symmetrized_hamiltonian(g)
+    # I/4 is already stationary under dephasing, so that form starts at node 0
+    for jump_form, initial in (("transport", None), ("transport", 0), ("dephasing", 0)):
+        diss = _dissipator(google_matrix(g, 0.85).matrix, jump_form)
+
+        def rhs(rho):
+            return alpha * diss(rho) - 1j * (1.0 - alpha) * (h @ rho - rho @ h)
+
+        r = interpolated_rank(g, alpha, t_final=t_final, dt=dt,
+                              jump_form=jump_form, initial=initial)
+        assert r.converged is False and r.convergence_time is None
+        rho0 = np.eye(4, dtype=complex) / 4
+        if initial == 0:
+            rho0 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        final = integrate_master_equation(rhs, rho0, t_final, dt).final
+        p = np.clip(np.real(np.diag(final)), 0.0, None)
+        assert np.array_equal(r.scores, p / p.sum())
+
+
+def _liouvillian_kernel_scores(g, jump_form, damping=0.85):
+    """Diagonal of the trace-one kernel of the dense Liouvillian of
+    -i[H, rho] + sum_ij (L_ij rho L_ij^H - {L_ij^H L_ij, rho}/2), with every
+    jump operator written out (row-major vec: vec(X rho Y) = (X kron Y^T) vec(rho))."""
+    n = g.n
+    a = np.abs(adjacency_matrix(g))
+    h = 0.5 * (a + a.T)
+    gm = google_matrix(g, damping).matrix
+    eye = np.eye(n)
+    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for i in range(n):
+        for j in range(n):
+            jump = np.zeros((n, n))
+            jump[i, j if jump_form == "transport" else i] = np.sqrt(gm[i, j])
+            ldl = jump.T @ jump
+            sup += np.kron(jump, jump) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+    _, sing, vh = np.linalg.svd(sup)
+    assert sing[-2] > 1e-3  # one-dimensional kernel
+    rho = vh[-1].conj().reshape(n, n)
+    p = np.real(np.diag(rho / np.trace(rho)))
+    return p / p.sum()
+
+
+@pytest.mark.parametrize("jump_form", ["transport", "dephasing"])
+def test_qsw_matches_liouvillian_kernel(jump_form):
+    rng = np.random.default_rng(23)
+    graphs = [toys.directed_chain(3), toys.directed_cycle(3), toys.star(5)]
+    for n in (5, 8):
+        tree = random_connected_graph(rng, n)
+        graphs.append(build_graph(n, [(e.src, e.dst) if rng.random() < 0.5 else (e.dst, e.src)
+                                      for e in tree.edges], directed=True))
+    for g in graphs:
+        # a basis start, so the dephasing run has populations to spread
+        r = qsw_activity(g, jump_form=jump_form, initial=0)
+        assert r.converged
+        want = _liouvillian_kernel_scores(g, jump_form)
+        assert np.abs(r.scores - want).sum() <= QSW_KERNEL_L1
