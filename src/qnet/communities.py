@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 
 from .config import DEFAULT_TOLS, Tolerances
 from .graphs import Graph, _components, adjacency_matrix
@@ -185,17 +184,17 @@ def closeness_link_failure(h: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> Cl
         trimmed[i, j] = 0.0
         trimmed[j, i] = 0.0
         responses[:, k] = mean_occupations(trimmed) - base
-    incident = [set(e) for e in links]
+    incident = np.zeros((n, len(links)), dtype=bool)     # node x link
+    incident[np.array(links).T, np.arange(len(links))] = True
     c = np.zeros((n, n))
-    for u in range(n):
-        for v in range(u + 1, n):
-            cols = [k for k, pair in enumerate(incident) if u not in pair and v not in pair]
-            if cols:
-                d = np.linalg.norm(responses[u, cols] - responses[v, cols]) / np.sqrt(len(cols))
-            else:
-                d = 0.0
-            c[u, v] = c[v, u] = 1.0 / (1.0 + d)
-    zero = [int(u) for u in range(n) if np.abs(responses[u]).max() < 1e-14]
+    for u in range(n - 1):
+        # failures touching neither u nor v, for every v > u at once
+        compared = ~(incident[u] | incident[u + 1:])
+        diff = np.where(compared, responses[u] - responses[u + 1:], 0.0)
+        count = compared.sum(axis=1)
+        d = np.sqrt((diff ** 2).sum(axis=1) / np.maximum(count, 1))
+        c[u, u + 1:] = c[u + 1:, u] = 1.0 / (1.0 + d)
+    zero = np.flatnonzero(np.abs(responses).max(axis=1) < tols.zero_response_atol).tolist()
     notes: dict = {"zero_response_nodes": zero}
     comps = _components(n, links)
     if len(comps) > 1:
@@ -233,113 +232,99 @@ class Partition:
         return out
 
 
-def _labels_from_groups(n: int, groups: list[list[int]]) -> np.ndarray:
-    labels = np.empty(n, dtype=int)
-    for idx, members in enumerate(sorted(groups, key=min)):
-        for m in members:
-            labels[m] = idx
-    return labels
-
-
-def _partition_quality(c: np.ndarray, groups: list[list[int]]) -> float:
-    """Intra-community closeness mass ratio, corrected by the strength null.
-
-    The raw intra/total ratio is monotone under merging; subtracting the
-    null expectation (sum over communities of squared strength fractions)
-    makes an optimum at genuine block structure.
-    """
-    total = c.sum()
-    if total <= 0:
-        return 0.0
-    strength = c.sum(axis=1)
-    q = 0.0
-    for members in groups:
-        idx = np.array(members)
-        q += c[np.ix_(idx, idx)].sum() / total
-        q -= (strength[idx].sum() / total) ** 2
-    return float(q)
+def _relabel(owner: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """Labels and member tuples for a per-node cluster key, communities
+    numbered by their smallest member."""
+    seen: dict[int, int] = {}
+    labels = np.array([seen.setdefault(int(k), len(seen)) for k in owner], dtype=int)
+    return labels, tuple(tuple(np.flatnonzero(labels == i).tolist()) for i in range(len(seen)))
 
 
 def agglomerate(closeness: ClosenessMatrix) -> Partition:
     """Average-linkage agglomeration, merging the closest pair first.
 
-    Every merge level is scored; the best-scoring level is returned along
-    with the full merge list. Exactly tied merge candidates set the tie flag
-    (the dendrogram order is then not unique).
+    Each merge takes, of the active pairs (a < b), the first in row-major
+    order whose linkage is within Tolerances.merge_pick_atol of the largest,
+    so near-equal candidates resolve to the lowest slots. Another active pair
+    within merge_tie_atol of the chosen one sets the tie flag (the dendrogram
+    order is then not unique), as does a second level within level_tie_atol
+    of the best quality.
+
+    Every level is scored by the intra-community closeness mass ratio
+    corrected by the strength null (sum over communities of squared strength
+    fractions), which makes an optimum at genuine block structure. The score
+    is kept incrementally from cluster-by-cluster sums of c, merged by adding
+    rows and columns. The best-scoring level is returned along with the full
+    merge list.
     """
-    c = closeness.matrix
+    tols = DEFAULT_TOLS
+    c = np.asarray(closeness.matrix, dtype=float)
     n = c.shape[0]
+    method = f"agglomerate-{closeness.measure}"
     if n == 0:
         raise ValueError("empty closeness matrix")
+    if not np.isfinite(c).all():
+        raise ValueError("closeness matrix has non-finite entries")
     if n == 1:
-        return Partition(labels=np.zeros(1, dtype=int), communities=((0,),),
-                         method=f"agglomerate-{closeness.measure}", quality=0.0,
-                         merges=(), level_qualities=(0.0,), best_level=0)
-    if c.sum() <= 0:
-        return Partition(labels=np.zeros(n, dtype=int),
-                         communities=(tuple(range(n)),),
-                         method=f"agglomerate-{closeness.measure}",
-                         quality=0.0, merges=(), level_qualities=(0.0,),
+        return Partition(labels=np.zeros(1, dtype=int), communities=((0,),), method=method,
+                         quality=0.0, merges=(), level_qualities=(0.0,), best_level=0)
+    total = c.sum()
+    if total <= 0:
+        return Partition(labels=np.zeros(n, dtype=int), communities=(tuple(range(n)),),
+                         method=method, quality=0.0, merges=(), level_qualities=(0.0,),
                          best_level=0, tie=True)
-    link = c.astype(float).copy()
-    sizes = {i: 1 for i in range(n)}
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    active = set(range(n))
+    link = c.copy()                       # active pairs a < b; the rest is -inf
+    link[np.tril_indices(n)] = -np.inf
+    block = c.copy()                      # cluster-by-cluster sums of c
+    strength = c.sum(axis=1)              # cluster strengths
+    intra = np.diag(c).copy()             # intra-cluster closeness mass
+    sizes = np.ones(n, dtype=int)
+    ids = np.arange(n)                    # slot -> cluster id (scipy style)
+    qualities = [float(np.sum(intra / total - (strength / total) ** 2))]
     merges: list[tuple[int, int, float]] = []
-    levels: list[list[list[int]]] = [[list(m) for m in members.values()]]
-    qualities = [_partition_quality(c, levels[0])]
+    slots: list[tuple[int, int]] = []
     tie = False
-    next_id = n
-    ids = {i: i for i in range(n)}  # position -> cluster id (scipy style)
-    while len(active) > 1:
-        best_pair = None
-        best_val = -np.inf
-        second = -np.inf
-        order = sorted(active)
-        for ai, a in enumerate(order):
-            for b in order[ai + 1:]:
-                v = link[a, b]
-                if v > best_val + 1e-15:
-                    second = best_val
-                    best_val = v
-                    best_pair = (a, b)
-                elif v > second:
-                    second = v
-        if second > -np.inf and abs(best_val - second) <= 1e-12:
-            tie = True
-        a, b = best_pair
-        merges.append((ids[a], ids[b], float(best_val)))
-        # average-linkage update into slot a
-        for x in active:
-            if x in (a, b):
-                continue
-            link[a, x] = link[x, a] = (
-                sizes[a] * link[a, x] + sizes[b] * link[b, x]
-            ) / (sizes[a] + sizes[b])
+    for next_id in range(n, 2 * n - 1):
+        top = link.max()
+        near = np.flatnonzero(link >= top - tols.merge_pick_atol - tols.merge_tie_atol)
+        vals = link.flat[near]
+        pick = int(np.argmax(vals >= top - tols.merge_pick_atol))
+        a, b = divmod(int(near[pick]), n)
+        val = vals[pick]
+        tie = tie or np.count_nonzero(vals >= val - tols.merge_tie_atol) > 1
+        merges.append((int(ids[a]), int(ids[b]), float(val)))
+        slots.append((a, b))
+        # average-linkage update into slot a; masked entries stay -inf
+        row_a = np.maximum(link[a], link[:, a])
+        row_b = np.maximum(link[b], link[:, b])
+        merged = (sizes[a] * row_a + sizes[b] * row_b) / (sizes[a] + sizes[b])
+        link[a, a + 1:] = merged[a + 1:]
+        link[:a, a] = merged[:a]
+        link[b, :] = link[:, b] = -np.inf
+        block[a] += block[b]
+        block[:, a] += block[:, b]
+        strength[a] += strength[b]
+        strength[b] = intra[b] = 0.0
+        intra[a] = block[a, a]
         sizes[a] += sizes[b]
-        members[a] = members[a] + members[b]
         ids[a] = next_id
-        next_id += 1
-        active.remove(b)
-        del members[b], sizes[b]
-        groups = [sorted(m) for m in members.values()]
-        levels.append(groups)
-        qualities.append(_partition_quality(c, groups))
+        qualities.append(float(np.sum(intra / total - (strength / total) ** 2)))
     best_level = int(np.argmax(qualities))
-    if sum(abs(q - qualities[best_level]) <= 1e-12 for q in qualities) > 1:
-        tie = True
-    groups = levels[best_level]
-    labels = _labels_from_groups(n, groups)
-    communities = tuple(tuple(g) for g in sorted(groups, key=min))
+    q = np.asarray(qualities)
+    tie = tie or np.count_nonzero(np.abs(q - q[best_level]) <= tols.level_tie_atol) > 1
+    owner = np.arange(n)
+    for a, b in slots[:best_level]:
+        owner[owner == b] = a
+    labels, communities = _relabel(owner)
     return Partition(
         labels=labels,
         communities=communities,
-        method=f"agglomerate-{closeness.measure}",
+        method=method,
         quality=qualities[best_level],
         merges=tuple(merges),
         level_qualities=tuple(qualities),
         best_level=best_level,
-        tie=tie,
+        tie=bool(tie),
     )
 
 
@@ -377,13 +362,7 @@ def magnetic_partition(g: Graph, theta: float, k: int, seed: int = 0,
     dec = hermitian_eig(lap, tols=tols)
     low = dec.vectors[:, : int(dec.group_sizes[:k].sum())]
     features = np.abs(low @ low.conj().T)
-    _, labels = kmeans2(features, k, minit="++", seed=seed)
-    groups: dict[int, list[int]] = {}
-    for node, lab in enumerate(labels):
-        groups.setdefault(int(lab), []).append(node)
-    communities = tuple(tuple(sorted(m)) for m in sorted(groups.values(), key=min))
-    return Partition(
-        labels=_labels_from_groups(g.n, [list(c) for c in communities]),
-        communities=communities,
-        method="magnetic",
-    )
+    from scipy.cluster.vq import kmeans2  # scipy.cluster costs most of the package import
+
+    labels, communities = _relabel(kmeans2(features, k, minit="++", seed=seed)[1])
+    return Partition(labels=labels, communities=communities, method="magnetic")

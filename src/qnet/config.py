@@ -31,6 +31,11 @@ class Tolerances:
     distribution_negative_atol: float = 1e-12
     # stationary-state detection for dissipative ranking
     steady_state_atol: float = 1e-8     # max-norm change per step at convergence
+    # community detection
+    merge_pick_atol: float = 1e-15      # pairs this close to the best linkage count as the best
+    merge_tie_atol: float = 1e-12       # a second pair this close flags a dendrogram tie
+    level_tie_atol: float = 1e-12       # a second level this close flags a best-level tie
+    zero_response_atol: float = 1e-14   # link-failure responses below this count as none
 
 
 DEFAULT_TOLS = Tolerances()

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.cluster import hierarchy
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import GraphFormatError, SupportViolationWarning
@@ -186,6 +185,8 @@ def layer_cluster(stack: LayerStack, tau: float = 1.0,
     for i in range(k):
         for j in range(i + 1, k):
             dist[i, j] = dist[j, i] = js_distance(densities[i], densities[j], tols)
+    from scipy.cluster import hierarchy  # scipy.cluster costs most of the package import
+
     condensed = dist[np.triu_indices(k, 1)]
     z = hierarchy.linkage(condensed, method="average")
     merges = tuple((int(a), int(b), float(d)) for a, b, d, _ in z)

@@ -10,6 +10,7 @@ Conventions:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -52,7 +53,8 @@ def build_graph(
     directed: bool = False,
     allow_self_loops: bool = False,
 ) -> Graph:
-    """Validate and freeze a graph: ids in range, weights >= 0, no duplicates."""
+    """Validate and freeze a graph: ids in range, finite weights >= 0 and
+    phases, no duplicates."""
     if n < 0:
         raise GraphFormatError(f"node count must be >= 0, got {n}")
     if n > MAX_NODES:
@@ -67,6 +69,10 @@ def build_graph(
             )
         if e.src == e.dst and not allow_self_loops:
             raise GraphFormatError(f"self-loop on node {e.src} (not enabled)")
+        if not (math.isfinite(e.weight) and math.isfinite(e.phase)):
+            raise GraphFormatError(
+                f"non-finite weight or phase on edge ({e.src}, {e.dst})"
+            )
         if e.weight < 0:
             raise GraphFormatError(
                 f"negative weight {e.weight} on edge ({e.src}, {e.dst})"
@@ -133,6 +139,8 @@ def load_edge_list(text: str, directed: bool | None = None) -> Graph:
             raise GraphFormatError(f"line {ln}: malformed edge {line!r}") from None
         if u < 0 or v < 0:
             raise GraphFormatError(f"line {ln}: negative node id")
+        if not (math.isfinite(w) and math.isfinite(phase)):
+            raise GraphFormatError(f"line {ln}: non-finite weight or phase")
         if w < 0:
             raise GraphFormatError(f"line {ln}: negative weight {w}")
         saw_edge = True

@@ -319,6 +319,17 @@ def test_oversized_lattice_is_usage_error(capsys):
     assert "qnet: error:" in err and "exceeds the limit" in err
 
 
+@pytest.mark.parametrize("edge", ["0 1 nan", "0 1 inf", "0 1 1.0 nan", "0 1 1.0 -inf"])
+@pytest.mark.parametrize("command", [["entropy"], ["rank", "--variant", "classical"]])
+def test_non_finite_edge_is_usage_error(capsys, tmp_path, edge, command):
+    path = tmp_path / "bad.edges"
+    path.write_text(f"1 2\n{edge}\n")
+    rc = main([*command, "--input", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "qnet: error:" in err and "non-finite" in err
+
+
 def test_threads_flag_is_gone(capsys):
     rc = main(["percolate", "--lattice", "8x8", "--p", "0.5", "--threads", "2"])
     capsys.readouterr()
@@ -337,3 +348,13 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entropy_bits"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cli_import_leaves_scipy_cluster_unloaded():
+    # scipy.cluster is most of the package's import time; only the layer
+    # dendrogram and the magnetic k-means load it, when they run
+    code = ("import sys, qnet.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.cluster')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

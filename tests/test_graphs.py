@@ -109,6 +109,24 @@ def test_build_graph_validation():
     assert g.edge_count == 2
 
 
+NON_FINITE = [(float("nan"), 0.0), (float("inf"), 0.0), (1.0, float("nan")),
+              (1.0, float("inf")), (1.0, float("-inf"))]
+
+
+@pytest.mark.parametrize("weight,phase", NON_FINITE)
+def test_build_graph_rejects_non_finite_weight_and_phase(weight, phase):
+    with pytest.raises(GraphFormatError, match="non-finite"):
+        build_graph(3, [(0, 1, weight, phase), (1, 2)])
+
+
+@pytest.mark.parametrize("weight,phase", NON_FINITE)
+def test_edge_list_rejects_non_finite_weight_and_phase(weight, phase):
+    with pytest.raises(GraphFormatError, match="line 2: non-finite"):
+        load_edge_list(f"1 2\n0 1 {weight} {phase}\n")
+    with pytest.raises(GraphFormatError, match="non-finite"):
+        graph_from_json({"nodes": 2, "edges": [{"src": 0, "dst": 1, "w": weight, "phase": phase}]})
+
+
 # ---------------------------------------------------------------------------
 # operator bundle
 

@@ -7,9 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.cluster.vq
 
 import qnet
-import qnet.communities
 import qnet.walks
 from qnet import toys
 from qnet.cli import main
@@ -132,13 +132,13 @@ def test_magnetic_features_match_projector_sum(monkeypatch, k):
     g = qnet.build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6),
                              (6, 7), (7, 4), (3, 4)], directed=True)
     seen = []
-    real_kmeans = qnet.communities.kmeans2
+    real_kmeans = scipy.cluster.vq.kmeans2
 
     def spy(features, *args, **kwargs):
         seen.append(features)
         return real_kmeans(features, *args, **kwargs)
 
-    monkeypatch.setattr(qnet.communities, "kmeans2", spy)
+    monkeypatch.setattr(scipy.cluster.vq, "kmeans2", spy)
     qnet.magnetic_partition(g, theta=np.pi / 4, k=k)
     dec = qnet.hermitian_eig(qnet.magnetic_laplacian(g, np.pi / 4))
     want = np.abs(sum(dec.projectors[a] for a in range(k)))
