@@ -223,15 +223,10 @@ def _cmd_rank(args) -> int:
     elif args.variant == "interpolated":
         if args.alpha is None:
             raise UsageError("--alpha is required for the interpolated variant")
-        result = interpolated_rank(
-            g, alpha=args.alpha, damping=args.damping,
-            t_final=args.t_final, dt=args.dt, jump_form=args.jump,
-        )
+        result = interpolated_rank(g, alpha=args.alpha, damping=args.damping,
+                                   jump_form=args.jump)
     else:  # qsw
-        result = qsw_activity(
-            g, damping=args.damping,
-            t_final=args.t_final, dt=args.dt, jump_form=args.jump,
-        )
+        result = qsw_activity(g, damping=args.damping, jump_form=args.jump)
     payload = result.as_dict()
     payload["damping"] = args.damping
     _emit(payload, args.output)
@@ -424,10 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--alpha", type=float, default=None,
                       help="dissipative weight in (0, 1] (interpolated variant)")
     rank.add_argument("--steps", type=int, default=512, help="szegedy walk steps")
-    rank.add_argument("--t-final", type=float, default=300.0,
-                      help="evolution horizon for the dissipative variants")
-    rank.add_argument("--dt", type=float, default=None,
-                      help="integrator step (default scales with the generator norm)")
     rank.add_argument("--jump", choices=["transport", "dephasing"], default="transport")
 
     entropy = sub.add_parser("entropy", help="Von Neumann entropy of a graph state")

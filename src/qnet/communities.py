@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .graphs import Graph, _components, adjacency_matrix
-from .linalg import EigenDecomposition, assert_hermitian, hermitian_eig
+from .linalg import EigenDecomposition, _kernel_transport, assert_hermitian, hermitian_eig
 from .walks import WalkSpec, long_time_average, uniform_superposition
 
 
@@ -100,8 +100,8 @@ def closeness_long_time_transport(
 
     The finite-t branch needs sum_ab K_ab (Pi_a)_ij conj(Pi_b)_ij with the
     window kernel K_ab = (1/t) int_0^t e^{-i(l_a - l_b)s} ds. K is a Gram
-    matrix, hence Hermitian PSD: with K = sum_r mu_r k_r k_r^H the sum is
-    sum_r mu_r |V diag(k_r) V^H|^2, one GEMM per numerically nonzero mode.
+    matrix, hence Hermitian PSD, and linalg._kernel_transport evaluates the
+    sum with one GEMM per numerically nonzero mode of K.
     """
     h = np.asarray(h, dtype=complex)
     dec = hermitian_eig(h, tols=tols)
@@ -112,14 +112,7 @@ def closeness_long_time_transport(
     # window average of e^{-i(l_a - l_b) s} over s in [0, t]
     delta = dec.group_values[:, None] - dec.group_values[None, :]
     x = 0.5 * delta * t
-    mu, modes = np.linalg.eigh(np.exp(-1j * x) * np.sinc(x / np.pi))
-    # drop modes below the numerical rank of K (numpy.linalg.matrix_rank's cut)
-    keep = mu > len(mu) * np.finfo(float).eps * mu[-1]
-    v = dec.vectors
-    labels = dec.group_labels
-    c = np.zeros(h.shape)
-    for m, k in zip(mu[keep], modes[:, keep].T):
-        c += m * np.abs((v * k[labels]) @ v.conj().T) ** 2
+    c = _kernel_transport(dec, np.exp(-1j * x) * np.sinc(x / np.pi))
     return _finalize(c, "long-time-transport", time=float(t))
 
 

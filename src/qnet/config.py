@@ -29,8 +29,8 @@ class Tolerances:
     # probability distributions and stochastic matrices
     distribution_sum_atol: float = 1e-9
     distribution_negative_atol: float = 1e-12
-    # stationary-state detection for dissipative ranking
-    steady_state_atol: float = 1e-8     # max-norm change per step at convergence
+    # dissipative-ranking steady state
+    steady_state_atol: float = 1e-8     # L1 residual |Phi G p - p| of the solved state
     # community detection
     merge_pick_atol: float = 1e-15      # pairs this close to the best linkage count as the best
     merge_tie_atol: float = 1e-12       # a second pair this close flags a dendrogram tie

@@ -9,16 +9,17 @@ Design notes:
     numbers however simple the spectrum.
   * Matrix functions of Hermitian operators are built from the decomposition
     directly, (V * f(w)) @ V^H, instead of generic Pade routines.
+  * Transport sums sum_ab K_ab (P_a)_ij conj(P_b)_ij over a Hermitian PSD
+    kernel K on the eigenvalue groups share one helper, _kernel_transport:
+    windowed closeness and the dissipative rankings' steady-state map both
+    use it.
   * The density-matrix integrator is a fixed-step classical RK4 with
     re-hermitization and trace renormalization after every step; it refuses
-    to continue when the state drifts off the physical manifold. Its one
-    loop, _master_equation_states, also drives the dissipative rankings'
-    steady-state search, so integrate_master_equation and ranking share it.
+    to continue when the state drifts off the physical manifold.
 """
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -140,6 +141,24 @@ def hermitian_eig(
     )
 
 
+def _kernel_transport(dec: EigenDecomposition, kernel: np.ndarray) -> np.ndarray:
+    """sum_ab K_ab (P_a)_ij conj(P_b)_ij for a Hermitian PSD kernel K over the
+    eigenvalue groups of dec.
+
+    With K = sum_r mu_r k_r k_r^H the sum is sum_r mu_r |V diag(k_r) V^H|^2,
+    one GEMM per numerically nonzero mode; the result is real and nonnegative.
+    """
+    mu, modes = np.linalg.eigh(kernel)
+    # drop modes below the numerical rank of K (numpy.linalg.matrix_rank's cut)
+    keep = mu > len(mu) * np.finfo(float).eps * mu[-1]
+    v = dec.vectors
+    labels = dec.group_labels
+    c = np.zeros(v.shape)
+    for m, k in zip(mu[keep], modes[:, keep].T):
+        c += m * np.abs((v * k[labels]) @ v.conj().T) ** 2
+    return c
+
+
 def matrix_function_hermitian(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
                               tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """f applied to a Hermitian matrix through its eigendecomposition."""
@@ -216,43 +235,6 @@ def check_physical_state(rho: np.ndarray, t: float, tols: Tolerances = DEFAULT_T
         )
 
 
-def _step_count(t_final: float, dt: float) -> int:
-    """Number of fixed steps of size dt that reach t_final (0 if t_final <= 0)."""
-    return int(np.ceil(t_final / dt - 1e-12)) if t_final > 0 else 0
-
-
-def _master_equation_states(
-    rhs: Callable[[np.ndarray], np.ndarray],
-    rho0: np.ndarray,
-    dt: float,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> Iterator[np.ndarray]:
-    """rho0, then the state after each RK4 step of size dt, without end.
-
-    dt, rho0 and the rhs are validated before the first state is yielded.
-    Each later state is re-hermitized, checked by check_physical_state at
-    t = k dt, and trace-renormalized before it is yielded.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    rho = np.asarray(rho0, dtype=complex).copy()
-    assert_hermitian(rho, tols, name="initial state")
-    if abs(np.trace(rho).real - 1.0) > tols.density_trace_atol:
-        raise ValueError(f"initial state trace is {np.trace(rho).real:.9f}, expected 1")
-    drift = complex(np.trace(rhs(rho)))
-    if abs(drift) > tols.trace_annihilation_atol * max(1.0, float(np.abs(rho).max())):
-        raise ValueError(
-            f"rhs does not annihilate the trace: tr(rhs(rho0)) = {drift:.3e}"
-        )
-    yield rho
-    for k in itertools.count(1):
-        rho = rk4_step(rhs, rho, dt)
-        rho = 0.5 * (rho + rho.conj().T)
-        check_physical_state(rho, k * dt, tols)
-        rho = rho / np.real(np.trace(rho))
-        yield rho
-
-
 def integrate_master_equation(
     rhs: Callable[[np.ndarray], np.ndarray],
     rho0: np.ndarray,
@@ -268,11 +250,24 @@ def integrate_master_equation(
     """
     if t_final < 0:
         raise ValueError(f"t_final must be non-negative, got {t_final}")
-    states = _master_equation_states(rhs, rho0, dt, tols)
-    rho = next(states)
-    steps = _step_count(t_final, dt)
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    rho = np.asarray(rho0, dtype=complex).copy()
+    assert_hermitian(rho, tols, name="initial state")
+    if abs(np.trace(rho).real - 1.0) > tols.density_trace_atol:
+        raise ValueError(f"initial state trace is {np.trace(rho).real:.9f}, expected 1")
+    drift = complex(np.trace(rhs(rho)))
+    if abs(drift) > tols.trace_annihilation_atol * max(1.0, float(np.abs(rho).max())):
+        raise ValueError(
+            f"rhs does not annihilate the trace: tr(rhs(rho0)) = {drift:.3e}"
+        )
+    steps = int(np.ceil(t_final / dt - 1e-12)) if t_final > 0 else 0
     out = np.empty((steps + 1,) + rho.shape, dtype=complex)
     out[0] = rho
     for k in range(1, steps + 1):
-        out[k] = next(states)
+        rho = rk4_step(rhs, rho, dt)
+        rho = 0.5 * (rho + rho.conj().T)
+        check_physical_state(rho, k * dt, tols)
+        rho = rho / np.real(np.trace(rho))
+        out[k] = rho
     return Trajectory(times=np.arange(steps + 1) * dt, states=out)

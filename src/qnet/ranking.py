@@ -1,5 +1,9 @@
 """Node ranking: power iteration, ground-state ranking, edge-space walks,
 and dissipative interpolation between the unitary and classical limits.
+
+The dissipative rankings are steady states of a master equation, solved in
+closed form on the eigendecomposition of the symmetrized Hamiltonian rather
+than found by integrating it.
 """
 from __future__ import annotations
 
@@ -10,8 +14,7 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import ConvergenceError
 from .graphs import Graph, GoogleMatrix, adjacency_matrix, google_matrix
-from .linalg import _master_equation_states, _step_count, hermitian_eig
-from .walks import _initial_state
+from .linalg import _kernel_transport, hermitian_eig
 
 SZEGEDY_EDGE_SPACE_CAP = 4096  # dense edge-space vectors, n*n entries
 
@@ -24,7 +27,6 @@ class RankingResult:
     ground_eigenvalue: float | None = None
     alpha: float | None = None
     converged: bool | None = None
-    convergence_time: float | None = None
     iterations: int | None = None
     degenerate: bool | None = None
     ground_vectors: np.ndarray | None = None
@@ -40,8 +42,6 @@ class RankingResult:
             out["alpha"] = float(self.alpha)
         if self.converged is not None:
             out["converged"] = bool(self.converged)
-        if self.convergence_time is not None:
-            out["convergence_time"] = float(self.convergence_time)
         if self.iterations is not None:
             out["iterations"] = int(self.iterations)
         if self.degenerate is not None:
@@ -206,106 +206,73 @@ def szegedy_rank(
 # dissipative ranking
 
 
-def _dissipator(gmat: np.ndarray, jump_form: str):
-    """Closed form of sum_k (L rho L^H - {L^H L, rho}/2) for the two jump families.
-
-    transport: L_ij = sqrt(G_ij) |i><j|  (moves population along the chain;
-               sum L^H L = I because G is column-stochastic)
-    dephasing: L_ij = sqrt(G_ij) |i><i|  (kills coherences, moves nothing)
-    """
-    if jump_form == "transport":
-        def diss(rho: np.ndarray) -> np.ndarray:
-            return np.diag(gmat @ np.diag(rho)) - rho
-        return diss
-    if jump_form == "dephasing":
-        rates = gmat.sum(axis=1)
-        damp = 0.5 * (rates[:, None] + rates[None, :])
-        def diss(rho: np.ndarray) -> np.ndarray:
-            return np.diag(rates * np.diag(rho)) - damp * rho
-        return diss
-    raise ValueError(f"unknown jump_form {jump_form!r}")
-
-
 def _symmetrized_hamiltonian(g: Graph) -> np.ndarray:
     a = np.abs(adjacency_matrix(g))
     return 0.5 * (a + a.T)
 
 
 def _dissipative_rank(g: Graph, unitary_weight: float, dissipative_weight: float,
-                      damping: float, t_final: float, dt: float | None, jump_form: str,
-                      initial: int | np.ndarray | None, tols: Tolerances):
-    """Scores, converged flag and convergence time of the steady state of
-    d rho/dt = -i wu [H, rho] + wd * dissipator.
+                      damping: float, jump_form: str, tols: Tolerances):
+    """Scores, converged flag and degenerate flag of the steady state of
+    d rho/dt = -i wu [H, rho] + wd * sum_ij (L_ij rho L_ij^H - {L_ij^H L_ij, rho}/2).
 
-    The master-equation states are consumed until the max-norm change of one
-    step is at most tols.steady_state_atol, or until t_final is reached.
+    transport: L_ij = sqrt(G_ij) |i><j| moves population along the chain.
+    In the eigenbasis of H a steady state has rho_ab = K_ab diag(G p)_ab with
+    K_ab = wd / (wd + i wu (l_a - l_b)), the Fourier transform of the
+    positive measure wd e^{-wd s} ds, hence Hermitian PSD. Its diagonal is
+    p = Phi G p with the doubly stochastic Phi = _kernel_transport(dec, K),
+    so p is the stationary distribution of the column-stochastic Phi G,
+    taken from adiabatic_rank, which also flags a reducible Phi G.
+    converged reports the post-condition |Phi G p - p|_1 <= steady_state_atol.
+
+    dephasing: L_ij = sqrt(G_ij) |i><i| kills coherences and moves no
+    population, so the uniform state I/n is stationary and is returned.
     """
-    h = _symmetrized_hamiltonian(g)
-    diss = _dissipator(google_matrix(g, damping).matrix, jump_form)
-
-    def rhs(rho: np.ndarray) -> np.ndarray:
-        # x * 1.0 == x exactly, so weight 1 skips one array pass per evaluation
-        out = diss(rho) if dissipative_weight == 1.0 else dissipative_weight * diss(rho)
-        if unitary_weight:
-            out = out - 1j * unitary_weight * (h @ rho - rho @ h)
-        return out
-
-    if dt is None:
-        dt = 0.01 / max(np.abs(h).max(), 1.0)
-    if initial is None:
-        rho0 = np.eye(g.n, dtype=complex) / g.n
-    else:
-        kind, state = _initial_state(initial, g.n, tols)
-        rho0 = np.outer(state, state.conj()) if kind == "pure" else state
-    states = _master_equation_states(rhs, rho0, dt, tols)
-    rho = next(states)
-    converged, t_conv = False, None
-    for k in range(1, _step_count(t_final, dt) + 1):
-        prev, rho = rho, next(states)
-        if np.abs(rho - prev).max() <= tols.steady_state_atol:
-            converged, t_conv = True, k * dt
-            break
-    scores = np.clip(np.real(np.diag(rho)), 0.0, None)
-    return scores / scores.sum(), converged, t_conv
+    gmat = google_matrix(g, damping).matrix  # also validates damping for both forms
+    if jump_form == "dephasing":
+        return np.full(g.n, 1.0 / g.n), True, None
+    if jump_form != "transport":
+        raise ValueError(f"unknown jump_form {jump_form!r}")
+    dec = hermitian_eig(_symmetrized_hamiltonian(g), tols=tols)
+    delta = dec.group_values[:, None] - dec.group_values[None, :]
+    kernel = dissipative_weight / (dissipative_weight + 1j * unitary_weight * delta)
+    chain = _kernel_transport(dec, kernel) @ gmat
+    steady = adiabatic_rank(chain, tols)
+    residual = float(np.abs(chain @ steady.scores - steady.scores).sum())
+    return steady.scores, residual <= tols.steady_state_atol, steady.degenerate
 
 
 def interpolated_rank(
     g: Graph,
     alpha: float,
     damping: float = 0.85,
-    t_final: float = 300.0,
-    dt: float | None = None,
     jump_form: str = "transport",
-    initial: int | np.ndarray | None = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> RankingResult:
     """Steady-state diagonal of d rho/dt = -i(1-alpha)[H, rho] + alpha * dissipator.
 
     alpha in (0, 1]: any dissipative admixture admits a stationary state;
-    alpha = 1 reproduces the classical stationary distribution. A run that
-    hits t_final before the per-step change drops under the steady-state
-    tolerance is returned flagged converged=False.
+    alpha = 1 reproduces the classical stationary distribution. A steady
+    state that is not unique (damping 1 on a graph whose chain is reducible)
+    is flagged degenerate=True.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    scores, converged, t_conv = _dissipative_rank(
-        g, 1.0 - alpha, alpha, damping, t_final, dt, jump_form, initial, tols)
+    scores, converged, degenerate = _dissipative_rank(
+        g, 1.0 - alpha, alpha, damping, jump_form, tols)
     return RankingResult(variant="interpolated", scores=scores, alpha=float(alpha),
-                         converged=converged, convergence_time=t_conv)
+                         converged=converged, degenerate=degenerate)
 
 
 def qsw_activity(
     g: Graph,
     damping: float = 0.85,
-    t_final: float = 300.0,
-    dt: float | None = None,
     jump_form: str = "transport",
-    initial: int | np.ndarray | None = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> RankingResult:
     """Steady-state activity with unitary and dissipative parts at full weight:
     the equal-weight case of the master equation of interpolated_rank."""
-    scores, converged, t_conv = _dissipative_rank(
-        g, 1.0, 1.0, damping, t_final, dt, jump_form, initial, tols)
+    scores, converged, degenerate = _dissipative_rank(
+        g, 1.0, 1.0, damping, jump_form, tols)
     return RankingResult(variant="qsw", scores=scores,
-                         converged=converged, convergence_time=t_conv)
+                         converged=converged, degenerate=degenerate)

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from qnet import cli, walks
+from qnet import IntegrationInstabilityError, cli, walks
 from qnet.cli import main
 
 K4_EDGES = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -280,13 +280,20 @@ def test_directed_graph_without_symmetrize_rejected(capsys, tmp_path):
     assert rc == 0
 
 
-def test_unstable_integration_is_numerical_failure(capsys, tmp_path):
-    path = tmp_path / "c.edges"
-    path.write_text("directed\n0 1\n1 2\n")
-    rc = main(["rank", "--input", str(path), "--variant", "interpolated",
-               "--alpha", "0.5", "--dt", "50"])
-    capsys.readouterr()
+def test_unstable_integration_is_numerical_failure(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise IntegrationInstabilityError("trace drifted to 1.5 at t=1; reduce dt")
+    monkeypatch.setattr(cli, "interpolated_rank", fail)
+    rc = main(["rank", "--toy", "chain3-directed", "--variant", "interpolated",
+               "--alpha", "0.5"])
+    err = capsys.readouterr().err
     assert rc == 2
+    assert "qnet: numerical failure:" in err
+    # the steady state is solved, not integrated: there is no step to set
+    rc = main(["rank", "--toy", "chain3-directed", "--variant", "interpolated",
+               "--alpha", "0.5", "--dt", "1"])
+    capsys.readouterr()
+    assert rc == 1
 
 
 def test_linalg_failure_is_numerical_failure(capsys, monkeypatch):

@@ -14,6 +14,7 @@ from qnet import (
     google_matrix,
     integrate_master_equation,
     interpolated_rank,
+    lindblad_rhs,
     qsw_activity,
     rank_hamiltonian,
     szegedy_rank,
@@ -21,7 +22,7 @@ from qnet import (
     szegedy_step_matrix,
     toys,
 )
-from qnet.ranking import _dissipator, _symmetrized_hamiltonian, szegedy_step_operator
+from qnet.ranking import _symmetrized_hamiltonian, szegedy_step_operator
 
 from _helpers import random_connected_graph, random_directed_graph
 
@@ -35,14 +36,13 @@ SZEGEDY_CHAIN3 = (0.25823932727522253, 0.2921190696726222, 0.44964160305215534)
 
 # alpha = 0.5 splits the classically exact tie p1 = p2 on the fork
 # 0 -> {1, 2}, 1 -> 3 (teleport makes the dangling columns identical, the
-# coherent term feeds the longer branch); pinned from a converged run
-FORK4_ALPHA_HALF_GAP = 0.022025266441871638
+# coherent term feeds the longer branch); pinned from the exact Liouvillian
+# kernel (_liouvillian_kernel_scores; alpha = 0.5 has the qsw weights)
+FORK4_ALPHA_HALF_GAP = 0.022027300842486885
 
-# L1 bound between qsw_activity and the exact Liouvillian kernel: the run
-# stops once one step changes rho by at most 1e-8, which leaves a residual
-# of order 1e-8 / (dt * spectral gap); the worst case measured over the
-# graphs of the test below was 3.2e-5 (dephasing, n = 6)
-QSW_KERNEL_L1 = 1e-4
+# L1 bound between the closed-form steady state and both the exact
+# Liouvillian kernel and the settled RK4 state: only rounding separates them
+QSW_KERNEL_L1 = 1e-12
 
 
 def test_classical_cycle_is_uniform():
@@ -173,7 +173,7 @@ def test_interpolation_splits_classical_tie():
     r = interpolated_rank(g, alpha=0.5, damping=0.85)
     assert r.converged
     gap = float(r.scores[1] - r.scores[2])
-    assert gap == pytest.approx(FORK4_ALPHA_HALF_GAP, abs=1e-6)
+    assert gap == pytest.approx(FORK4_ALPHA_HALF_GAP, abs=1e-12)
     assert gap > 1e-3
 
 
@@ -200,28 +200,17 @@ def test_qsw_activity_flows_downstream():
     assert r.variant == "qsw"
 
 
-def test_interpolated_short_run_is_integrator_final_state():
-    # stopped well before convergence, the ranking returns the normalized
-    # diagonal of the same state integrate_master_equation ends in
-    g = build_graph(4, [(0, 1), (0, 2), (1, 3)], directed=True)
-    alpha, dt, t_final = 0.4, 0.01, 0.5
-    h = _symmetrized_hamiltonian(g)
-    # I/4 is already stationary under dephasing, so that form starts at node 0
-    for jump_form, initial in (("transport", None), ("transport", 0), ("dephasing", 0)):
-        diss = _dissipator(google_matrix(g, 0.85).matrix, jump_form)
-
-        def rhs(rho):
-            return alpha * diss(rho) - 1j * (1.0 - alpha) * (h @ rho - rho @ h)
-
-        r = interpolated_rank(g, alpha, t_final=t_final, dt=dt,
-                              jump_form=jump_form, initial=initial)
-        assert r.converged is False and r.convergence_time is None
-        rho0 = np.eye(4, dtype=complex) / 4
-        if initial == 0:
-            rho0 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        final = integrate_master_equation(rhs, rho0, t_final, dt).final
-        p = np.clip(np.real(np.diag(final)), 0.0, None)
-        assert np.array_equal(r.scores, p / p.sum())
+def _explicit_jumps(g, jump_form, damping=0.85):
+    """Every jump operator sqrt(G_ij)|i><j| (transport) or sqrt(G_ij)|i><i|
+    (dephasing) written out as a dense matrix."""
+    gm = google_matrix(g, damping).matrix
+    jumps = []
+    for i in range(g.n):
+        for j in range(g.n):
+            jump = np.zeros((g.n, g.n))
+            jump[i, j if jump_form == "transport" else i] = np.sqrt(gm[i, j])
+            jumps.append(jump)
+    return jumps
 
 
 def _liouvillian_kernel_scores(g, jump_form, damping=0.85):
@@ -231,15 +220,11 @@ def _liouvillian_kernel_scores(g, jump_form, damping=0.85):
     n = g.n
     a = np.abs(adjacency_matrix(g))
     h = 0.5 * (a + a.T)
-    gm = google_matrix(g, damping).matrix
     eye = np.eye(n)
     sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for i in range(n):
-        for j in range(n):
-            jump = np.zeros((n, n))
-            jump[i, j if jump_form == "transport" else i] = np.sqrt(gm[i, j])
-            ldl = jump.T @ jump
-            sup += np.kron(jump, jump) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+    for jump in _explicit_jumps(g, jump_form, damping):
+        ldl = jump.T @ jump
+        sup += np.kron(jump, jump) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
     _, sing, vh = np.linalg.svd(sup)
     assert sing[-2] > 1e-3  # one-dimensional kernel
     rho = vh[-1].conj().reshape(n, n)
@@ -247,17 +232,49 @@ def _liouvillian_kernel_scores(g, jump_form, damping=0.85):
     return p / p.sum()
 
 
-@pytest.mark.parametrize("jump_form", ["transport", "dephasing"])
-def test_qsw_matches_liouvillian_kernel(jump_form):
+def _kernel_test_graphs():
     rng = np.random.default_rng(23)
     graphs = [toys.directed_chain(3), toys.directed_cycle(3), toys.star(5)]
     for n in (5, 8):
         tree = random_connected_graph(rng, n)
         graphs.append(build_graph(n, [(e.src, e.dst) if rng.random() < 0.5 else (e.dst, e.src)
                                       for e in tree.edges], directed=True))
-    for g in graphs:
-        # a basis start, so the dephasing run has populations to spread
-        r = qsw_activity(g, jump_form=jump_form, initial=0)
+    return graphs
+
+
+@pytest.mark.parametrize("jump_form", ["transport", "dephasing"])
+def test_qsw_matches_liouvillian_kernel(jump_form):
+    for g in _kernel_test_graphs():
+        r = qsw_activity(g, jump_form=jump_form)
         assert r.converged
         want = _liouvillian_kernel_scores(g, jump_form)
         assert np.abs(r.scores - want).sum() <= QSW_KERNEL_L1
+
+
+@pytest.mark.parametrize("jump_form", ["transport", "dephasing"])
+def test_qsw_matches_integrated_master_equation(jump_form):
+    # RK4 from I/n with every jump written out, run in chunks of t = 10 until
+    # a chunk changes rho by at most 1e-13: its fixed point is the exact
+    # kernel, so only the stopping error separates it from the closed form
+    for g in _kernel_test_graphs():
+        rhs = lindblad_rhs(_symmetrized_hamiltonian(g), _explicit_jumps(g, jump_form))
+        rho = np.eye(g.n, dtype=complex) / g.n
+        for _ in range(20):
+            prev, rho = rho, integrate_master_equation(rhs, rho, 10.0, 0.1).final
+            if np.abs(rho - prev).max() <= 1e-13:
+                break
+        else:
+            pytest.fail(f"RK4 did not settle on n = {g.n}")
+        p = np.real(np.diag(rho))
+        r = qsw_activity(g, jump_form=jump_form)
+        assert np.abs(r.scores - p / p.sum()).sum() <= QSW_KERNEL_L1
+
+
+def test_reducible_chain_is_flagged_degenerate():
+    # damping 1 on two disjoint directed cycles: the steady state is any
+    # mixture of the two cycles' states, which must not come back as one answer
+    g = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], directed=True)
+    for r in (interpolated_rank(g, alpha=0.5, damping=1.0), qsw_activity(g, damping=1.0)):
+        assert r.degenerate is True
+        assert np.allclose(r.scores, 1.0 / 6.0, atol=1e-12)
+    assert interpolated_rank(g, alpha=0.5, damping=0.85).degenerate is False
