@@ -20,6 +20,7 @@ class Tolerances:
     trace_drift_atol: float = 1e-6      # |tr(rho) - 1| before renormalization
     negative_eig_atol: float = 1e-8     # most negative admissible density eigenvalue
     trace_annihilation_atol: float = 1e-9  # |tr(rhs(rho0))| for a valid generator
+    step_count_slack: float = 1e-12     # t_final/dt this far above an integer rounds down to it
     # density-matrix validation and entropy
     density_hermitian_atol: float = 1e-10  # max|rho - rho^H|
     density_trace_atol: float = 1e-10
@@ -36,6 +37,9 @@ class Tolerances:
     merge_tie_atol: float = 1e-12       # a second pair this close flags a dendrogram tie
     level_tie_atol: float = 1e-12       # a second level this close flags a best-level tie
     zero_response_atol: float = 1e-14   # link-failure responses below this count as none
+    # entanglement percolation
+    qubit_norm_atol: float = 1e-12      # |(|a|^2 + |b|^2) - 1| of a two-amplitude pure state
+    critical_ratio_atol: float = 1e-12  # |z - z_c| below this is the critical regime
 
 
 DEFAULT_TOLS = Tolerances()

@@ -261,7 +261,7 @@ def integrate_master_equation(
         raise ValueError(
             f"rhs does not annihilate the trace: tr(rhs(rho0)) = {drift:.3e}"
         )
-    steps = int(np.ceil(t_final / dt - 1e-12)) if t_final > 0 else 0
+    steps = int(np.ceil(t_final / dt - tols.step_count_slack)) if t_final > 0 else 0
     out = np.empty((steps + 1,) + rho.shape, dtype=complex)
     out[0] = rho
     for k in range(1, steps + 1):

@@ -27,6 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .config import DEFAULT_TOLS
 from .graphs import Graph, build_graph
 
 # Lattices are checked against this site count before anything is allocated;
@@ -46,7 +47,7 @@ class QubitState:
 
     def __post_init__(self):
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if abs(norm - 1.0) > DEFAULT_TOLS.qubit_norm_atol:
             raise ValueError(f"amplitudes are not normalized: |a|^2+|b|^2 = {norm!r}")
 
     @property
@@ -249,7 +250,7 @@ def subgraph_emergence(
     if c_sorted != [float(c) for c in c_values]:
         raise ValueError("c_values must be ascending")
     z_crit = tg.n / len(tg.edges)
-    if abs(z - z_crit) < 1e-12:
+    if abs(z - z_crit) < DEFAULT_TOLS.critical_ratio_atol:
         regime = "critical"
     elif z < z_crit:
         regime = "supercritical"

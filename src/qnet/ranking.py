@@ -1,6 +1,12 @@
 """Node ranking: power iteration, ground-state ranking, edge-space walks,
 and dissipative interpolation between the unitary and classical limits.
 
+The two-register (Szegedy) walk keeps its state as an n x n register array,
+so one reflect-and-swap step costs O(n^2); graphs of up to 2048 nodes rank,
+the limit MAX_SZEGEDY_ENTRIES sets on the register array and the step
+series. The dense edge-space matrices (szegedy_state_prep,
+szegedy_step_matrix) remain for checks on small graphs, capped at n <= 64.
+
 The dissipative rankings are steady states of a master equation, solved in
 closed form on the eigendecomposition of the symmetrized Hamiltonian rather
 than found by integrating it.
@@ -17,6 +23,10 @@ from .graphs import Graph, GoogleMatrix, adjacency_matrix, google_matrix
 from .linalg import _kernel_transport, hermitian_eig
 
 SZEGEDY_EDGE_SPACE_CAP = 4096  # dense edge-space vectors, n*n entries
+# The walk's register array (n * n entries) and its step series (steps * n
+# entries) are checked against this count before anything is allocated; a
+# 2048-node graph is the largest the walk takes.
+MAX_SZEGEDY_ENTRIES = 2**22
 
 
 @dataclass(frozen=True)
@@ -141,14 +151,22 @@ def szegedy_state_prep(gm: GoogleMatrix | np.ndarray) -> np.ndarray:
     return psi
 
 
+def _szegedy_step(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One step swap . (2 Pi - 1) on the register array x, x[i, k] on
+    |i>_1 |k>_2, with s[i, k] = sqrt(G_ki): Pi projects onto the prepared
+    columns |i>_1 (x) s[i], and the swap exchanges the registers. O(n^2)."""
+    c = (s * x).sum(axis=1)
+    return (2.0 * s * c[:, None] - x).T
+
+
 def szegedy_step_operator(gm: GoogleMatrix | np.ndarray):
-    """Return (apply, n): apply(x) is one step swap . (2 Pi - 1) applied to x."""
-    psi = szegedy_state_prep(gm)
-    n = psi.shape[1]
+    """Return (apply, n): apply(x) is one step swap . (2 Pi - 1) applied to the
+    flat edge-space vector x, x[i * n + k] on |i>_1 |k>_2."""
+    s = np.sqrt(_as_transition(gm)).T
+    n = s.shape[0]
 
     def apply(x: np.ndarray) -> np.ndarray:
-        y = 2.0 * (psi @ (psi.conj().T @ x)) - x
-        return y.reshape(n, n).T.reshape(-1)
+        return _szegedy_step(s, np.reshape(x, (n, n))).reshape(-1)
 
     return apply, n
 
@@ -178,19 +196,31 @@ def szegedy_rank(
     walk starts in the uniform superposition of the prepared columns, the
     chosen register is read after each of t = 1..steps walk steps, and the
     scores are the running mean with per-node variance of the step series.
+
+    The state is kept as the n x n register array, so a step costs O(n^2)
+    time and memory. The register array (n^2 entries) and the step series
+    (steps * n entries) are each checked against MAX_SZEGEDY_ENTRIES before
+    anything is allocated, which admits graphs of up to 2048 nodes.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if measure_register not in (1, 2):
         raise ValueError("measure_register must be 1 or 2")
-    apply, n = szegedy_step_operator(gm)
-    psi = szegedy_state_prep(gm).sum(axis=1) / np.sqrt(n)
-    state = psi.astype(complex)
+    mat = _as_transition(gm)
+    n = mat.shape[0]
+    if n * n > MAX_SZEGEDY_ENTRIES:
+        raise ValueError(f"register array of {n}^2 entries exceeds the limit of "
+                         f"{MAX_SZEGEDY_ENTRIES} entries")
+    if steps * n > MAX_SZEGEDY_ENTRIES:
+        raise ValueError(f"step series of {steps} steps x {n} nodes exceeds the limit "
+                         f"of {MAX_SZEGEDY_ENTRIES} entries")
+    s = np.sqrt(mat).T
+    x = (s / np.sqrt(n)).astype(complex)
     series = np.empty((steps, n))
     for t in range(steps):
-        state = apply(apply(state))
-        state = state / np.linalg.norm(state)
-        occ = np.abs(state.reshape(n, n)) ** 2
+        x = _szegedy_step(s, _szegedy_step(s, x))
+        x = x / np.linalg.norm(x)
+        occ = np.abs(x) ** 2
         series[t] = occ.sum(axis=0) if measure_register == 2 else occ.sum(axis=1)
     scores = series.mean(axis=0)
     scores = scores / scores.sum()

@@ -1,0 +1,70 @@
+"""Dense edge-space reference for the two-register Szegedy walk, kept as the
+oracle for the register-array step in qnet.ranking: the n^2 x n real
+state-prep matrix of prepared columns, a step operator that applies it twice
+per reflection, and the ranking loop built on them.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from qnet.graphs import GoogleMatrix
+from qnet.ranking import RankingResult, _as_transition
+
+
+def szegedy_state_prep(gm: GoogleMatrix | np.ndarray) -> np.ndarray:
+    """Columns psi_i = |i>_1 (x) sum_k sqrt(G_ki) |k>_2 in the n*n edge space."""
+    mat = _as_transition(gm)
+    n = mat.shape[0]
+    sq = np.sqrt(mat)
+    psi = np.zeros((n * n, n))
+    for i in range(n):
+        psi[i * n: (i + 1) * n, i] = sq[:, i]
+    return psi
+
+
+def szegedy_step_operator(gm: GoogleMatrix | np.ndarray):
+    """Return (apply, n): apply(x) is one step swap . (2 Pi - 1) applied to x."""
+    psi = szegedy_state_prep(gm)
+    n = psi.shape[1]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        y = 2.0 * (psi @ (psi.conj().T @ x)) - x
+        return y.reshape(n, n).T.reshape(-1)
+
+    return apply, n
+
+
+def szegedy_rank(
+    gm: GoogleMatrix | np.ndarray,
+    steps: int = 512,
+    measure_register: int = 2,
+) -> RankingResult:
+    """Cumulative time-averaged register occupations of the two-register walk.
+
+    One walk step is the two-reflection composition (swap . reflect applied
+    twice), which keeps the register roles fixed between measurements; the
+    walk starts in the uniform superposition of the prepared columns, the
+    chosen register is read after each of t = 1..steps walk steps, and the
+    scores are the running mean with per-node variance of the step series.
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if measure_register not in (1, 2):
+        raise ValueError("measure_register must be 1 or 2")
+    apply, n = szegedy_step_operator(gm)
+    psi = szegedy_state_prep(gm).sum(axis=1) / np.sqrt(n)
+    state = psi.astype(complex)
+    series = np.empty((steps, n))
+    for t in range(steps):
+        state = apply(apply(state))
+        state = state / np.linalg.norm(state)
+        occ = np.abs(state.reshape(n, n)) ** 2
+        series[t] = occ.sum(axis=0) if measure_register == 2 else occ.sum(axis=1)
+    scores = series.mean(axis=0)
+    scores = scores / scores.sum()
+    return RankingResult(
+        variant="szegedy",
+        scores=scores,
+        variance=series.var(axis=0),
+        series=series,
+    )

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,6 +325,40 @@ def test_oversized_lattice_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "qnet: error:" in err and "exceeds the limit" in err
+
+
+def test_oversized_szegedy_steps_are_usage_error(capsys):
+    tracemalloc.start()
+    try:
+        rc = main(["rank", "--toy", "chain3-directed", "--variant", "szegedy",
+                   "--steps", "100000000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "qnet: error:" in err and "step series" in err and "exceeds the limit" in err
+    assert peak < 1 << 20
+
+
+def test_oversized_szegedy_register_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "wide.edges"
+    path.write_text("directed\nnodes 2049\n0 1\n")
+    rc = main(["rank", "--input", str(path), "--variant", "szegedy", "--steps", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "qnet: error:" in err and "register array" in err and "exceeds the limit" in err
+
+
+def test_szegedy_rank_runs_past_the_dense_cap(capsys, tmp_path):
+    n = 200
+    path = tmp_path / "tournament.edges"
+    path.write_text("directed\n" + "".join(f"{i} {j}\n" for i in range(n)
+                                           for j in range(i + 1, n)))
+    payload = run_json(capsys, "rank", "--input", str(path), "--variant", "szegedy",
+                       "--steps", "16")
+    assert len(payload["scores"]) == n
+    assert sum(payload["scores"]) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("edge", ["0 1 nan", "0 1 inf", "0 1 1.0 nan", "0 1 1.0 -inf"])

@@ -2,6 +2,8 @@
 two-register edge-space walk, and dissipative interpolation."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,11 @@ from qnet import (
     szegedy_step_matrix,
     toys,
 )
-from qnet.ranking import _symmetrized_hamiltonian, szegedy_step_operator
+from qnet.ranking import (
+    MAX_SZEGEDY_ENTRIES,
+    _symmetrized_hamiltonian,
+    szegedy_step_operator,
+)
 
 from _helpers import random_connected_graph, random_directed_graph
 
@@ -136,9 +142,61 @@ def test_szegedy_state_prep_columns_normalized():
     assert np.allclose(np.linalg.norm(prep, axis=0), 1.0, atol=1e-12)
 
 
-def test_szegedy_edge_space_cap():
+def _transitive_tournament(n: int):
+    # i -> j for every i < j: classical scores strictly increase along the order
+    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)],
+                       directed=True)
+
+
+@pytest.mark.parametrize("n", [70, 200])
+def test_szegedy_ranks_past_the_dense_cap(n):
+    gm = google_matrix(_transitive_tournament(n), 0.85)
+    r = szegedy_rank(gm)
+    cl = classical_pagerank(gm)
+    assert np.diff(np.sort(cl.scores)).min() > 0.0
+    assert r.scores.sum() == pytest.approx(1.0, abs=1e-12)
+    assert list(np.argsort(r.scores)) == list(np.argsort(cl.scores))
+
+
+def test_dense_edge_space_keeps_its_cap():
+    gm = google_matrix(toys.directed_cycle(70), 0.85)
     with pytest.raises(ValueError, match="cap"):
-        szegedy_rank(google_matrix(toys.directed_cycle(70), 0.85))
+        szegedy_state_prep(gm)
+    with pytest.raises(ValueError, match="cap"):
+        szegedy_step_matrix(gm)
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_oversized_szegedy_register_rejected_before_allocation():
+    n = 2049
+    assert n * n > MAX_SZEGEDY_ENTRIES
+    gm = np.full((n, n), 1.0 / n)
+
+    def call():
+        with pytest.raises(ValueError, match="register array .* exceeds the limit"):
+            szegedy_rank(gm, steps=1)
+
+    assert _peak_bytes(call) < 1 << 20
+
+
+@pytest.mark.parametrize("steps", [MAX_SZEGEDY_ENTRIES // 3 + 1, 100_000_000_000])
+def test_oversized_szegedy_series_rejected_before_allocation(steps):
+    gm = google_matrix(toys.directed_chain(3), 0.85)
+
+    def call():
+        with pytest.raises(ValueError, match="step series .* exceeds the limit"):
+            szegedy_rank(gm, steps=steps)
+
+    assert _peak_bytes(call) < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,50 @@
+"""The register-array Szegedy step against the dense edge-space reference in
+_szegedy_reference: seeded random digraphs for the ranking, and property
+tests for the single step."""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qnet import DEFAULT_TOLS, google_matrix, szegedy_rank, szegedy_step_matrix
+from qnet.ranking import szegedy_step_operator
+
+from _helpers import random_directed_graph
+import _szegedy_reference as reference
+
+# sizes of the seeded digraphs: both ends of the dense reference's range and
+# eighteen drawn in between
+ORACLE_SIZES = (2, 64, *np.random.default_rng(2012).integers(3, 64, size=18).tolist())
+
+# the two steps differ only in summation order, which rounding alone separates
+ORACLE_ATOL = 1e-13
+
+
+@pytest.mark.parametrize("measure_register", [1, 2])
+@pytest.mark.parametrize("damping", [0.85, 0.5])
+@pytest.mark.parametrize("case", range(len(ORACLE_SIZES)))
+def test_szegedy_rank_matches_dense_reference(case, damping, measure_register):
+    rng = np.random.default_rng(700 + case)
+    gm = google_matrix(random_directed_graph(rng, ORACLE_SIZES[case]), damping)
+    got = szegedy_rank(gm, steps=32, measure_register=measure_register)
+    want = reference.szegedy_rank(gm, steps=32, measure_register=measure_register)
+    for field in ("scores", "variance", "series"):
+        np.testing.assert_allclose(getattr(got, field), getattr(want, field),
+                                   rtol=0.0, atol=ORACLE_ATOL, err_msg=field)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       damping=st.floats(0.05, 1.0))
+def test_szegedy_step_matches_dense_matrix_and_keeps_norm(n, seed, damping):
+    rng = np.random.default_rng(seed)
+    gm = google_matrix(random_directed_graph(rng, n), damping)
+    apply, size = szegedy_step_operator(gm)
+    assert size == n
+    x = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
+    y = apply(x)
+    atol = DEFAULT_TOLS.unitary_atol
+    assert np.abs(y - szegedy_step_matrix(gm) @ x).max() <= atol
+    assert abs(np.linalg.norm(y) - np.linalg.norm(x)) <= atol * np.linalg.norm(x)
