@@ -106,8 +106,31 @@ def _plain(x):
     return x
 
 
+def _layout(x, pad: str = "") -> str:
+    """The text of json.dumps(x, indent=2, sort_keys=True) for a plain value
+    x that starts at indent pad. json.dumps with an indent runs the
+    pure-Python encoder; here every list without nested containers is one
+    call of the C encoder, whose item separator carries the line break and
+    indent, so large arrays cost one call per row."""
+    inner = pad + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = [f"{json.dumps(k)}: {_layout(v, inner)}" for k, v in sorted(x.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(x, list):
+        if not x:
+            return "[]"
+        if {dict, list}.isdisjoint(map(type, x)):
+            body = json.dumps(x, separators=(",\n" + inner, ": "))[1:-1]
+        else:
+            body = (",\n" + inner).join(_layout(v, inner) for v in x)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(x)
+
+
 def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(_plain(payload), indent=2, sort_keys=True) + "\n"
+    text = _layout(_plain(payload)) + "\n"
     if output is None:
         sys.stdout.write(text)
     else:

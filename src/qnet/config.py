@@ -30,6 +30,8 @@ class Tolerances:
     # probability distributions and stochastic matrices
     distribution_sum_atol: float = 1e-9
     distribution_negative_atol: float = 1e-12
+    # classical PageRank
+    pagerank_l1_atol: float = 1e-13     # power iteration stops at this L1 change per step
     # dissipative-ranking steady state
     steady_state_atol: float = 1e-8     # L1 residual |Phi G p - p| of the solved state
     # community detection

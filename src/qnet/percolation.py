@@ -13,14 +13,17 @@ Both Monte Carlo loops run on array kernels, one pass per trial:
   label of its left column is also a label of its right column; cluster
   sizes and the size histogram come from ``np.bincount`` on the labels.
 - Subgraph emergence draws a trial's uniforms once and keeps the pairs with
-  u below the largest p as index arrays. For the triangle it computes the
-  trial's first-appearance threshold directly: links enter in increasing-u
-  order until one joins two nodes with a common neighbour, and every p above
-  that link's u contains a triangle. Other targets are matched by networkx
-  on hosts built from the masked index arrays, one per p until the first hit.
+  u below the largest p as index arrays. It computes the trial's
+  first-appearance threshold directly: links enter in increasing-u order
+  until one completes a copy of the target, and every p above that link's
+  u contains the target. A copy that first appears at a link uses it, so
+  each insertion searches only the copies through the new link, by
+  backtracking over neighbour sets from each of the target's link orbits.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -119,17 +122,60 @@ _NAMED_TARGETS: dict[str, tuple[int, list[tuple[int, int]]]] = {
 }
 
 
+class _Plan(NamedTuple):
+    """Search for the copies of a target that map one ordered target link
+    (x, y) onto a host link (a, b). steps[i] lists the mapped neighbours of
+    the node that step i maps, as positions in mapping order (x, y, then the
+    nodes of earlier steps)."""
+
+    deg_x: int          # a needs at least this many host neighbours
+    deg_y: int          # and b this many
+    common: bool        # the first step needs a common neighbour of a and b
+    steps: tuple[tuple[int, ...], ...]
+
+
 class _Target(NamedTuple):
     n: int
     edges: list[tuple[int, int]]
+    plans: tuple[_Plan, ...]
 
-    @property
-    def is_triangle(self) -> bool:
-        return self.n == 3 and sorted(map(sorted, self.edges)) == [[0, 1], [0, 2], [1, 2]]
+
+@functools.lru_cache(maxsize=None)  # keys: link sets on at most 5 nodes
+def _search_plans(links: frozenset[tuple[int, int]]) -> tuple[_Plan, ...]:
+    """Plans for the target links given as (low, high) node pairs, one per
+    automorphism orbit of the ordered links: two ordered links that an
+    automorphism relates find the same copies. Each plan maps the remaining
+    nodes with the most already-mapped neighbours first. Nodes with no link
+    play no part, and a target with a self-loop gets no plan, because the
+    host has no self-loops."""
+    if any(a == b for a, b in links):
+        return ()
+    nodes = sorted({v for link in links for v in link})
+    nbrs = {v: {w for link in links if v in link for w in link if w != v} for v in nodes}
+    autos = []
+    for perm in itertools.permutations(nodes):
+        m = dict(zip(nodes, perm))
+        if all((min(m[a], m[b]), max(m[a], m[b])) in links for a, b in links):
+            autos.append(m)
+    seen: set[tuple[int, int]] = set()
+    plans = []
+    for x, y in sorted(links | {(b, a) for a, b in links}):
+        if (x, y) in seen:
+            continue
+        seen.update((m[x], m[y]) for m in autos)
+        order, steps = [x, y], []
+        while len(order) < len(nodes):
+            v = max((w for w in nodes if w not in order),
+                    key=lambda w: (len(nbrs[w] & set(order)), len(nbrs[w]), -w))
+            steps.append(tuple(i for i, w in enumerate(order) if w in nbrs[v]))
+            order.append(v)
+        plans.append(_Plan(len(nbrs[x]), len(nbrs[y]), steps[:1] == [(0, 1)], tuple(steps)))
+    return tuple(plans)
 
 
 def _target(target: str | Graph) -> _Target:
-    """Node count and links of a named or explicit target, validated."""
+    """Node count, links and search plans of a named or explicit target,
+    validated."""
     if isinstance(target, Graph):
         n, edges = target.n, [(e.src, e.dst) for e in target.edges]
     else:
@@ -143,34 +189,61 @@ def _target(target: str | Graph) -> _Target:
         raise ValueError(f"exact search is capped at 5 target nodes, got {n}")
     if not edges:
         raise ValueError("target graph needs at least one link")
-    return _Target(n, edges)
+    return _Target(n, edges, _search_plans(frozenset((min(a, b), max(a, b)) for a, b in edges)))
 
 
-def _first_triangle_link(src: np.ndarray, dst: np.ndarray) -> int:
-    """Position of the first link, inserting in the given order, whose
-    endpoints already share a neighbour; -1 when the links hold no triangle."""
+def _extend(steps: tuple[tuple[int, ...], ...], images: list[int],
+            nbrs: dict[int, set[int]]) -> bool:
+    """Whether the partial map images (host nodes of the target nodes in
+    mapping order) extends over the remaining steps of a plan. A node's image
+    lies in the neighbour sets of its mapped neighbours' images, or, with no
+    mapped neighbour (a disconnected target), is any host node with a link:
+    nbrs holds those nodes and only those. The host is loopless, so the
+    candidates never include the images of mapped neighbours, and only the
+    other images need excluding."""
+    if not steps:
+        return True
+    adj = steps[0]
+    if adj:
+        cand = nbrs[images[adj[0]]]
+        for i in adj[1:]:
+            cand = cand & nbrs[images[i]]
+    else:
+        cand = nbrs.keys()
+    if not cand:
+        return False
+    if len(steps) == 1:
+        # more candidates than excluded images, or one that is none of them
+        return len(cand) > len(images) - len(adj) or any(c not in images for c in cand)
+    for c in cand:
+        if c not in images:
+            images.append(c)
+            if _extend(steps[1:], images, nbrs):
+                return True
+            images.pop()
+    return False
+
+
+def _first_link(tg: _Target, src: np.ndarray, dst: np.ndarray) -> int:
+    """Position of the first link, inserting the loopless links
+    (src[k], dst[k]) in the given order, that completes a (non-induced) copy
+    of the target; -1 when all of them hold none. A copy that first appears
+    at link (a, b) uses that link, so each insertion searches only the
+    copies through it. The degree and common-neighbour tests are necessary
+    conditions that skip most searches."""
+    all_common = all(plan.common for plan in tg.plans)
     nbrs: defaultdict[int, set[int]] = defaultdict(set)
     for k, (a, b) in enumerate(zip(src.tolist(), dst.tolist())):
-        if nbrs[a] & nbrs[b]:
-            return k
-        nbrs[a].add(b)
-        nbrs[b].add(a)
+        na, nb = nbrs[a], nbrs[b]
+        na.add(b)
+        nb.add(a)
+        if all_common and na.isdisjoint(nb):
+            continue
+        for deg_x, deg_y, common, steps in tg.plans:
+            if (len(na) >= deg_x and len(nb) >= deg_y and not (common and na.isdisjoint(nb))
+                    and _extend(steps, [a, b], nbrs)):
+                return k
     return -1
-
-
-def _contains(tg: _Target, src: np.ndarray, dst: np.ndarray) -> bool:
-    """Non-induced containment of the target in the loopless host whose
-    links are the index pairs (src[k], dst[k])."""
-    if tg.n == 2:
-        return len(src) > 0
-    if tg.is_triangle:
-        return _first_triangle_link(src, dst) >= 0
-    import networkx as nx
-    from networkx.algorithms import isomorphism
-
-    host = nx.Graph(zip(src.tolist(), dst.tolist()))
-    pattern = nx.Graph(tg.edges)
-    return isomorphism.GraphMatcher(host, pattern).subgraph_is_monomorphic()
 
 
 def contains_subgraph(g: Graph, target: str | Graph) -> bool:
@@ -179,26 +252,19 @@ def contains_subgraph(g: Graph, target: str | Graph) -> bool:
     tg = _target(target)
     links = np.array([(e.src, e.dst) for e in g.edges if e.src != e.dst],
                      dtype=np.intp).reshape(-1, 2)
-    return _contains(tg, links[:, 0], links[:, 1])
+    return _first_link(tg, links[:, 0], links[:, 1]) >= 0
 
 
 def _first_containing(tg: _Target, u: np.ndarray, iu: np.ndarray, ju: np.ndarray,
                       ps: np.ndarray) -> int:
     """Index of the first p in the ascending grid ps at which the links
-    {(iu[k], ju[k]) : u[k] < p} contain the target; len(ps) if none does."""
+    {(iu[k], ju[k]) : u[k] < p} contain the target; len(ps) if none does.
+    The target is present at p exactly when p exceeds the u of the link
+    that completes the first copy as links enter in increasing-u order."""
     cand = np.flatnonzero(u < ps[-1])
-    uc, a, b = u[cand], iu[cand], ju[cand]
-    if tg.is_triangle:
-        # a triangle is present at p exactly when p exceeds the u of the link
-        # that closes the first one as links enter in increasing-u order
-        order = np.argsort(uc, kind="stable")
-        k = _first_triangle_link(a[order], b[order])
-        return len(ps) if k < 0 else int(np.searchsorted(ps, uc[order[k]], side="right"))
-    for ci, p in enumerate(ps):
-        keep = uc < p
-        if _contains(tg, a[keep], b[keep]):
-            return ci
-    return len(ps)
+    cand = cand[np.argsort(u[cand], kind="stable")]
+    k = _first_link(tg, iu[cand], ju[cand])
+    return len(ps) if k < 0 else int(np.searchsorted(ps, u[cand[k]], side="right"))
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ def _as_transition(gm: GoogleMatrix | np.ndarray) -> np.ndarray:
 
 def classical_pagerank(
     gm: GoogleMatrix | np.ndarray,
-    tol: float = 1e-13,
+    tol: float = DEFAULT_TOLS.pagerank_l1_atol,
     max_iter: int = 10_000,
 ) -> RankingResult:
     """Stationary distribution by power iteration from the uniform start."""
@@ -151,22 +151,24 @@ def szegedy_state_prep(gm: GoogleMatrix | np.ndarray) -> np.ndarray:
     return psi
 
 
-def _szegedy_step(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _szegedy_step(s: np.ndarray, s2: np.ndarray, x: np.ndarray) -> np.ndarray:
     """One step swap . (2 Pi - 1) on the register array x, x[i, k] on
-    |i>_1 |k>_2, with s[i, k] = sqrt(G_ki): Pi projects onto the prepared
-    columns |i>_1 (x) s[i], and the swap exchanges the registers. O(n^2)."""
+    |i>_1 |k>_2, with s[i, k] = sqrt(G_ki) and s2 = 2.0 * s, built once per
+    walk: Pi projects onto the prepared columns |i>_1 (x) s[i], and the swap
+    exchanges the registers. O(n^2)."""
     c = (s * x).sum(axis=1)
-    return (2.0 * s * c[:, None] - x).T
+    return (s2 * c[:, None] - x).T
 
 
 def szegedy_step_operator(gm: GoogleMatrix | np.ndarray):
     """Return (apply, n): apply(x) is one step swap . (2 Pi - 1) applied to the
     flat edge-space vector x, x[i * n + k] on |i>_1 |k>_2."""
     s = np.sqrt(_as_transition(gm)).T
+    s2 = 2.0 * s
     n = s.shape[0]
 
     def apply(x: np.ndarray) -> np.ndarray:
-        return _szegedy_step(s, np.reshape(x, (n, n))).reshape(-1)
+        return _szegedy_step(s, s2, np.reshape(x, (n, n))).reshape(-1)
 
     return apply, n
 
@@ -187,7 +189,6 @@ def szegedy_rank(
     gm: GoogleMatrix | np.ndarray,
     steps: int = 512,
     measure_register: int = 2,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> RankingResult:
     """Cumulative time-averaged register occupations of the two-register walk.
 
@@ -215,10 +216,11 @@ def szegedy_rank(
         raise ValueError(f"step series of {steps} steps x {n} nodes exceeds the limit "
                          f"of {MAX_SZEGEDY_ENTRIES} entries")
     s = np.sqrt(mat).T
+    s2 = 2.0 * s
     x = (s / np.sqrt(n)).astype(complex)
     series = np.empty((steps, n))
     for t in range(steps):
-        x = _szegedy_step(s, _szegedy_step(s, x))
+        x = _szegedy_step(s, s2, _szegedy_step(s, s2, x))
         x = x / np.linalg.norm(x)
         occ = np.abs(x) ** 2
         series[t] = occ.sum(axis=0) if measure_register == 2 else occ.sum(axis=1)

@@ -75,10 +75,18 @@ def bond_percolation_curve(width: int, height: int, p_values, trials: int, seed:
     return out
 
 
-def contains_subgraph(g: Graph, target: str) -> bool:
-    """Neighbour-set triangle test, networkx monomorphism for other targets."""
-    t_nodes, t_edges = _NAMED_TARGETS[target]
+def _monomorphic(host_edges, pattern_edges) -> bool:
+    matcher = isomorphism.GraphMatcher(nx.Graph(host_edges), nx.Graph(pattern_edges))
+    return matcher.subgraph_is_monomorphic()
+
+
+def contains_subgraph(g: Graph, target: str | Graph) -> bool:
+    """Neighbour-set triangle test, networkx monomorphism for other targets;
+    an explicit target is matched on its links, so link-less nodes drop out."""
     edges = [(e.src, e.dst) for e in g.edges]
+    if isinstance(target, Graph):
+        return _monomorphic(edges, [(e.src, e.dst) for e in target.edges])
+    t_nodes, t_edges = _NAMED_TARGETS[target]
     if t_nodes == 2:
         return len(edges) > 0
     if target == "triangle":
@@ -87,11 +95,26 @@ def contains_subgraph(g: Graph, target: str) -> bool:
             nbrs[u].add(v)
             nbrs[v].add(u)
         return any(nbrs[u] & nbrs[v] for u, v in edges)
-    matcher = isomorphism.GraphMatcher(nx.Graph(edges), nx.Graph(t_edges))
-    return matcher.subgraph_is_monomorphic()
+    return _monomorphic(edges, t_edges)
 
 
-def emergence_fractions(target: str, z: float, n_values, c_values, trials: int,
+def first_link(pattern_edges, src, dst) -> int:
+    """Position of the first link whose insertion, in the given order, makes
+    the links so far hold the pattern, by bisection over prefixes with the
+    networkx monomorphism test (containment only grows with the prefix);
+    -1 when all of them hold none."""
+    links = list(zip(np.asarray(src).tolist(), np.asarray(dst).tolist()))
+    lo, hi = 0, len(links) + 1  # the shortest holding prefix lies in (lo, hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _monomorphic(links[:mid], pattern_edges):
+            hi = mid
+        else:
+            lo = mid
+    return hi - 1 if hi <= len(links) else -1
+
+
+def emergence_fractions(target: str | Graph, z: float, n_values, c_values, trials: int,
                         seed: int) -> np.ndarray:
     """Fraction of G(n, c n^-z) samples holding the target, one rebuilt graph
     per (trial, c) until the first hit."""

@@ -248,6 +248,23 @@ def test_emitted_arrays_match_elementwise_conversion(capsys):
     assert capsys.readouterr().out.encode() == expected.encode()
 
 
+@pytest.mark.parametrize("payload", [
+    {"a": {"b": {"c": [1, [2, [3.5, {"d": []}]]]}, "e": [{"f": {}}, []]}},
+    {"empty_dict": {}, "empty_list": [], "nested_empty": [[], {}, [[]]]},
+    {"mix": [True, 1, 2.5, False, 0, -0.0, 1e300, 5e-324], "flags": [True, False],
+     "scalars": [3, -7, 2**70], "x": 1.0, "y": True, "z": None},
+    {"nonfinite": np.array([1.0, np.nan, np.inf, -np.inf]), "scalar": float("-inf"),
+     "rows": [[np.nan, 1.0], [2.0, np.inf]], "label": "nan"},
+    {"\u00e9t\u00e9": "\u03c8 \u2192 \u03c6", "\u6f22": ["\u00fc", "\n\"\\", "\U0001f600"], "ascii": "plain"},
+    {"probabilities": np.random.default_rng(32).random((2001, 120)),
+     "times": np.linspace(0.0, 20.0, 2001), "n": 120},
+], ids=["nested", "empty", "mixed", "nonfinite", "non-ascii", "walk-2001x120"])
+def test_emit_matches_indented_json_dumps(capsys, payload):
+    cli._emit(payload, None)
+    expected = json.dumps(cli._plain(payload), indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out.encode() == expected.encode()
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -2,11 +2,15 @@
 and lattice bond percolation."""
 from __future__ import annotations
 
+import subprocess
+import sys
 import tracemalloc
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from networkx.algorithms import isomorphism
 
 from qnet import (
@@ -125,6 +129,69 @@ def test_target_validation():
         contains_subgraph(toys.pair(), toys.cycle(6))
 
 
+# square with a roof: 5 nodes, 6 links
+HOUSE = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)])
+# disconnected: a triangle and a separate link
+TRIANGLE_AND_LINK = build_graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+
+
+@st.composite
+def _targets(draw):
+    """A named target, or up to 5 nodes with a random set of links, which may
+    leave the pattern disconnected or some of its nodes without a link."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(sorted(percolation._NAMED_TARGETS)))
+    n = draw(st.integers(2, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    links = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs),
+                          unique=True))
+    return build_graph(n, [(j, i) if draw(st.booleans()) else (i, j) for i, j in links])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(target=_targets(), n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       density=st.floats(0.05, 1.0))
+def test_first_link_matches_networkx_on_random_insertion_orders(target, n, seed, density):
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, 1)
+    keep = np.flatnonzero(rng.random(len(iu)) < density)
+    keep = keep[rng.permutation(len(keep))]
+    flip = rng.random(len(keep)) < 0.5
+    src = np.where(flip, ju[keep], iu[keep])
+    dst = np.where(flip, iu[keep], ju[keep])
+    tg = percolation._target(target)
+    expected = reference.first_link(tg.edges, src, dst)
+    assert percolation._first_link(tg, src, dst) == expected
+    host = build_graph(n, list(zip(src.tolist(), dst.tolist())))
+    assert contains_subgraph(host, target) == (expected >= 0)
+
+
+def test_self_loop_target_is_never_contained():
+    # networkx maps a pattern self-loop only onto a host self-loop, and host
+    # self-loops are ignored
+    for n, links in ((2, [(0, 0)]), (2, [(0, 0), (0, 1)]), (3, [(0, 1), (1, 2), (2, 2)])):
+        target = build_graph(n, links, allow_self_loops=True)
+        host = toys.complete(5)
+        assert not contains_subgraph(host, target)
+        assert not reference.contains_subgraph(host, target)
+
+
+def test_emergence_runs_without_networkx():
+    code = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "import qnet\n"
+        "from qnet import toys\n"
+        "for target in sorted(qnet.percolation._NAMED_TARGETS):\n"
+        "    qnet.subgraph_emergence(target, z=0.5, n_values=[12], c_values=[0.5, 2.0],\n"
+        "                            trials=5, seed=3)\n"
+        "assert qnet.contains_subgraph(toys.complete(5), 'clique5')\n"
+        "assert not qnet.contains_subgraph(toys.cycle(5), 'square')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # emergence
 
@@ -171,6 +238,10 @@ def test_emergence_validation():
     ("triangle", 0.8, [20], [0.05, 0.2, 0.5, 50.0], 30),
     ("square", 1.0, [14, 28], [0.5, 1.5, 4.0], 15),
     ("clique4", 2.0 / 3.0, [18, 30], [0.5, 1.5, 3.0], 12),
+    ("clique5", 0.5, [10, 16], [0.8, 1.6, 2.4, 4.0], 12),
+    pytest.param(HOUSE, 5.0 / 6.0, [12, 20], [0.5, 1.0, 2.0, 4.0], 15, id="house"),
+    pytest.param(TRIANGLE_AND_LINK, 1.25, [10, 16], [0.5, 2.0, 6.0, 15.0], 15,
+                 id="triangle-and-link"),
 ])
 def test_emergence_equals_per_c_rebuild_reference(target, z, n_values, c_values, trials):
     for seed in (1, 2):
