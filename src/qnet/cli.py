@@ -73,6 +73,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: nan and inf are bad flags, exit 1."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _default_seed() -> int:
     raw = os.environ.get("QNET_SEED", "0")
     try:
@@ -438,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--variant",
                       choices=["classical", "adiabatic", "szegedy", "interpolated", "qsw"],
                       default="classical")
-    rank.add_argument("--damping", type=float, default=0.85)
-    rank.add_argument("--alpha", type=float, default=None,
+    rank.add_argument("--damping", type=_finite_float, default=0.85)
+    rank.add_argument("--alpha", type=_finite_float, default=None,
                       help="dissipative weight in (0, 1] (interpolated variant)")
     rank.add_argument("--steps", type=int, default=512, help="szegedy walk steps")
     rank.add_argument("--jump", choices=["transport", "dephasing"], default="transport")
@@ -448,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     _graph_args(entropy)
     common(entropy)
     entropy.add_argument("--density", choices=["rescaled", "propagator"], default="rescaled")
-    entropy.add_argument("--tau", type=float, default=1.0,
+    entropy.add_argument("--tau", type=_finite_float, default=1.0,
                          help="propagator time (propagator density only)")
 
     compare = sub.add_parser("compare", help="divergences between two graph states")
@@ -458,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(compare)
     compare.add_argument("--measure", choices=["js", "kl"], default="js")
     compare.add_argument("--density", choices=["rescaled", "propagator"], default="propagator")
-    compare.add_argument("--tau", type=float, default=1.0)
+    compare.add_argument("--tau", type=_finite_float, default=1.0)
 
     comm = sub.add_parser("communities", help="closeness matrices and partitions")
     _graph_args(comm)
@@ -471,11 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=["adjacency", "laplacian", "quantum-laplacian"],
                       default="adjacency")
     comm.add_argument("--symmetrize", action="store_true")
-    comm.add_argument("--t", type=float, default=None,
+    comm.add_argument("--t", type=_finite_float, default=None,
                       help="transport horizon (default: measure-specific)")
     comm.add_argument("--policy", choices=["superposition", "mixed"], default="superposition",
                       help="pair initial state for the fidelity measure")
-    comm.add_argument("--theta", type=float, default=None,
+    comm.add_argument("--theta", type=_finite_float, default=None,
                       help="direction phase in (0, pi) (magnetic method)")
     comm.add_argument("--k", type=int, default=2, help="community count (magnetic method)")
     comm.add_argument("--matrix-out", metavar="FILE", help="write the closeness matrix as CSV")
@@ -483,14 +491,14 @@ def build_parser() -> argparse.ArgumentParser:
     perc = sub.add_parser("percolate", help="bond percolation and subgraph emergence")
     common(perc)
     perc.add_argument("--lattice", default="64x64", metavar="WxH")
-    perc.add_argument("--p", type=float, default=None, help="bond probability")
+    perc.add_argument("--p", type=_finite_float, default=None, help="bond probability")
     perc.add_argument("--scan", metavar="GRID",
                       help="bond-probability grid (comma list or start:stop:count)")
-    perc.add_argument("--link-p", type=float, default=None,
+    perc.add_argument("--link-p", type=_finite_float, default=None,
                       help="link-state parameter p; percolate at its conversion probability")
     perc.add_argument("--emergence", metavar="TARGET",
                       help="subgraph-emergence mode (edge, path3, triangle, square, clique4, clique5)")
-    perc.add_argument("--z", type=float, default=1.0, help="density exponent, p = c N^-z")
+    perc.add_argument("--z", type=_finite_float, default=1.0, help="density exponent, p = c N^-z")
     perc.add_argument("--n-values", default="64,128,256", metavar="LIST")
     perc.add_argument("--c-values", default="0.5,3.0", metavar="LIST")
     perc.add_argument("--trials", type=int, default=100)
@@ -500,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     layers.add_argument("--input", metavar="FILE", action="append",
                         help="edge-list file, repeat once per layer")
     common(layers)
-    layers.add_argument("--tau", type=float, default=1.0)
+    layers.add_argument("--tau", type=_finite_float, default=1.0)
     layers.add_argument("--matrix-out", metavar="FILE",
                         help="write the pairwise distance matrix as CSV")
 

@@ -2,8 +2,9 @@
 
 All closeness matrices are real symmetric with a zero diagonal, so any of
 them can feed the same agglomeration routine. Long-time quantities are sums
-over eigenspaces, evaluated as GEMMs on the grouped eigenvector blocks V_a of
-the Hamiltonian; at most one n x n eigenspace term exists at a time.
+over eigenspaces, and the long-time, short-time and fidelity measures all
+take them from linalg._kernel_transport, as GEMMs on the grouped eigenvector
+blocks V_a of the Hamiltonian; no n x n matrix per eigenspace is formed.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .graphs import Graph, _components, adjacency_matrix
-from .linalg import EigenDecomposition, _kernel_transport, assert_hermitian, hermitian_eig
+from .linalg import _kernel_transport, assert_hermitian, hermitian_eig
 from .walks import WalkSpec, long_time_average, uniform_superposition
 
 
@@ -37,49 +38,35 @@ def _finalize(c: np.ndarray, measure: str, time: float | None = None,
     return ClosenessMatrix(matrix=c, measure=measure, time=time, notes=notes or {})
 
 
+def _window_closeness(h: np.ndarray, t, measure: str, tols: Tolerances) -> ClosenessMatrix:
+    """Exact mean transport over [0, t], window kernel K_ab = (1/t) int_0^t e^{-i(l_a-l_b)s} ds."""
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError(f"horizon must be positive and finite, got {t}")
+    dec = hermitian_eig(h, tols=tols)
+    x = 0.5 * np.subtract.outer(dec.group_values, dec.group_values) * t
+    c = _kernel_transport(dec, np.exp(-1j * x) * np.sinc(x / np.pi))
+    return _finalize(c, measure, time=float(t))
+
+
 def closeness_short_time_transport(
     h: np.ndarray,
     t: float | None = None,
-    samples: int = 64,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> ClosenessMatrix:
-    """Mean pairwise transport over [0, t] from basis starts.
+    """Mean pairwise transport over [0, t] from basis starts, by the exact window
+    average: closeness_long_time_transport(h, t) under its own measure name.
 
     At leading order the values sort like |H_ij|, which is the point: the
     horizon should stay short. Defaults to t = 0.01/max|H| and warns when
     t * max|H| exceeds 0.1.
     """
     h = np.asarray(h, dtype=complex)
-    dec = hermitian_eig(h, tols=tols)
     scale = max(float(np.abs(h).max()), 1e-300)
-    if t is None:
-        t = 0.01 / scale
-    if t <= 0:
-        raise ValueError(f"horizon must be positive, got {t}")
+    t = 0.01 / scale if t is None else t
+    c = _window_closeness(h, t, "short-time-transport", tols)
     if t * scale > 0.1:
-        warnings.warn(
-            f"short-time horizon t*max|H| = {t * scale:.3f} exceeds 0.1; "
-            "values are no longer proportional to the couplings"
-        )
-    w, v = dec.eigenvalues, dec.vectors
-    grid = (np.arange(samples) + 0.5) * (t / samples)
-    mean = np.zeros((h.shape[0], h.shape[0]))
-    for s in grid:
-        u = (v * np.exp(-1j * w * s)) @ v.conj().T
-        mean += np.abs(u) ** 2
-    mean /= samples
-    return _finalize(mean, "short-time-transport", time=float(t))
-
-
-def _eigenspace_transport(dec: EigenDecomposition) -> np.ndarray:
-    """sum_a |(V_a V_a^H)_ij|^2: one GEMM over all singleton groups, since
-    |v v^H|^2 = |v|^2 (|v|^2)^T, plus one explicit term per degenerate group."""
-    single = np.repeat(dec.group_sizes == 1, dec.group_sizes)
-    mag = np.abs(dec.vectors[:, single]) ** 2
-    c = mag @ mag.T
-    for block in dec.blocks:
-        if block.shape[1] > 1:
-            c += np.abs(block @ block.conj().T) ** 2
+        warnings.warn(f"short-time horizon t*max|H| = {t * scale:.3f} exceeds 0.1; "
+                      "values are no longer proportional to the couplings")
     return c
 
 
@@ -97,23 +84,11 @@ def closeness_long_time_transport(
     node pairs, while a horizon of a few hop times reflects the link
     structure. Both branches are closed-form in the eigendecomposition; no
     quadrature is involved.
-
-    The finite-t branch needs sum_ab K_ab (Pi_a)_ij conj(Pi_b)_ij with the
-    window kernel K_ab = (1/t) int_0^t e^{-i(l_a - l_b)s} ds. K is a Gram
-    matrix, hence Hermitian PSD, and linalg._kernel_transport evaluates the
-    sum with one GEMM per numerically nonzero mode of K.
     """
     h = np.asarray(h, dtype=complex)
-    dec = hermitian_eig(h, tols=tols)
-    if t is None:
-        return _finalize(_eigenspace_transport(dec), "long-time-transport")
-    if t <= 0:
-        raise ValueError(f"horizon must be positive, got {t}")
-    # window average of e^{-i(l_a - l_b) s} over s in [0, t]
-    delta = dec.group_values[:, None] - dec.group_values[None, :]
-    x = 0.5 * delta * t
-    c = _kernel_transport(dec, np.exp(-1j * x) * np.sinc(x / np.pi))
-    return _finalize(c, "long-time-transport", time=float(t))
+    if t is not None:
+        return _window_closeness(h, t, "long-time-transport", tols)
+    return _finalize(_kernel_transport(hermitian_eig(h, tols=tols)), "long-time-transport")
 
 
 def closeness_fidelity(
@@ -126,22 +101,24 @@ def closeness_fidelity(
     F(t) = tr(rho0 rho(t)) / tr(rho0^2); its infinite-time mean reduces to a
     sum over eigenspace projectors. policy picks rho0 per pair (i, j):
     "superposition" uses (|i> + |j>)/sqrt(2), "mixed" uses (|i><i| + |j><j|)/2.
-    Each eigenspace term is built from its block and added before the next.
+    With D_ia = (Pi_a)_ii, s2_i = sum_a D_ia^2, T = sum_a |Pi_a|^2, Q = sum_a Pi_a o Pi_a
+    and X_ij = Re sum_k D_{i,a(k)} V_ik conj(V_jk), mixed is (s2_i + s2_j)/2 + T and
+    superposition is (s2_i + s2_j)/4 + (D D^T)_ij/2 + X_ij + X_ji + (T + Re Q)_ij/2.
     """
     if policy not in ("superposition", "mixed"):
         raise ValueError(f"unknown fidelity policy {policy!r}")
-    h = np.asarray(h, dtype=complex)
-    dec = hermitian_eig(h, tols=tols)
-    n = h.shape[0]
-    c = np.zeros((n, n))
-    for block in dec.blocks:
-        proj = block @ block.conj().T
-        d = np.real(np.diag(proj))
-        if policy == "superposition":
-            c += (0.5 * (d[:, None] + d[None, :] + 2.0 * np.real(proj))) ** 2
-        else:
-            c += 0.5 * (d[:, None] ** 2 + d[None, :] ** 2 + 2.0 * np.abs(proj) ** 2)
-    return _finalize(c, f"fidelity-{policy}")
+    dec = hermitian_eig(np.asarray(h, dtype=complex), tols=tols)
+    v = dec.vectors
+    d = np.add.reduceat(np.abs(v) ** 2, np.cumsum(dec.group_sizes) - dec.group_sizes, axis=1)
+    s2 = (d ** 2).sum(axis=1)
+    pair = s2[:, None] + s2[None, :]
+    transport = _kernel_transport(dec)
+    if policy == "mixed":
+        return _finalize(0.5 * pair + transport, "fidelity-mixed")
+    x = np.real((d[:, dec.group_labels] * v) @ v.conj().T)
+    q = np.real(_kernel_transport(dec, conjugate=False))
+    c = 0.25 * pair + 0.5 * (d @ d.T) + x + x.T + 0.5 * (transport + q)
+    return _finalize(c, "fidelity-superposition")
 
 
 def closeness_link_failure(h: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> ClosenessMatrix:

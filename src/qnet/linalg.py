@@ -10,9 +10,9 @@ Design notes:
   * Matrix functions of Hermitian operators are built from the decomposition
     directly, (V * f(w)) @ V^H, instead of generic Pade routines.
   * Transport sums sum_ab K_ab (P_a)_ij conj(P_b)_ij over a Hermitian PSD
-    kernel K on the eigenvalue groups share one helper, _kernel_transport:
-    windowed closeness and the dissipative rankings' steady-state map both
-    use it.
+    kernel K on the eigenvalue groups have one helper, _kernel_transport:
+    infinite, windowed and short-time closeness, fidelity closeness and the
+    dissipative rankings' steady-state map all use it.
   * The density-matrix integrator is a fixed-step classical RK4 with
     re-hermitization and trace renormalization after every step; it refuses
     to continue when the state drifts off the physical manifold.
@@ -141,13 +141,27 @@ def hermitian_eig(
     )
 
 
-def _kernel_transport(dec: EigenDecomposition, kernel: np.ndarray) -> np.ndarray:
+def _kernel_transport(dec: EigenDecomposition, kernel: np.ndarray | None = None,
+                      conjugate: bool = True) -> np.ndarray:
     """sum_ab K_ab (P_a)_ij conj(P_b)_ij for a Hermitian PSD kernel K over the
     eigenvalue groups of dec.
 
-    With K = sum_r mu_r k_r k_r^H the sum is sum_r mu_r |V diag(k_r) V^H|^2,
-    one GEMM per numerically nonzero mode; the result is real and nonnegative.
+    kernel=None means K = I, and conjugate=False then gives sum_a P_a o P_a.
+    A singleton's term is an outer product, |v|^2 (|v|^2)^T or (v o v)(v o v)^H,
+    so all singletons take one GEMM and each degenerate group one block term.
+    Otherwise, with K = sum_r mu_r k_r k_r^H the sum is
+    sum_r mu_r |V diag(k_r) V^H|^2, one GEMM per numerically nonzero mode; the
+    result is real and nonnegative.
     """
+    if kernel is None:
+        square = (lambda x: np.abs(x) ** 2) if conjugate else np.square
+        single = np.repeat(dec.group_sizes == 1, dec.group_sizes)
+        f = square(dec.vectors[:, single])
+        c = f @ f.conj().T
+        for block in dec.blocks:
+            if block.shape[1] > 1:
+                c += square(block @ block.conj().T)
+        return c
     mu, modes = np.linalg.eigh(kernel)
     # drop modes below the numerical rank of K (numpy.linalg.matrix_rank's cut)
     keep = mu > len(mu) * np.finfo(float).eps * mu[-1]

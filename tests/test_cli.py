@@ -395,6 +395,41 @@ def test_threads_flag_is_gone(capsys):
     assert rc == 1
 
 
+FLOAT_FLAGS = [
+    ["rank", "--toy", "chain3-directed", "--damping"],
+    ["rank", "--toy", "chain3-directed", "--variant", "interpolated", "--alpha"],
+    ["entropy", "--toy", "p3", "--density", "propagator", "--tau"],
+    ["compare", "--toy", "p3", "--other-toy", "p3", "--tau"],
+    ["communities", "--toy", "barbell7", "--measure", "short-time", "--t"],
+    ["communities", "--toy", "barbell7", "--measure", "long-time", "--t"],
+    ["communities", "--toy", "barbell7", "--method", "magnetic", "--theta"],
+    ["percolate", "--lattice", "8x8", "--p"],
+    ["percolate", "--lattice", "8x8", "--link-p"],
+    ["percolate", "--emergence", "edge", "--n-values", "8", "--trials", "2", "--z"],
+    ["layers", "--tau"],
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", FLOAT_FLAGS, ids=lambda a: f"{a[0]}{a[-1]}")
+def test_non_finite_float_flag_is_usage_error(capsys, argv, value):
+    rc = main([*argv[:-1], f"{argv[-1]}={value}"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"argument {argv[-1]}: expected a finite number" in err
+
+
+@pytest.mark.parametrize("measure", ["long-time", "short-time"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_horizon_writes_no_matrix(capsys, tmp_path, measure, value):
+    out = tmp_path / "closeness.csv"
+    rc = main(["communities", "--toy", "barbell7", "--measure", measure,
+               "--t", value, "--matrix-out", str(out)])
+    capsys.readouterr()
+    assert rc == 1
+    assert not out.exists()
+
+
 def test_magnetic_needs_theta(capsys):
     rc = main(["communities", "--toy", "barbell7", "--method", "magnetic"])
     capsys.readouterr()

@@ -127,6 +127,15 @@ def test_windowed_horizon_validation():
         closeness_long_time_transport(h, t=-1.0)
 
 
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("closeness", [closeness_long_time_transport,
+                                       closeness_short_time_transport])
+def test_non_finite_horizon_is_rejected(closeness, t):
+    h = adjacency_matrix(toys.barbell7())
+    with pytest.raises(ValueError, match="finite"):
+        closeness(h, t=t)
+
+
 def test_barbell_windowed_entries_pinned():
     c = closeness_long_time_transport(adjacency_matrix(toys.barbell7()), t=2.0)
     assert c.matrix[0, 1] == pytest.approx(BARBELL_T2_C01, abs=1e-12)

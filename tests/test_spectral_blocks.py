@@ -37,9 +37,19 @@ def weighted_random(n: int, extra: int, seed: int) -> qnet.Graph:
                                 for a, b in sorted(edges)])
 
 
+def gauged_complete(n: int, seed: int) -> qnet.Graph:
+    """K_n conjugated by random diagonal phases, D A D^H: the spectrum of K_n,
+    degenerate, with complex eigenvectors, so sum_a P_a o P_a differs from
+    sum_a |P_a|^2."""
+    phase = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, n)
+    return qnet.build_graph(n, [(i, j, 1.0, float(phase[i] - phase[j]))
+                                for i in range(n) for j in range(i + 1, n)])
+
+
 GRAPHS = {
     "cycle6": toys.cycle(6),
     "complete5": toys.complete(5),
+    "complete5-gauged": gauged_complete(5, seed=3),
     "cube4": hypercube(4),
     "weighted30": weighted_random(30, 30, seed=7),
 }
@@ -61,6 +71,8 @@ def test_graph_spectra_cover_degenerate_and_simple():
              for k, g in GRAPHS.items()}
     assert sizes["cycle6"].max() == 2
     assert sizes["complete5"].max() == 4
+    assert sizes["complete5-gauged"].max() == 4
+    assert np.abs(qnet.adjacency_matrix(GRAPHS["complete5-gauged"]).imag).max() > 0.1
     assert sizes["cube4"].max() == 6
     assert sizes["weighted30"].max() == 1
 
@@ -127,6 +139,14 @@ def test_fidelity_matches_projector_sum(hamiltonian):
         assert np.abs(got - finalize(want)).max() <= TOL, policy
 
 
+def test_short_time_is_windowed_closeness(hamiltonian):
+    short = qnet.closeness_short_time_transport(hamiltonian, t=0.02)
+    windowed = qnet.closeness_long_time_transport(hamiltonian, t=0.02)
+    assert np.array_equal(short.matrix, windowed.matrix)
+    assert short.time == windowed.time == 0.02
+    assert (short.measure, windowed.measure) == ("short-time-transport", "long-time-transport")
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_magnetic_features_match_projector_sum(monkeypatch, k):
     g = qnet.build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6),
@@ -155,7 +175,7 @@ def test_adiabatic_degenerate_scores_are_ground_projector_diagonal():
     assert np.abs(res.scores - diag / diag.sum()).max() <= TOL
 
 
-@pytest.mark.parametrize("consumer", ["infinite", "windowed", "walk"])
+@pytest.mark.parametrize("consumer", ["infinite", "windowed", "fidelity", "short-time", "walk"])
 def test_long_time_consumers_stay_quadratic_in_memory(consumer):
     n = 400
     g = weighted_random(n, n, seed=11)
@@ -163,6 +183,8 @@ def test_long_time_consumers_stay_quadratic_in_memory(consumer):
     call = {
         "infinite": lambda: qnet.closeness_long_time_transport(h),
         "windowed": lambda: qnet.closeness_long_time_transport(h, t=2.0),
+        "fidelity": lambda: qnet.closeness_fidelity(h),
+        "short-time": lambda: qnet.closeness_short_time_transport(h),
         "walk": lambda: qnet.long_time_average(qnet.WalkSpec(h, 0)),
     }[consumer]
     tracemalloc.start()
