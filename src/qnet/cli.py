@@ -64,6 +64,11 @@ from .ranking import (
 from .walks import WalkSpec, evolve, long_time_average
 
 
+# start:stop:count grids are checked against this point count before they
+# are allocated.
+MAX_GRID_POINTS = 2**20
+
+
 class UsageError(Exception):
     pass
 
@@ -177,6 +182,10 @@ def _parse_linspace(text: str, name: str) -> np.ndarray:
         raise UsageError(f"{name} must look like start:stop:count, got {text!r}")
     if count < 1:
         raise UsageError(f"{name} needs a positive count")
+    if count > MAX_GRID_POINTS:
+        raise UsageError(f"{name} count {count} exceeds the limit of {MAX_GRID_POINTS} points")
+    if not math.isfinite(stop - start):  # an infinite or nan end, or a span past float range
+        raise UsageError(f"{name} needs a finite start and stop, got {text!r}")
     return np.linspace(start, stop, count)
 
 
@@ -184,9 +193,12 @@ def _parse_grid(text: str, name: str) -> list[float]:
     if ":" in text:
         return [float(v) for v in _parse_linspace(text, name)]
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise UsageError(f"{name} must be a comma list or start:stop:count")
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{name} needs finite entries, got {text!r}")
+    return values
 
 
 def _hamiltonian(g: Graph, generator: str, symmetrize: bool) -> np.ndarray:

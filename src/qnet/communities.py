@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .graphs import Graph, _components, adjacency_matrix
 from .linalg import _kernel_transport, assert_hermitian, hermitian_eig
 from .walks import WalkSpec, long_time_average, uniform_superposition
@@ -38,11 +38,11 @@ def _finalize(c: np.ndarray, measure: str, time: float | None = None,
     return ClosenessMatrix(matrix=c, measure=measure, time=time, notes=notes or {})
 
 
-def _window_closeness(h: np.ndarray, t, measure: str, tols: Tolerances) -> ClosenessMatrix:
+def _window_closeness(h: np.ndarray, t, measure: str) -> ClosenessMatrix:
     """Exact mean transport over [0, t], window kernel K_ab = (1/t) int_0^t e^{-i(l_a-l_b)s} ds."""
     if not (np.isfinite(t) and t > 0):
         raise ValueError(f"horizon must be positive and finite, got {t}")
-    dec = hermitian_eig(h, tols=tols)
+    dec = hermitian_eig(h)
     x = 0.5 * np.subtract.outer(dec.group_values, dec.group_values) * t
     c = _kernel_transport(dec, np.exp(-1j * x) * np.sinc(x / np.pi))
     return _finalize(c, measure, time=float(t))
@@ -51,7 +51,6 @@ def _window_closeness(h: np.ndarray, t, measure: str, tols: Tolerances) -> Close
 def closeness_short_time_transport(
     h: np.ndarray,
     t: float | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> ClosenessMatrix:
     """Mean pairwise transport over [0, t] from basis starts, by the exact window
     average: closeness_long_time_transport(h, t) under its own measure name.
@@ -63,7 +62,7 @@ def closeness_short_time_transport(
     h = np.asarray(h, dtype=complex)
     scale = max(float(np.abs(h).max()), 1e-300)
     t = 0.01 / scale if t is None else t
-    c = _window_closeness(h, t, "short-time-transport", tols)
+    c = _window_closeness(h, t, "short-time-transport")
     if t * scale > 0.1:
         warnings.warn(f"short-time horizon t*max|H| = {t * scale:.3f} exceeds 0.1; "
                       "values are no longer proportional to the couplings")
@@ -73,7 +72,6 @@ def closeness_short_time_transport(
 def closeness_long_time_transport(
     h: np.ndarray,
     t: float | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> ClosenessMatrix:
     """Mean pairwise transport between basis states over the horizon [0, t].
 
@@ -87,14 +85,13 @@ def closeness_long_time_transport(
     """
     h = np.asarray(h, dtype=complex)
     if t is not None:
-        return _window_closeness(h, t, "long-time-transport", tols)
-    return _finalize(_kernel_transport(hermitian_eig(h, tols=tols)), "long-time-transport")
+        return _window_closeness(h, t, "long-time-transport")
+    return _finalize(_kernel_transport(hermitian_eig(h)), "long-time-transport")
 
 
 def closeness_fidelity(
     h: np.ndarray,
     policy: str = "superposition",
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> ClosenessMatrix:
     """Long-time mean overlap fidelity with the pair-localized initial state.
 
@@ -107,7 +104,7 @@ def closeness_fidelity(
     """
     if policy not in ("superposition", "mixed"):
         raise ValueError(f"unknown fidelity policy {policy!r}")
-    dec = hermitian_eig(np.asarray(h, dtype=complex), tols=tols)
+    dec = hermitian_eig(np.asarray(h, dtype=complex))
     v = dec.vectors
     d = np.add.reduceat(np.abs(v) ** 2, np.cumsum(dec.group_sizes) - dec.group_sizes, axis=1)
     s2 = (d ** 2).sum(axis=1)
@@ -121,7 +118,7 @@ def closeness_fidelity(
     return _finalize(c, "fidelity-superposition")
 
 
-def closeness_link_failure(h: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> ClosenessMatrix:
+def closeness_link_failure(h: np.ndarray) -> ClosenessMatrix:
     """Affinity of nodes by how similarly their long-time occupations respond
     to single-link removals, starting from the uniform superposition.
 
@@ -138,14 +135,14 @@ def closeness_link_failure(h: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> Cl
     """
     h = np.asarray(h, dtype=complex)
     n = h.shape[0]
-    assert_hermitian(h, tols)
+    assert_hermitian(h)
     links = [(i, j) for i in range(n) for j in range(i + 1, n) if abs(h[i, j]) > 0]
     if not links:
         raise ValueError("no links to remove")
     psi0 = uniform_superposition(n)
 
     def mean_occupations(op: np.ndarray) -> np.ndarray:
-        return long_time_average(WalkSpec(op, psi0), tols).long_time
+        return long_time_average(WalkSpec(op, psi0)).long_time
 
     base = mean_occupations(h)
     responses = np.zeros((n, len(links)))
@@ -164,7 +161,7 @@ def closeness_link_failure(h: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> Cl
         count = compared.sum(axis=1)
         d = np.sqrt((diff ** 2).sum(axis=1) / np.maximum(count, 1))
         c[u, u + 1:] = c[u + 1:, u] = 1.0 / (1.0 + d)
-    zero = np.flatnonzero(np.abs(responses).max(axis=1) < tols.zero_response_atol).tolist()
+    zero = np.flatnonzero(np.abs(responses).max(axis=1) < DEFAULT_TOLS.zero_response_atol).tolist()
     notes: dict = {"zero_response_nodes": zero}
     comps = _components(n, links)
     if len(comps) > 1:
@@ -227,7 +224,6 @@ def agglomerate(closeness: ClosenessMatrix) -> Partition:
     rows and columns. The best-scoring level is returned along with the full
     merge list.
     """
-    tols = DEFAULT_TOLS
     c = np.asarray(closeness.matrix, dtype=float)
     n = c.shape[0]
     method = f"agglomerate-{closeness.measure}"
@@ -253,15 +249,16 @@ def agglomerate(closeness: ClosenessMatrix) -> Partition:
     qualities = [float(np.sum(intra / total - (strength / total) ** 2))]
     merges: list[tuple[int, int, float]] = []
     slots: list[tuple[int, int]] = []
+    pick_atol, tie_atol = DEFAULT_TOLS.merge_pick_atol, DEFAULT_TOLS.merge_tie_atol
     tie = False
     for next_id in range(n, 2 * n - 1):
         top = link.max()
-        near = np.flatnonzero(link >= top - tols.merge_pick_atol - tols.merge_tie_atol)
+        near = np.flatnonzero(link >= top - pick_atol - tie_atol)
         vals = link.flat[near]
-        pick = int(np.argmax(vals >= top - tols.merge_pick_atol))
+        pick = int(np.argmax(vals >= top - pick_atol))
         a, b = divmod(int(near[pick]), n)
         val = vals[pick]
-        tie = tie or np.count_nonzero(vals >= val - tols.merge_tie_atol) > 1
+        tie = tie or np.count_nonzero(vals >= val - tie_atol) > 1
         merges.append((int(ids[a]), int(ids[b]), float(val)))
         slots.append((a, b))
         # average-linkage update into slot a; masked entries stay -inf
@@ -281,7 +278,7 @@ def agglomerate(closeness: ClosenessMatrix) -> Partition:
         qualities.append(float(np.sum(intra / total - (strength / total) ** 2)))
     best_level = int(np.argmax(qualities))
     q = np.asarray(qualities)
-    tie = tie or np.count_nonzero(np.abs(q - q[best_level]) <= tols.level_tie_atol) > 1
+    tie = tie or np.count_nonzero(np.abs(q - q[best_level]) <= DEFAULT_TOLS.level_tie_atol) > 1
     owner = np.arange(n)
     for a, b in slots[:best_level]:
         owner[owner == b] = a
@@ -312,8 +309,7 @@ def magnetic_laplacian(g: Graph, theta: float) -> np.ndarray:
     return lap
 
 
-def magnetic_partition(g: Graph, theta: float, k: int, seed: int = 0,
-                       tols: Tolerances = DEFAULT_TOLS) -> Partition:
+def magnetic_partition(g: Graph, theta: float, k: int, seed: int = 0) -> Partition:
     """Seeded k-means on spectral-projector features of the k lowest
     eigenvalue groups of the magnetic Laplacian.
 
@@ -329,7 +325,7 @@ def magnetic_partition(g: Graph, theta: float, k: int, seed: int = 0,
     if k < 1 or k > g.n:
         raise ValueError(f"k must lie in [1, {g.n}], got {k}")
     lap = magnetic_laplacian(g, theta)
-    dec = hermitian_eig(lap, tols=tols)
+    dec = hermitian_eig(lap)
     low = dec.vectors[:, : int(dec.group_sizes[:k].sum())]
     features = np.abs(low @ low.conj().T)
     from scipy.cluster.vq import kmeans2  # scipy.cluster costs most of the package import

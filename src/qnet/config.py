@@ -1,8 +1,8 @@
 """Central numerical tolerances.
 
-Every tolerance used by the library lives in one frozen record so that a
-single override (a dataclasses.replace copy passed to the routines that
-accept one) changes behaviour consistently instead of chasing scattered constants.
+Every threshold the library compares against is a field of one frozen
+record, DEFAULT_TOLS, which the checks read in place; no routine takes a
+per-call override, so a value changes in one spot and only here.
 """
 from __future__ import annotations
 
@@ -30,6 +30,8 @@ class Tolerances:
     # probability distributions and stochastic matrices
     distribution_sum_atol: float = 1e-9
     distribution_negative_atol: float = 1e-12
+    # walk chirality
+    chiral_bias_atol: float = 1e-9      # max|p_H - p_conj(H)| above this breaks time reversal
     # classical PageRank
     pagerank_l1_atol: float = 1e-13     # power iteration stops at this L1 change per step
     # dissipative-ranking steady state

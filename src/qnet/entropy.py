@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .errors import GraphFormatError, SupportViolationWarning
 from .graphs import Graph, build_graph, build_operators
 from .linalg import check_density_matrix, expm_hermitian
@@ -23,9 +23,9 @@ class DensityMatrix:
 
 
 def make_density(matrix: np.ndarray, construction: str = "external",
-                 tau: float | None = None, tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:
+                 tau: float | None = None) -> DensityMatrix:
     m = np.asarray(matrix)
-    check_density_matrix(m, tols)
+    check_density_matrix(m)
     return DensityMatrix(matrix=m, construction=construction, tau=tau)
 
 
@@ -33,54 +33,54 @@ def _as_matrix(rho) -> np.ndarray:
     return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
 
 
-def density_rescaled(g: Graph, tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:
+def density_rescaled(g: Graph) -> DensityMatrix:
     """Laplacian divided by its trace. Needs at least one edge."""
-    lap = build_operators(g, tols=tols).laplacian
+    lap = build_operators(g).laplacian
     tr = float(np.trace(lap).real)
     if tr <= 0:
         raise GraphFormatError("rescaled-laplacian density needs a graph with edges")
     return DensityMatrix(matrix=lap / tr, construction="rescaled-laplacian")
 
 
-def density_propagator(g: Graph, tau: float, tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:
+def density_propagator(g: Graph, tau: float) -> DensityMatrix:
     """exp(-tau * Laplacian) normalized by its trace; tau = 0 gives I/n."""
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    lap = build_operators(g, tols=tols).laplacian
-    prop = expm_hermitian(lap, scale=-tau, tols=tols)
+    lap = build_operators(g).laplacian
+    prop = expm_hermitian(lap, scale=-tau)
     return DensityMatrix(matrix=prop / np.trace(prop).real,
                          construction="propagator", tau=float(tau))
 
 
-def vn_entropy(rho, tols: Tolerances = DEFAULT_TOLS) -> float:
+def vn_entropy(rho) -> float:
     """Spectral entropy in bits; eigenvalues below the clip floor count as zero."""
     w = np.linalg.eigvalsh(_as_matrix(rho))
-    w = w[w > tols.eig_clip_floor]
+    w = w[w > DEFAULT_TOLS.eig_clip_floor]
     return float(-(w * np.log2(w)).sum() + 0.0)
 
 
-def _log_on_support(r: np.ndarray, sigma: np.ndarray, tols: Tolerances) -> tuple[float, float]:
+def _log_on_support(r: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
     """(mass of r outside the support of sigma, tr[r log2 sigma] on that support).
 
-    Eigenvalues of sigma at or below tols.eig_clip_floor span its null space.
+    Eigenvalues of sigma at or below Tolerances.eig_clip_floor span its null space.
     """
     ws, vs = np.linalg.eigh(sigma)
-    null = ws <= tols.eig_clip_floor
+    null = ws <= DEFAULT_TOLS.eig_clip_floor
     null_vecs, keep = vs[:, null], ~null
     leaked = float(np.real(np.trace(null_vecs.conj().T @ r @ null_vecs)))
     weights = np.real(np.einsum("ij,jk,ki->i", vs[:, keep].conj().T, r, vs[:, keep]))
     return leaked, float((weights * np.log2(ws[keep])).sum())
 
 
-def kl_divergence(rho, sigma, tols: Tolerances = DEFAULT_TOLS) -> float:
+def kl_divergence(rho, sigma) -> float:
     """Relative entropy tr[rho (log2 rho - log2 sigma)] in bits.
 
     When rho carries mass outside sigma's support the divergence is infinite;
     math.inf is returned and a SupportViolationWarning explains the overlap.
     """
     r = _as_matrix(rho)
-    leaked, cross_term = _log_on_support(r, _as_matrix(sigma), tols)
-    if leaked > tols.support_mass_atol:
+    leaked, cross_term = _log_on_support(r, _as_matrix(sigma))
+    if leaked > DEFAULT_TOLS.support_mass_atol:
         warnings.warn(
             f"support violation: {leaked:.3e} of the state lies outside the "
             "reference support; divergence is infinite",
@@ -88,21 +88,21 @@ def kl_divergence(rho, sigma, tols: Tolerances = DEFAULT_TOLS) -> float:
         )
         return float("inf")
     wr = np.linalg.eigvalsh(r)
-    wr = wr[wr > tols.eig_clip_floor]
+    wr = wr[wr > DEFAULT_TOLS.eig_clip_floor]
     entropy_term = float((wr * np.log2(wr)).sum())
     return entropy_term - cross_term
 
 
-def js_divergence(rho, sigma, tols: Tolerances = DEFAULT_TOLS) -> float:
+def js_divergence(rho, sigma) -> float:
     """S(mix) - [S(rho) + S(sigma)]/2 in bits, bounded by [0, 1]."""
     r, s = _as_matrix(rho), _as_matrix(sigma)
     mix = 0.5 * (r + s)
-    val = vn_entropy(mix, tols) - 0.5 * (vn_entropy(r, tols) + vn_entropy(s, tols))
+    val = vn_entropy(mix) - 0.5 * (vn_entropy(r) + vn_entropy(s))
     return float(max(0.0, val))
 
 
-def js_distance(rho, sigma, tols: Tolerances = DEFAULT_TOLS) -> float:
-    return float(np.sqrt(js_divergence(rho, sigma, tols)))
+def js_distance(rho, sigma) -> float:
+    return float(np.sqrt(js_divergence(rho, sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,7 @@ class ErdosRenyiModel:
                              construction="propagator", tau=self.tau)
 
 
-def log_likelihood(rho, model, tols: Tolerances = DEFAULT_TOLS) -> float:
+def log_likelihood(rho, model) -> float:
     """tr[rho log2 sigma] in bits (negative cross entropy).
 
     model is either a parametric family (anything with a density(n) method,
@@ -140,8 +140,8 @@ def log_likelihood(rho, model, tols: Tolerances = DEFAULT_TOLS) -> float:
         sigma = model.density(r.shape[0]).matrix
     else:
         sigma = _as_matrix(model)
-    leaked, cross_term = _log_on_support(r, sigma, tols)
-    if leaked > tols.support_mass_atol:
+    leaked, cross_term = _log_on_support(r, sigma)
+    if leaked > DEFAULT_TOLS.support_mass_atol:
         warnings.warn(
             f"model support misses {leaked:.3e} of the observed state",
             SupportViolationWarning,
@@ -174,17 +174,16 @@ class LayerClustering:
     order: tuple[int, ...]                 # dendrogram leaf order
 
 
-def layer_cluster(stack: LayerStack, tau: float = 1.0,
-                  tols: Tolerances = DEFAULT_TOLS) -> LayerClustering:
+def layer_cluster(stack: LayerStack, tau: float = 1.0) -> LayerClustering:
     """Average-linkage dendrogram of layers under the propagator js_distance."""
     k = len(stack.layers)
     if k < 2:
         raise ValueError("need at least two layers to cluster")
-    densities = [density_propagator(g, tau, tols) for g in stack.layers]
+    densities = [density_propagator(g, tau) for g in stack.layers]
     dist = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            dist[i, j] = dist[j, i] = js_distance(densities[i], densities[j], tols)
+            dist[i, j] = dist[j, i] = js_distance(densities[i], densities[j])
     from scipy.cluster import hierarchy  # scipy.cluster costs most of the package import
 
     condensed = dist[np.triu_indices(k, 1)]

@@ -16,7 +16,6 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
 from .errors import DisconnectedGraphError, GraphFormatError, SymmetryError
 
 # Every analysis builds dense n x n operators; one complex matrix at this size
@@ -234,7 +233,6 @@ def build_operators(
     g: Graph,
     symmetrize: bool = False,
     isolated_policy: str = "exclude",
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> OperatorBundle:
     """Build the operator bundle of an undirected (or explicitly symmetrized) graph.
 
@@ -299,7 +297,6 @@ class GoogleMatrix:
     matrix: np.ndarray           # column-stochastic
     damping: float
     dangling: tuple[int, ...]    # columns replaced by the uniform distribution
-    dangling_policy: str = "uniform"
 
     @property
     def n(self) -> int:

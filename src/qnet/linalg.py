@@ -25,11 +25,11 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .errors import IntegrationInstabilityError, SymmetryError
 
 
-def assert_hermitian(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS, name: str = "operator") -> None:
+def assert_hermitian(m: np.ndarray, name: str = "operator") -> None:
     """Raise SymmetryError with a deviation report unless m is Hermitian."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -37,7 +37,7 @@ def assert_hermitian(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS, name: str =
     dev = np.abs(m - m.conj().T)
     scale = max(np.abs(m).max(), 1.0) if m.size else 1.0
     worst = float(dev.max()) if m.size else 0.0
-    allowed = tols.hermitian_rtol * scale
+    allowed = DEFAULT_TOLS.hermitian_rtol * scale
     if worst > allowed:
         i, j = np.unravel_index(int(dev.argmax()), dev.shape)
         raise SymmetryError(
@@ -46,22 +46,22 @@ def assert_hermitian(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS, name: str =
         )
 
 
-def check_density_matrix(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> None:
+def check_density_matrix(m: np.ndarray) -> None:
     """Raise ValueError unless m is a square, Hermitian, unit-trace PSD matrix."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"density matrix must be square, got {m.shape}")
-    if np.abs(m - m.conj().T).max() > tols.density_hermitian_atol:
+    if np.abs(m - m.conj().T).max() > DEFAULT_TOLS.density_hermitian_atol:
         raise ValueError("density matrix is not hermitian")
-    if abs(np.trace(m).real - 1.0) > tols.density_trace_atol:
+    if abs(np.trace(m).real - 1.0) > DEFAULT_TOLS.density_trace_atol:
         raise ValueError(f"density matrix trace {np.trace(m).real} != 1")
-    if np.linalg.eigvalsh(m)[0] < -tols.density_psd_atol:
+    if np.linalg.eigvalsh(m)[0] < -DEFAULT_TOLS.density_psd_atol:
         raise ValueError("density matrix has a negative eigenvalue")
 
 
-def is_unitary(u: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u)
     eye = np.eye(u.shape[0])
-    return bool(np.abs(u.conj().T @ u - eye).max() <= tols.unitary_atol)
+    return bool(np.abs(u.conj().T @ u - eye).max() <= DEFAULT_TOLS.unitary_atol)
 
 
 class _Projectors(Sequence):
@@ -116,22 +116,17 @@ class EigenDecomposition:
         return int(self.group_sizes[0])
 
 
-def hermitian_eig(
-    m: np.ndarray,
-    degeneracy_tol: float | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> EigenDecomposition:
+def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
     """Eigendecompose a Hermitian matrix with eigenvectors grouped by eigenspace.
 
-    degeneracy_tol defaults to tols.degeneracy_rtol times the spectral range;
-    a zero range (multiple of the identity) collapses to a single group.
+    Neighbouring eigenvalues closer than Tolerances.degeneracy_rtol times the
+    spectral range share a group; a zero range (multiple of the identity)
+    collapses to a single group.
     """
     m = np.asarray(m)
-    assert_hermitian(m, tols)
+    assert_hermitian(m)
     w, v = np.linalg.eigh(m)
-    if degeneracy_tol is None:
-        degeneracy_tol = tols.degeneracy_rtol * float(w[-1] - w[0])
-    breaks = np.flatnonzero(np.diff(w) > degeneracy_tol) + 1
+    breaks = np.flatnonzero(np.diff(w) > DEFAULT_TOLS.degeneracy_rtol * float(w[-1] - w[0])) + 1
     bounds = np.concatenate(([0], breaks, [len(w)]))
     return EigenDecomposition(
         eigenvalues=w,
@@ -173,19 +168,17 @@ def _kernel_transport(dec: EigenDecomposition, kernel: np.ndarray | None = None,
     return c
 
 
-def matrix_function_hermitian(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
-                              tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def matrix_function_hermitian(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """f applied to a Hermitian matrix through its eigendecomposition."""
     m = np.asarray(m)
-    assert_hermitian(m, tols)
+    assert_hermitian(m)
     w, v = np.linalg.eigh(m)
     return (v * f(w)) @ v.conj().T
 
 
-def expm_hermitian(m: np.ndarray, scale: complex = 1.0,
-                   tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def expm_hermitian(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     """exp(scale * m) for Hermitian m. Purely imaginary scales give unitaries."""
-    return matrix_function_hermitian(m, lambda w: np.exp(scale * w), tols)
+    return matrix_function_hermitian(m, lambda w: np.exp(scale * w))
 
 
 def lindblad_rhs(h: np.ndarray, jumps: Sequence[np.ndarray] = ()):
@@ -233,19 +226,19 @@ class Trajectory:
         return np.real(np.einsum("tii->ti", self.states))
 
 
-def check_physical_state(rho: np.ndarray, t: float, tols: Tolerances = DEFAULT_TOLS) -> None:
+def check_physical_state(rho: np.ndarray, t: float) -> None:
     """Raise IntegrationInstabilityError if rho left the density-matrix manifold."""
     trace = float(np.real(np.trace(rho)))
-    if abs(trace - 1.0) > tols.trace_drift_atol:
+    if abs(trace - 1.0) > DEFAULT_TOLS.trace_drift_atol:
         raise IntegrationInstabilityError(
             f"trace drifted to {trace:.9f} at t={t:.6g} (allowed drift "
-            f"{tols.trace_drift_atol:.1e}); reduce dt"
+            f"{DEFAULT_TOLS.trace_drift_atol:.1e}); reduce dt"
         )
     low = float(np.linalg.eigvalsh(rho)[0])
-    if low < -tols.negative_eig_atol:
+    if low < -DEFAULT_TOLS.negative_eig_atol:
         raise IntegrationInstabilityError(
             f"state eigenvalue {low:.3e} at t={t:.6g} is below "
-            f"-{tols.negative_eig_atol:.1e}; reduce dt"
+            f"-{DEFAULT_TOLS.negative_eig_atol:.1e}; reduce dt"
         )
 
 
@@ -254,34 +247,34 @@ def integrate_master_equation(
     rho0: np.ndarray,
     t_final: float,
     dt: float,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> Trajectory:
     """Fixed-step RK4 evolution of a density matrix under a trace-annihilating rhs.
 
     Every stored state is re-hermitized and trace-renormalized. Trace drift
-    beyond tols.trace_drift_atol (before renormalization) or an eigenvalue
-    below -tols.negative_eig_atol aborts with IntegrationInstabilityError.
+    beyond Tolerances.trace_drift_atol (before renormalization) or an
+    eigenvalue below -Tolerances.negative_eig_atol aborts with
+    IntegrationInstabilityError.
     """
     if t_final < 0:
         raise ValueError(f"t_final must be non-negative, got {t_final}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     rho = np.asarray(rho0, dtype=complex).copy()
-    assert_hermitian(rho, tols, name="initial state")
-    if abs(np.trace(rho).real - 1.0) > tols.density_trace_atol:
+    assert_hermitian(rho, name="initial state")
+    if abs(np.trace(rho).real - 1.0) > DEFAULT_TOLS.density_trace_atol:
         raise ValueError(f"initial state trace is {np.trace(rho).real:.9f}, expected 1")
     drift = complex(np.trace(rhs(rho)))
-    if abs(drift) > tols.trace_annihilation_atol * max(1.0, float(np.abs(rho).max())):
+    if abs(drift) > DEFAULT_TOLS.trace_annihilation_atol * max(1.0, float(np.abs(rho).max())):
         raise ValueError(
             f"rhs does not annihilate the trace: tr(rhs(rho0)) = {drift:.3e}"
         )
-    steps = int(np.ceil(t_final / dt - tols.step_count_slack)) if t_final > 0 else 0
+    steps = int(np.ceil(t_final / dt - DEFAULT_TOLS.step_count_slack)) if t_final > 0 else 0
     out = np.empty((steps + 1,) + rho.shape, dtype=complex)
     out[0] = rho
     for k in range(1, steps + 1):
         rho = rk4_step(rhs, rho, dt)
         rho = 0.5 * (rho + rho.conj().T)
-        check_physical_state(rho, k * dt, tols)
+        check_physical_state(rho, k * dt)
         rho = rho / np.real(np.trace(rho))
         out[k] = rho
     return Trajectory(times=np.arange(steps + 1) * dt, states=out)

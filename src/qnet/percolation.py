@@ -36,6 +36,9 @@ from .graphs import Graph, build_graph
 # Lattices are checked against this site count before anything is allocated;
 # a 2048 x 2048 lattice is the largest square one.
 MAX_LATTICE_SITES = 2**22
+# Subgraph emergence draws n(n-1)/2 uniforms per trial; the largest n is
+# checked against this pair count before anything is allocated.
+MAX_EMERGENCE_PAIRS = 2**22
 # Lattice copies labelled in one components call hold at most this many sites
 # together (always at least one copy), which bounds the index arrays of a call.
 _BATCH_SITES = 2**20
@@ -308,11 +311,22 @@ def subgraph_emergence(
     """
     if z <= 0:
         raise ValueError(f"z must be positive, got {z}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if any(n < 1 for n in n_values):
+        raise ValueError(f"every n must be >= 1, got {list(n_values)}")
+    n_max = int(max(n_values, default=1))
+    pairs = n_max * (n_max - 1) // 2
+    if pairs > MAX_EMERGENCE_PAIRS:
+        raise ValueError(f"n = {n_max} has {pairs} node pairs, over the limit of "
+                         f"{MAX_EMERGENCE_PAIRS} pairs per trial")
     tg = _target(target)
     name = target if isinstance(target, str) else f"custom-{tg.n}n-{len(tg.edges)}l"
     c_sorted = sorted(float(c) for c in c_values)
     if not c_sorted:
         raise ValueError("c_values must not be empty")
+    if not all(0.0 <= c < np.inf for c in c_sorted):
+        raise ValueError(f"c_values must be finite and >= 0, got {list(c_values)}")
     if c_sorted != [float(c) for c in c_values]:
         raise ValueError("c_values must be ascending")
     z_crit = tg.n / len(tg.edges)

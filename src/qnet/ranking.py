@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .errors import ConvergenceError
 from .graphs import Graph, GoogleMatrix, adjacency_matrix, google_matrix
 from .linalg import _kernel_transport, hermitian_eig
@@ -70,23 +70,21 @@ def _as_transition(gm: GoogleMatrix | np.ndarray) -> np.ndarray:
     return mat
 
 
-def classical_pagerank(
-    gm: GoogleMatrix | np.ndarray,
-    tol: float = DEFAULT_TOLS.pagerank_l1_atol,
-    max_iter: int = 10_000,
-) -> RankingResult:
-    """Stationary distribution by power iteration from the uniform start."""
+def classical_pagerank(gm: GoogleMatrix | np.ndarray, max_iter: int = 10_000) -> RankingResult:
+    """Stationary distribution by power iteration from the uniform start, stopped
+    once one step changes it by at most Tolerances.pagerank_l1_atol (L1)."""
     mat = _as_transition(gm)
     n = mat.shape[0]
     p = np.full(n, 1.0 / n)
     for it in range(1, max_iter + 1):
         nxt = mat @ p
         nxt /= nxt.sum()
-        if np.abs(nxt - p).sum() <= tol:
+        if np.abs(nxt - p).sum() <= DEFAULT_TOLS.pagerank_l1_atol:
             return RankingResult(variant="classical", scores=nxt, iterations=it)
         p = nxt
     raise ConvergenceError(
-        f"power iteration did not reach L1 tolerance {tol:.1e} in {max_iter} steps"
+        "power iteration did not reach L1 tolerance "
+        f"{DEFAULT_TOLS.pagerank_l1_atol:.1e} in {max_iter} steps"
     )
 
 
@@ -97,7 +95,7 @@ def rank_hamiltonian(gm: GoogleMatrix | np.ndarray) -> np.ndarray:
     return shifted.T @ shifted
 
 
-def adiabatic_rank(gm: GoogleMatrix | np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> RankingResult:
+def adiabatic_rank(gm: GoogleMatrix | np.ndarray) -> RankingResult:
     """Ranking from the ground state of the PSD rank Hamiltonian.
 
     A degenerate ground space (ties in the stationary structure, e.g. damping
@@ -106,7 +104,7 @@ def adiabatic_rank(gm: GoogleMatrix | np.ndarray, tols: Tolerances = DEFAULT_TOL
     the squared row norms of the ground eigenvector block.
     """
     h = rank_hamiltonian(gm)
-    dec = hermitian_eig(h, tols=tols)
+    dec = hermitian_eig(h)
     rank = dec.ground_degeneracy
     ground_energy = float(dec.group_values[0])
     if rank > 1:
@@ -244,7 +242,7 @@ def _symmetrized_hamiltonian(g: Graph) -> np.ndarray:
 
 
 def _dissipative_rank(g: Graph, unitary_weight: float, dissipative_weight: float,
-                      damping: float, jump_form: str, tols: Tolerances):
+                      damping: float, jump_form: str):
     """Scores, converged flag and degenerate flag of the steady state of
     d rho/dt = -i wu [H, rho] + wd * sum_ij (L_ij rho L_ij^H - {L_ij^H L_ij, rho}/2).
 
@@ -265,13 +263,13 @@ def _dissipative_rank(g: Graph, unitary_weight: float, dissipative_weight: float
         return np.full(g.n, 1.0 / g.n), True, None
     if jump_form != "transport":
         raise ValueError(f"unknown jump_form {jump_form!r}")
-    dec = hermitian_eig(_symmetrized_hamiltonian(g), tols=tols)
+    dec = hermitian_eig(_symmetrized_hamiltonian(g))
     delta = dec.group_values[:, None] - dec.group_values[None, :]
     kernel = dissipative_weight / (dissipative_weight + 1j * unitary_weight * delta)
     chain = _kernel_transport(dec, kernel) @ gmat
-    steady = adiabatic_rank(chain, tols)
+    steady = adiabatic_rank(chain)
     residual = float(np.abs(chain @ steady.scores - steady.scores).sum())
-    return steady.scores, residual <= tols.steady_state_atol, steady.degenerate
+    return steady.scores, residual <= DEFAULT_TOLS.steady_state_atol, steady.degenerate
 
 
 def interpolated_rank(
@@ -279,7 +277,6 @@ def interpolated_rank(
     alpha: float,
     damping: float = 0.85,
     jump_form: str = "transport",
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> RankingResult:
     """Steady-state diagonal of d rho/dt = -i(1-alpha)[H, rho] + alpha * dissipator.
 
@@ -291,7 +288,7 @@ def interpolated_rank(
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     scores, converged, degenerate = _dissipative_rank(
-        g, 1.0 - alpha, alpha, damping, jump_form, tols)
+        g, 1.0 - alpha, alpha, damping, jump_form)
     return RankingResult(variant="interpolated", scores=scores, alpha=float(alpha),
                          converged=converged, degenerate=degenerate)
 
@@ -300,11 +297,10 @@ def qsw_activity(
     g: Graph,
     damping: float = 0.85,
     jump_form: str = "transport",
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> RankingResult:
     """Steady-state activity with unitary and dissipative parts at full weight:
     the equal-weight case of the master equation of interpolated_rank."""
     scores, converged, degenerate = _dissipative_rank(
-        g, 1.0, 1.0, damping, jump_form, tols)
+        g, 1.0, 1.0, damping, jump_form)
     return RankingResult(variant="qsw", scores=scores,
                          converged=converged, degenerate=degenerate)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .errors import DisconnectedGraphError, DistributionError
 from .graphs import Graph, adjacency_matrix, build_operators, is_connected
 from .linalg import EigenDecomposition, check_density_matrix, hermitian_eig
@@ -37,7 +37,7 @@ class OccupationResult:
     variance: np.ndarray | None = None    # (n,) fluctuation variance of the series
 
 
-def _initial_state(initial, n: int, tols: Tolerances):
+def _initial_state(initial, n: int):
     """Normalize the initial-state argument to ('pure', psi) or ('mixed', rho)."""
     if isinstance(initial, (int, np.integer)):
         if not 0 <= initial < n:
@@ -54,26 +54,27 @@ def _initial_state(initial, n: int, tols: Tolerances):
             raise ValueError("zero state vector")
         return "pure", arr / norm
     if arr.ndim == 2:
-        check_density_matrix(arr, tols)
+        check_density_matrix(arr)
         if arr.shape != (n, n):
             raise ValueError(f"density matrix shape {arr.shape} != ({n}, {n})")
         return "mixed", arr
     raise ValueError("initial must be a node id, a vector, or a density matrix")
 
 
-def _check_distributions(p: np.ndarray, tols: Tolerances) -> np.ndarray:
+def _check_distributions(p: np.ndarray) -> np.ndarray:
+    if not np.isfinite(p).all():
+        raise DistributionError("occupation distribution has non-finite entries")
     sums = p.sum(axis=-1)
-    if np.abs(sums - 1.0).max() > tols.distribution_sum_atol:
+    if np.abs(sums - 1.0).max() > DEFAULT_TOLS.distribution_sum_atol:
         raise DistributionError(
             f"occupation distribution sum drifted to {sums[np.abs(sums - 1).argmax()]:.12f}"
         )
-    if p.min() < -tols.distribution_negative_atol:
+    if p.min() < -DEFAULT_TOLS.distribution_negative_atol:
         raise DistributionError(f"negative occupation {p.min():.3e}")
     return np.clip(p, 0.0, None)
 
 
-def _dephased_occupations(dec: EigenDecomposition, kind: str, state: np.ndarray,
-                          tols: Tolerances) -> np.ndarray:
+def _dephased_occupations(dec: EigenDecomposition, kind: str, state: np.ndarray) -> np.ndarray:
     """Infinite-time occupations sum_a diag(P_a rho0 P_a) with P_a = V_a V_a^H."""
     v = dec.vectors
     if kind == "pure":
@@ -86,18 +87,20 @@ def _dephased_occupations(dec: EigenDecomposition, kind: str, state: np.ndarray,
         labels = dec.group_labels
         coh = np.where(labels[:, None] == labels[None, :], v.conj().T @ state @ v, 0.0)
         avg = np.real(np.sum((v @ coh) * v.conj(), axis=1))
-    return _check_distributions(avg[np.newaxis, :], tols)[0]
+    return _check_distributions(avg[np.newaxis, :])[0]
 
 
-def evolve(spec: WalkSpec, tols: Tolerances = DEFAULT_TOLS) -> OccupationResult:
+def evolve(spec: WalkSpec) -> OccupationResult:
     """Occupation series p_i(t) = <i| U_t rho0 U_t^H |i> on the time grid,
     with the infinite-time average from the same eigendecomposition."""
-    gen = np.asarray(spec.generator, dtype=complex)
-    dec = hermitian_eig(gen, tols=tols)
     if spec.times is None:
         raise ValueError("evolve needs a time grid")
     times = np.asarray(spec.times, dtype=float)
-    kind, state = _initial_state(spec.initial, gen.shape[0], tols)
+    if not np.isfinite(times).all():
+        raise ValueError("evolve needs finite times")
+    gen = np.asarray(spec.generator, dtype=complex)
+    dec = hermitian_eig(gen)
+    kind, state = _initial_state(spec.initial, gen.shape[0])
     w, v = dec.eigenvalues, dec.vectors
     if kind == "pure":
         coeff = v.conj().T @ state
@@ -109,28 +112,28 @@ def evolve(spec: WalkSpec, tols: Tolerances = DEFAULT_TOLS) -> OccupationResult:
         for k, t in enumerate(times):
             u = (v * np.exp(-1j * w * t)) @ v.conj().T
             probs[k] = np.real(np.diag(u @ state @ u.conj().T))
-    probs = _check_distributions(probs, tols)
+    probs = _check_distributions(probs)
     return OccupationResult(
         times=times,
         series=probs,
-        long_time=_dephased_occupations(dec, kind, state, tols),
+        long_time=_dephased_occupations(dec, kind, state),
         variance=probs.var(axis=0),
     )
 
 
-def long_time_average(spec: WalkSpec, tols: Tolerances = DEFAULT_TOLS) -> OccupationResult:
+def long_time_average(spec: WalkSpec) -> OccupationResult:
     """Infinite-time mean occupations from the grouped eigenvector blocks."""
     gen = np.asarray(spec.generator, dtype=complex)
-    dec = hermitian_eig(gen, tols=tols)
-    kind, state = _initial_state(spec.initial, gen.shape[0], tols)
-    return OccupationResult(long_time=_dephased_occupations(dec, kind, state, tols))
+    dec = hermitian_eig(gen)
+    kind, state = _initial_state(spec.initial, gen.shape[0])
+    return OccupationResult(long_time=_dephased_occupations(dec, kind, state))
 
 
 def uniform_superposition(n: int) -> np.ndarray:
     return np.full(n, 1.0 / np.sqrt(n), dtype=complex)
 
 
-def quantumness(g: Graph, initial="uniform-pure", tols: Tolerances = DEFAULT_TOLS) -> float:
+def quantumness(g: Graph, initial="uniform-pure") -> float:
     """Ground-state deficit of the initial state under the Hermitian generator.
 
     Zero iff the initial state already lies along the generator's ground
@@ -140,8 +143,7 @@ def quantumness(g: Graph, initial="uniform-pure", tols: Tolerances = DEFAULT_TOL
         raise DisconnectedGraphError(
             "quantumness needs a connected graph (ground state is degenerate)"
         )
-    bundle = build_operators(g, tols=tols)
-    dec = hermitian_eig(bundle.quantum_generator, tols=tols)
+    dec = hermitian_eig(build_operators(g).quantum_generator)
     phi0 = dec.ground_vector
     if isinstance(initial, str):
         if initial == "uniform-pure":
@@ -151,7 +153,7 @@ def quantumness(g: Graph, initial="uniform-pure", tols: Tolerances = DEFAULT_TOL
         else:
             raise ValueError(f"unknown initial-state policy {initial!r}")
     else:
-        kind, state = _initial_state(initial, g.n, tols)
+        kind, state = _initial_state(initial, g.n)
         if kind == "pure":
             overlap = abs(np.vdot(phi0, state)) ** 2
         else:
@@ -173,19 +175,19 @@ def chiral_transport_report(
     source: int,
     target: int,
     times: np.ndarray,
-    threshold: float = 1e-9,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> ChiralTransportReport:
-    """Compare site transport under H against its time-reversed counterpart."""
+    """Compare site transport under H against its time-reversed counterpart;
+    time-reversal symmetry counts as broken when the largest difference
+    exceeds Tolerances.chiral_bias_atol."""
     h = np.asarray(adjacency_matrix(g), dtype=complex)
     times = np.asarray(times, dtype=float)
-    fwd = evolve(WalkSpec(h, source, times), tols).series[:, target]
-    rev = evolve(WalkSpec(h.conj(), source, times), tols).series[:, target]
+    fwd = evolve(WalkSpec(h, source, times)).series[:, target]
+    rev = evolve(WalkSpec(h.conj(), source, times)).series[:, target]
     bias = float(np.abs(fwd - rev).max())
     return ChiralTransportReport(
         times=times,
         forward=fwd,
         time_reversed=rev,
         max_bias=bias,
-        symmetry_broken=bias > threshold,
+        symmetry_broken=bias > DEFAULT_TOLS.chiral_bias_atol,
     )

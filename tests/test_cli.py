@@ -452,3 +452,49 @@ def test_cli_import_leaves_scipy_cluster_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["walk", "--toy", "k2", "--times", "0:inf:3"],
+    ["walk", "--toy", "k2", "--times", "nan:1:3"],
+    ["walk", "--toy", "k2", "--times=-1e308:1e308:3"],
+    ["percolate", "--lattice", "8x8", "--scan", "0:nan:3"],
+    ["percolate", "--lattice", "8x8", "--scan", "0.2,inf"],
+    ["percolate", "--emergence", "triangle", "--n-values", "16", "--c-values", "inf"],
+    ["percolate", "--emergence", "triangle", "--n-values", "16", "--c-values", "0.5,nan"],
+    ["percolate", "--emergence", "triangle", "--n-values", "inf", "--c-values", "0.5"],
+], ids=" ".join)
+def test_non_finite_grid_is_usage_error(capsys, argv):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "qnet: error:" in err and "finite" in err
+
+
+def test_oversized_time_grid_is_usage_error(capsys):
+    tracemalloc.start()
+    try:
+        rc = main(["walk", "--toy", "k2", "--times", "0:1:10000000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "qnet: error:" in err and "exceeds the limit" in err
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("flag", ["--trials=0", "--trials=-2", "--n-values=0",
+                                  "--n-values=-4", "--n-values=100000000", "--c-values=-1,2"])
+def test_bad_emergence_input_is_usage_error(capsys, flag):
+    tracemalloc.start()
+    try:
+        rc = main(["percolate", "--emergence", "triangle", "--n-values", "32",
+                   "--c-values", "0.5,3", "--trials", "4", flag])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "qnet: error:" in err
+    assert peak < 1 << 20

@@ -231,6 +231,33 @@ def test_emergence_validation():
         subgraph_emergence("triangle", z=1.0, n_values=[16], c_values=[])
 
 
+@pytest.mark.parametrize("bad,match", [
+    ({"trials": 0}, "trials"),
+    ({"trials": -2}, "trials"),
+    ({"n_values": [0]}, "every n"),
+    ({"n_values": [16, -4]}, "every n"),
+    ({"c_values": [0.5, np.inf]}, "finite"),
+    ({"c_values": [np.nan]}, "finite"),
+    ({"c_values": [-1.0, 2.0]}, ">= 0"),
+])
+def test_emergence_rejects_bad_counts_and_densities(bad, match):
+    kwargs = {"n_values": [16], "c_values": [0.5, 3.0], "trials": 4, **bad}
+    with pytest.raises(ValueError, match=match):
+        subgraph_emergence("triangle", z=1.0, **kwargs)
+
+
+def test_oversized_emergence_is_rejected_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="node pairs"):
+            subgraph_emergence("triangle", z=1.0, n_values=[100_000_000],
+                               c_values=[0.5, 3.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("target,z,n_values,c_values,trials", [
     ("edge", 2.0, [8, 24], [0.05, 0.3, 1.0, 3.0], 30),
     ("path3", 1.5, [12, 30], [0.2, 0.6, 1.5], 25),

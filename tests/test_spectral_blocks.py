@@ -8,12 +8,15 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.cluster.vq
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qnet
 import qnet.walks
 from qnet import toys
 from qnet.cli import main
 from qnet.graphs import MAX_NODES
+from qnet.linalg import _kernel_transport
 
 from _helpers import random_density, random_unit_vector
 
@@ -225,3 +228,35 @@ def test_walk_with_times_decomposes_once(monkeypatch, capsys):
     assert main(["walk", "--toy", "barbell7", "--times", "0:2:5"]) == 0
     assert len(calls) == 1
     assert len(capsys.readouterr().out.strip()) > 0
+
+
+def forced_degenerate_hermitian(rng: np.random.Generator, sizes: list[int]) -> np.ndarray:
+    """A random unitary conjugate of a diagonal whose k-th eigenvalue repeats
+    sizes[k] times; neighbouring eigenvalues are at least 0.5 apart."""
+    n = sum(sizes)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    w = np.repeat(np.cumsum(rng.uniform(0.5, 2.0, len(sizes))), sizes)
+    return (q * w) @ q.conj().T
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(sizes=st.lists(st.integers(1, 4), min_size=2, max_size=6),
+       rank=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_kernel_transport_matches_explicit_sum(sizes, rank, seed):
+    rng = np.random.default_rng(seed)
+    dec = qnet.hermitian_eig(forced_degenerate_hermitian(rng, sizes))
+    assert dec.group_sizes.tolist() == sizes
+    proj = [b @ b.conj().T for b in dec.blocks]
+    groups = range(len(proj))
+    # a PSD kernel of the drawn rank (full when rank >= groups) with eigenvalues
+    # spread over eight decades below 1, so no mode may be dropped that counts
+    u, _ = np.linalg.qr(rng.standard_normal((len(proj),) * 2)
+                        + 1j * rng.standard_normal((len(proj),) * 2))
+    mu = np.where(np.arange(len(proj)) < rank, 10.0 ** -rng.uniform(0.0, 8.0, len(proj)), 0.0)
+    kernel = (u * mu) @ u.conj().T
+    expected = sum(kernel[a, c] * proj[a] * proj[c].conj() for a in groups for c in groups)
+    assert np.abs(_kernel_transport(dec, kernel) - expected).max() <= TOL
+    identity = sum(p * p.conj() for p in proj)
+    assert np.abs(_kernel_transport(dec) - identity).max() <= TOL
+    square = sum(p * p for p in proj)
+    assert np.abs(_kernel_transport(dec, conjugate=False) - square).max() <= TOL

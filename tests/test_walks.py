@@ -10,6 +10,7 @@ import pytest
 
 from qnet import (
     DisconnectedGraphError,
+    DistributionError,
     WalkSpec,
     adjacency_matrix,
     build_graph,
@@ -20,6 +21,7 @@ from qnet import (
     quantumness,
     toys,
     uniform_superposition,
+    walks,
 )
 
 from _helpers import (
@@ -233,3 +235,20 @@ def test_odd_cycles_with_phases_usually_bias():
         rep = chiral_transport_report(g, 0, g.n - 1, np.linspace(0.0, 8.0, 33))
         hits += rep.max_bias > 1e-3
     assert hits >= 1
+
+
+# ---------------------------------------------------------------------------
+# non-finite values
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evolve_rejects_non_finite_times(bad):
+    spec = WalkSpec(adjacency_matrix(toys.pair()), 0, np.array([0.0, bad, 1.0]))
+    with pytest.raises(ValueError, match="finite times"):
+        evolve(spec)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_occupations_are_distribution_errors(bad):
+    with pytest.raises(DistributionError, match="non-finite"):
+        walks._check_distributions(np.array([[0.5, 0.5], [bad, 0.5]]))
