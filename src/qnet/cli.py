@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 bad flags or bad input data, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -363,7 +364,10 @@ def _cmd_percolate(args) -> int:
     if sum(modes) != 1:
         raise UsageError("pick exactly one of --p, --scan, --link-p, --emergence")
     if args.emergence is not None:
-        n_values = [int(v) for v in _parse_grid(args.n_values, "--n-values")]
+        n_values = _parse_grid(args.n_values, "--n-values")
+        if not all(v.is_integer() for v in n_values):
+            raise UsageError(f"--n-values needs whole node counts, got {args.n_values!r}")
+        n_values = [int(v) for v in n_values]
         c_values = _parse_grid(args.c_values, "--c-values")
         res = subgraph_emergence(
             args.emergence, z=args.z, n_values=n_values, c_values=c_values,
@@ -538,10 +542,16 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call of main and reused: parsing
+    leaves no state on it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if getattr(args, "seed", None) is None:
             args.seed = _default_seed()
         return _DISPATCH[args.command](args)

@@ -5,6 +5,11 @@ them can feed the same agglomeration routine. Long-time quantities are sums
 over eigenspaces, and the long-time, short-time and fidelity measures all
 take them from linalg._kernel_transport, as GEMMs on the grouped eigenvector
 blocks V_a of the Hamiltonian; no n x n matrix per eigenspace is formed.
+Link failure decomposes the intact and the m trimmed Hamiltonians as stacks,
+one numpy.linalg.eigh call per chunk of at most MAX_LINK_FAILURE_ENTRIES
+entries, and sums every chunk's block amplitudes with one segment sum
+(walks._pure_occupations, which long_time_average also uses). A phase-free
+Hamiltonian is decomposed in real arithmetic throughout.
 """
 from __future__ import annotations
 
@@ -15,8 +20,19 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .graphs import Graph, _components, adjacency_matrix
-from .linalg import _kernel_transport, assert_hermitian, hermitian_eig
-from .walks import WalkSpec, long_time_average, uniform_superposition
+from .linalg import (
+    _group_starts,
+    _kernel_transport,
+    _real_if_phase_free,
+    assert_hermitian,
+    hermitian_eig,
+)
+from .walks import _pure_occupations
+
+# closeness_link_failure decomposes its m + 1 trimmed Hamiltonians in stacks
+# of at most this many entries (2 MB of float64); a graph whose one n x n
+# Hamiltonian exceeds it, n > 512, is rejected before anything is allocated.
+MAX_LINK_FAILURE_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -59,7 +75,7 @@ def closeness_short_time_transport(
     horizon should stay short. Defaults to t = 0.01/max|H| and warns when
     t * max|H| exceeds 0.1.
     """
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
     scale = max(float(np.abs(h).max()), 1e-300)
     t = 0.01 / scale if t is None else t
     c = _window_closeness(h, t, "short-time-transport")
@@ -83,7 +99,7 @@ def closeness_long_time_transport(
     structure. Both branches are closed-form in the eigendecomposition; no
     quadrature is involved.
     """
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
     if t is not None:
         return _window_closeness(h, t, "long-time-transport")
     return _finalize(_kernel_transport(hermitian_eig(h)), "long-time-transport")
@@ -104,7 +120,7 @@ def closeness_fidelity(
     """
     if policy not in ("superposition", "mixed"):
         raise ValueError(f"unknown fidelity policy {policy!r}")
-    dec = hermitian_eig(np.asarray(h, dtype=complex))
+    dec = hermitian_eig(h)
     v = dec.vectors
     d = np.add.reduceat(np.abs(v) ** 2, np.cumsum(dec.group_sizes) - dec.group_sizes, axis=1)
     s2 = (d ** 2).sum(axis=1)
@@ -116,6 +132,17 @@ def closeness_fidelity(
     q = np.real(_kernel_transport(dec, conjugate=False))
     c = 0.25 * pair + 0.5 * (d @ d.T) + x + x.T + 0.5 * (transport + q)
     return _finalize(c, "fidelity-superposition")
+
+
+def _trimmed_stack(h: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                   lo: int, hi: int) -> np.ndarray:
+    """Hamiltonians lo..hi-1 of the link-failure sequence as one (hi - lo, n, n)
+    stack: number 0 is h, number k is h without the link (rows[k-1], cols[k-1])."""
+    stack = np.repeat(h[np.newaxis], hi - lo, axis=0)
+    k = np.arange(max(lo, 1), hi)
+    stack[k - lo, rows[k - 1], cols[k - 1]] = 0.0
+    stack[k - lo, cols[k - 1], rows[k - 1]] = 0.0
+    return stack
 
 
 def closeness_link_failure(h: np.ndarray) -> ClosenessMatrix:
@@ -133,26 +160,28 @@ def closeness_link_failure(h: np.ndarray) -> ClosenessMatrix:
     Nodes whose occupations never respond to any removal are listed in
     notes["zero_response_nodes"]; component structure is noted as well.
     """
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
     n = h.shape[0]
+    if n * n > MAX_LINK_FAILURE_ENTRIES:
+        raise ValueError(f"link failure on {n} nodes: one {n} x {n} Hamiltonian exceeds "
+                         f"the chunk limit of {MAX_LINK_FAILURE_ENTRIES} entries")
     assert_hermitian(h)
-    links = [(i, j) for i in range(n) for j in range(i + 1, n) if abs(h[i, j]) > 0]
-    if not links:
+    h = _real_if_phase_free(h)
+    rows, cols = np.nonzero(np.triu(np.abs(h) > 0, 1))
+    m = len(rows)
+    if not m:
         raise ValueError("no links to remove")
-    psi0 = uniform_superposition(n)
-
-    def mean_occupations(op: np.ndarray) -> np.ndarray:
-        return long_time_average(WalkSpec(op, psi0)).long_time
-
-    base = mean_occupations(h)
-    responses = np.zeros((n, len(links)))
-    for k, (i, j) in enumerate(links):
-        trimmed = h.copy()
-        trimmed[i, j] = 0.0
-        trimmed[j, i] = 0.0
-        responses[:, k] = mean_occupations(trimmed) - base
-    incident = np.zeros((n, len(links)), dtype=bool)     # node x link
-    incident[np.array(links).T, np.arange(len(links))] = True
+    psi0 = np.full(n, 1.0 / np.sqrt(n))
+    occupations = np.empty((m + 1, n))
+    per_chunk = MAX_LINK_FAILURE_ENTRIES // (n * n)
+    for lo in range(0, m + 1, per_chunk):
+        hi = min(lo + per_chunk, m + 1)
+        w, v = np.linalg.eigh(_trimmed_stack(h, rows, cols, lo, hi))
+        occupations[lo:hi] = _pure_occupations(v, np.flatnonzero(_group_starts(w)), psi0)
+    responses = (occupations[1:] - occupations[0]).T    # node x link
+    incident = np.zeros((n, m), dtype=bool)              # node x link
+    incident[rows, np.arange(m)] = True
+    incident[cols, np.arange(m)] = True
     c = np.zeros((n, n))
     for u in range(n - 1):
         # failures touching neither u nor v, for every v > u at once
@@ -163,7 +192,7 @@ def closeness_link_failure(h: np.ndarray) -> ClosenessMatrix:
         c[u, u + 1:] = c[u + 1:, u] = 1.0 / (1.0 + d)
     zero = np.flatnonzero(np.abs(responses).max(axis=1) < DEFAULT_TOLS.zero_response_atol).tolist()
     notes: dict = {"zero_response_nodes": zero}
-    comps = _components(n, links)
+    comps = _components(n, zip(rows.tolist(), cols.tolist()))
     if len(comps) > 1:
         notes["components"] = comps
     return _finalize(c, "link-failure", notes=notes)

@@ -7,6 +7,12 @@ Design notes:
     eigenvectors. Consumers work on the blocks with matvecs and GEMMs; the
     projector P_a = V_a V_a^H is never stored, so a decomposition holds O(n^2)
     numbers however simple the spectrum.
+  * A matrix without phases, real or complex-typed with an exactly zero
+    imaginary part, goes to LAPACK's real symmetric driver and keeps real
+    eigenvectors; a complex factor against them (a kernel mode, walk phases)
+    is applied as two real GEMMs, one per part. The degeneracy break rule
+    lives in _group_starts, which works on the last axis, so a stack of
+    spectra (link failure) is grouped exactly as hermitian_eig groups one.
   * Matrix functions of Hermitian operators are built from the decomposition
     directly, (V * f(w)) @ V^H, instead of generic Pade routines.
   * Transport sums sum_ab K_ab (P_a)_ij conj(P_b)_ij over a Hermitian PSD
@@ -83,8 +89,9 @@ class _Projectors(Sequence):
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Ascending eigenvalues and orthonormal eigenvector columns, grouped by a
-    degeneracy tolerance into contiguous column blocks, one per eigenspace."""
+    """Ascending eigenvalues and orthonormal eigenvector columns (real for a
+    phase-free matrix), grouped by a degeneracy tolerance into contiguous
+    column blocks, one per eigenspace."""
 
     eigenvalues: np.ndarray          # (n,) real, ascending
     vectors: np.ndarray              # (n, n), column k pairs with eigenvalues[k]
@@ -116,24 +123,51 @@ class EigenDecomposition:
         return int(self.group_sizes[0])
 
 
+def _real_if_phase_free(m: np.ndarray) -> np.ndarray:
+    """The real part of a complex-typed m whose imaginary part is exactly zero,
+    else m: LAPACK's real symmetric driver then decomposes it."""
+    return m.real if np.iscomplexobj(m) and not m.imag.any() else m
+
+
+def _group_starts(w: np.ndarray) -> np.ndarray:
+    """Boolean mask over the last axis of ascending eigenvalues w, True where an
+    eigenvalue group starts: at the first eigenvalue, and wherever the gap to
+    the previous one exceeds Tolerances.degeneracy_rtol times the spectral
+    range of that row. A zero range (multiple of the identity) is one group."""
+    starts = np.ones(w.shape, dtype=bool)
+    span = w[..., -1:] - w[..., :1]
+    starts[..., 1:] = np.diff(w, axis=-1) > DEFAULT_TOLS.degeneracy_rtol * span
+    return starts
+
+
 def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
     """Eigendecompose a Hermitian matrix with eigenvectors grouped by eigenspace.
 
     Neighbouring eigenvalues closer than Tolerances.degeneracy_rtol times the
     spectral range share a group; a zero range (multiple of the identity)
-    collapses to a single group.
+    collapses to a single group. A real matrix, or a complex one whose
+    imaginary part is exactly zero, is decomposed in real arithmetic and
+    comes back with real vectors.
     """
     m = np.asarray(m)
     assert_hermitian(m)
-    w, v = np.linalg.eigh(m)
-    breaks = np.flatnonzero(np.diff(w) > DEFAULT_TOLS.degeneracy_rtol * float(w[-1] - w[0])) + 1
-    bounds = np.concatenate(([0], breaks, [len(w)]))
+    w, v = np.linalg.eigh(_real_if_phase_free(m))
+    starts = np.flatnonzero(_group_starts(w))
+    sizes = np.diff(starts, append=len(w))
     return EigenDecomposition(
         eigenvalues=w,
         vectors=v,
-        group_sizes=np.diff(bounds),
-        group_values=np.array([w[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])]),
+        group_sizes=sizes,
+        group_values=np.add.reduceat(w, starts) / sizes,
     )
+
+
+def _abs2_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x @ y|^2 entrywise. A complex x against a real y runs as the two real
+    GEMMs Re(x) @ y and Im(x) @ y instead of one complex GEMM (four real ones)."""
+    if np.iscomplexobj(x) and not np.iscomplexobj(y):
+        return (x.real @ y) ** 2 + (x.imag @ y) ** 2
+    return np.abs(x @ y) ** 2
 
 
 def _kernel_transport(dec: EigenDecomposition, kernel: np.ndarray | None = None,
@@ -145,8 +179,9 @@ def _kernel_transport(dec: EigenDecomposition, kernel: np.ndarray | None = None,
     A singleton's term is an outer product, |v|^2 (|v|^2)^T or (v o v)(v o v)^H,
     so all singletons take one GEMM and each degenerate group one block term.
     Otherwise, with K = sum_r mu_r k_r k_r^H the sum is
-    sum_r mu_r |V diag(k_r) V^H|^2, one GEMM per numerically nonzero mode; the
-    result is real and nonnegative.
+    sum_r mu_r |V diag(k_r) V^H|^2, one GEMM per numerically nonzero mode (two
+    real ones for a complex mode on real vectors); the result is real and
+    nonnegative.
     """
     if kernel is None:
         square = (lambda x: np.abs(x) ** 2) if conjugate else np.square
@@ -161,10 +196,11 @@ def _kernel_transport(dec: EigenDecomposition, kernel: np.ndarray | None = None,
     # drop modes below the numerical rank of K (numpy.linalg.matrix_rank's cut)
     keep = mu > len(mu) * np.finfo(float).eps * mu[-1]
     v = dec.vectors
+    vh = v.conj().T
     labels = dec.group_labels
     c = np.zeros(v.shape)
     for m, k in zip(mu[keep], modes[:, keep].T):
-        c += m * np.abs((v * k[labels]) @ v.conj().T) ** 2
+        c += m * _abs2_matmul(v * k[labels], vh)
     return c
 
 

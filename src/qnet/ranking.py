@@ -215,12 +215,12 @@ def szegedy_rank(
                          f"of {MAX_SZEGEDY_ENTRIES} entries")
     s = np.sqrt(mat).T
     s2 = 2.0 * s
-    x = (s / np.sqrt(n)).astype(complex)
+    x = s / np.sqrt(n)
     series = np.empty((steps, n))
     for t in range(steps):
         x = _szegedy_step(s, s2, _szegedy_step(s, s2, x))
         x = x / np.linalg.norm(x)
-        occ = np.abs(x) ** 2
+        occ = x ** 2
         series[t] = occ.sum(axis=0) if measure_register == 2 else occ.sum(axis=1)
     scores = series.mean(axis=0)
     scores = scores / scores.sum()

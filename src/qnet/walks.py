@@ -14,7 +14,7 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .errors import DisconnectedGraphError, DistributionError
 from .graphs import Graph, adjacency_matrix, build_operators, is_connected
-from .linalg import EigenDecomposition, check_density_matrix, hermitian_eig
+from .linalg import EigenDecomposition, _abs2_matmul, check_density_matrix, hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -74,19 +74,36 @@ def _check_distributions(p: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
+def _pure_occupations(vectors: np.ndarray, starts: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Infinite-time occupations sum_a |V_a V_a^H psi|^2 of the pure state psi
+    under each decomposition of a stack, shape (B, n).
+
+    vectors is (B, n, n), the eigenvector columns of B matrices; starts holds
+    the first column of every eigenvalue group along the flattened (B * n)
+    column axis, so one segment sum forms every block amplitude V_a V_a^H psi
+    of the stack and a second sums their squares per matrix.
+    """
+    b, n, _ = vectors.shape
+    coeff = (psi.conj() @ vectors).conj()                       # (B, n): V^H psi
+    # terms[i, (m, k)] = V_ik (V^H psi)_k of matrix m, laid out so that each
+    # group of each matrix is one contiguous run of columns
+    terms = np.multiply(vectors.transpose(1, 0, 2), coeff, order="C").reshape(n, b * n)
+    amps = np.add.reduceat(terms, starts, axis=1)               # (n, groups)
+    first = np.flatnonzero(starts % n == 0)                     # each matrix's first group
+    occ = np.add.reduceat(np.abs(amps) ** 2, first, axis=1).T
+    return _check_distributions(occ)
+
+
 def _dephased_occupations(dec: EigenDecomposition, kind: str, state: np.ndarray) -> np.ndarray:
     """Infinite-time occupations sum_a diag(P_a rho0 P_a) with P_a = V_a V_a^H."""
     v = dec.vectors
     if kind == "pure":
-        # column a of amps is V_a (V_a^H psi), summed within each block
         starts = np.cumsum(dec.group_sizes) - dec.group_sizes
-        amps = np.add.reduceat(v * (v.conj().T @ state), starts, axis=1)
-        avg = np.sum(np.abs(amps) ** 2, axis=1)
-    else:
-        # rho0 in the eigenbasis, with coherences between different groups dephased
-        labels = dec.group_labels
-        coh = np.where(labels[:, None] == labels[None, :], v.conj().T @ state @ v, 0.0)
-        avg = np.real(np.sum((v @ coh) * v.conj(), axis=1))
+        return _pure_occupations(v[np.newaxis], starts, state)[0]
+    # rho0 in the eigenbasis, with coherences between different groups dephased
+    labels = dec.group_labels
+    coh = np.where(labels[:, None] == labels[None, :], v.conj().T @ state @ v, 0.0)
+    avg = np.real(np.sum((v @ coh) * v.conj(), axis=1))
     return _check_distributions(avg[np.newaxis, :])[0]
 
 
@@ -98,15 +115,13 @@ def evolve(spec: WalkSpec) -> OccupationResult:
     times = np.asarray(spec.times, dtype=float)
     if not np.isfinite(times).all():
         raise ValueError("evolve needs finite times")
-    gen = np.asarray(spec.generator, dtype=complex)
+    gen = np.asarray(spec.generator)
     dec = hermitian_eig(gen)
     kind, state = _initial_state(spec.initial, gen.shape[0])
     w, v = dec.eigenvalues, dec.vectors
     if kind == "pure":
         coeff = v.conj().T @ state
-        phases = np.exp(-1j * np.outer(times, w))
-        amps = (phases * coeff) @ v.T
-        probs = np.abs(amps) ** 2
+        probs = _abs2_matmul(np.exp(-1j * np.outer(times, w)) * coeff, v.T)
     else:
         probs = np.empty((len(times), gen.shape[0]))
         for k, t in enumerate(times):
@@ -123,7 +138,7 @@ def evolve(spec: WalkSpec) -> OccupationResult:
 
 def long_time_average(spec: WalkSpec) -> OccupationResult:
     """Infinite-time mean occupations from the grouped eigenvector blocks."""
-    gen = np.asarray(spec.generator, dtype=complex)
+    gen = np.asarray(spec.generator)
     dec = hermitian_eig(gen)
     kind, state = _initial_state(spec.initial, gen.shape[0])
     return OccupationResult(long_time=_dephased_occupations(dec, kind, state))
@@ -179,7 +194,7 @@ def chiral_transport_report(
     """Compare site transport under H against its time-reversed counterpart;
     time-reversal symmetry counts as broken when the largest difference
     exceeds Tolerances.chiral_bias_atol."""
-    h = np.asarray(adjacency_matrix(g), dtype=complex)
+    h = adjacency_matrix(g)
     times = np.asarray(times, dtype=float)
     fwd = evolve(WalkSpec(h, source, times)).series[:, target]
     rev = evolve(WalkSpec(h.conj(), source, times)).series[:, target]

@@ -1,10 +1,13 @@
 """Pure-Python reference implementations of the community kernels, kept as
 oracles for the array versions in qnet.communities: the nested-loop
-average-linkage agglomeration, which rescans every active pair per merge and
-rescores every level from scratch, and the per-pair column loop of the
-link-failure affinity.
+average-linkage agglomeration, which rescans every active pair per merge
+(taking the largest linkage, then the first pair in row-major order within
+1e-15 of it) and rescores every level from scratch, and the per-pair column
+loop of the link-failure affinity.
 """
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -61,22 +64,18 @@ def agglomerate(closeness: ClosenessMatrix) -> Partition:
     next_id = n
     ids = {i: i for i in range(n)}  # position -> cluster id (scipy style)
     while len(active) > 1:
-        best_pair = None
-        best_val = -np.inf
-        second = -np.inf
-        order = sorted(active)
-        for ai, a in enumerate(order):
-            for b in order[ai + 1:]:
-                v = link[a, b]
-                if v > best_val + 1e-15:
-                    second = best_val
-                    best_val = v
-                    best_pair = (a, b)
-                elif v > second:
-                    second = v
-        if second > -np.inf and abs(best_val - second) <= 1e-12:
+        # the documented rule: the largest linkage first, then the first pair
+        # in row-major order within 1e-15 of it
+        order = np.array(sorted(active))
+        first, second = np.triu_indices(len(order), 1)    # active pairs, row-major
+        vals = link[order[first], order[second]].tolist()
+        top = max(vals)
+        pick = next(k for k, v in enumerate(vals) if v >= top - 1e-15)
+        a, b, best_val = int(order[first[pick]]), int(order[second[pick]]), vals[pick]
+        # another pair within 1e-12: the largest other than the pick, which is
+        # the runner-up when the pick is the largest and the largest otherwise
+        if len(vals) > 1 and heapq.nlargest(2, vals)[1] >= best_val - 1e-12:
             tie = True
-        a, b = best_pair
         merges.append((ids[a], ids[b], float(best_val)))
         # average-linkage update into slot a
         for x in active:

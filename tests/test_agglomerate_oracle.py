@@ -74,6 +74,25 @@ def test_two_block_constant_matrix_matches_reference():
     assert_same_partition(ClosenessMatrix(matrix=c, measure="external"))
 
 
+def test_chained_near_tie_picks_first_pair_within_atol_of_largest():
+    # (0, 5), (1, 3), (2, 4) sit 1.4e-15, 0.6e-15 and 0 below the largest
+    # linkage, in row-major order: (0, 5) is too far below, (1, 3) is the first
+    # within merge_pick_atol = 1e-15 of the largest. A running best that moves
+    # only on a gain above 1e-15 would stay on (0, 5) past (1, 3), then jump
+    # to (2, 4) and merge that pair instead.
+    top = 0.9
+    c = np.full((6, 6), 0.1)
+    c[0, 5] = c[5, 0] = top - 1.4e-15
+    c[1, 3] = c[3, 1] = top - 0.6e-15
+    c[2, 4] = c[4, 2] = top
+    np.fill_diagonal(c, 0.0)
+    closeness = ClosenessMatrix(matrix=c, measure="external")
+    for part in (qnet.agglomerate(closeness), ref.agglomerate(closeness)):
+        assert part.merges[0] == (1, 3, top - 0.6e-15)
+        assert part.tie
+    assert_same_partition(closeness)
+
+
 @pytest.mark.parametrize("n", [2, 4, 9])
 def test_flat_all_ties_matrix_matches_reference(n):
     c = np.full((n, n), 0.5)

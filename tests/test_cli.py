@@ -498,3 +498,57 @@ def test_bad_emergence_input_is_usage_error(capsys, flag):
     assert rc == 1
     assert "qnet: error:" in err
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("values", ["32.9", "16,32.5", "32:64:4"])
+def test_fractional_emergence_size_is_usage_error(capsys, values):
+    rc = main(["percolate", "--emergence", "triangle", "--n-values", values,
+               "--c-values", "0.5", "--trials", "2"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "qnet: error:" in err and "--n-values" in err
+
+
+def test_whole_emergence_sizes_from_a_grid_are_accepted(capsys):
+    payload = run_json(capsys, "percolate", "--emergence", "triangle", "--n-values", "32:64:3",
+                       "--c-values", "0.5", "--trials", "2")
+    assert payload["n_values"] == [32, 48, 64]
+
+
+def test_oversized_link_failure_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "big.edges"
+    path.write_text("nodes 513\n0 1\n")
+    assert main(["communities", "--input", str(path), "--measure", "link-failure"]) == 1
+    assert "exceeds the chunk limit" in capsys.readouterr().err
+
+
+# one process, one parser: defaults must come back after a call that set
+# them, and a usage error must leave nothing behind for the next call
+BACK_TO_BACK = [
+    ["rank", "--toy", "chain3-directed", "--variant", "adiabatic"],
+    ["walk", "--toy", "k2", "--times", "0:1:3"],
+    ["percolate", "--emergence", "triangle", "--n-values", "32.9"],
+    ["rank", "--toy", "chain3-directed"],
+    ["entropy", "--toy", "star-s4", "--density", "propagator", "--tau=nan"],
+    ["communities", "--toy", "barbell7", "--measure", "link-failure"],
+    ["entropy", "--toy", "star-s4"],
+]
+
+
+def test_back_to_back_main_calls_match_fresh_processes(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        runs = []
+        for argv in BACK_TO_BACK:
+            rc = main(list(argv))
+            captured = capsys.readouterr()
+            runs.append((rc, captured.out.encode(), captured.err.encode()))
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    for argv, (rc, out, err) in zip(BACK_TO_BACK, runs):
+        proc = subprocess.run([sys.executable, "-m", "qnet.cli", *argv], capture_output=True)
+        assert (rc, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv

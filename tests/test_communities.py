@@ -2,6 +2,8 @@
 detection through the phase-marked Laplacian."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -15,12 +17,17 @@ from qnet import (
     closeness_link_failure,
     closeness_long_time_transport,
     closeness_short_time_transport,
+    communities,
+    linalg,
     magnetic_laplacian,
     magnetic_partition,
     toys,
+    walks,
 )
+from qnet.linalg import _group_starts
+from qnet.walks import WalkSpec, long_time_average
 
-from _helpers import random_connected_graph, random_hermitian
+from _helpers import random_connected_graph, random_hermitian, random_nonbipartite_phased
 
 # windowed long-time transport closeness on the 7-node barbell at horizon
 # t = 2.0, three representative entries pinned from a quadrature oracle
@@ -211,6 +218,81 @@ def test_link_failure_flags_components():
     assert c.notes["zero_response_nodes"] == [0, 1, 2, 3]
     with pytest.raises(ValueError, match="links"):
         closeness_link_failure(np.zeros((3, 3)))
+
+
+def test_link_failure_decomposes_no_matrix_one_by_one(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (linalg, walks, communities):
+        monkeypatch.setattr(module, "hermitian_eig", counting(module.hermitian_eig))
+    monkeypatch.setattr(walks, "long_time_average", counting(walks.long_time_average))
+    monkeypatch.setattr(walks, "_dephased_occupations", counting(walks._dephased_occupations))
+    closeness_link_failure(adjacency_matrix(toys.barbell7()))
+    assert calls == []
+
+
+def test_link_failure_matches_per_link_long_time_average():
+    # every response against its own decomposition, on a graph with
+    # degenerate spectra (torus) and on a phased one (complex stack)
+    rng = np.random.default_rng(66)
+    for h in (adjacency_matrix(toys.torus(4, 4)),
+              adjacency_matrix(random_nonbipartite_phased(rng, 10))):
+        n = h.shape[0]
+        psi = np.full(n, 1.0 / np.sqrt(n))
+        links = [(i, j) for i in range(n) for j in range(i + 1, n) if h[i, j] != 0]
+        base = long_time_average(WalkSpec(h, psi)).long_time
+        want = np.empty((n, len(links)))
+        for k, (i, j) in enumerate(links):
+            cut = h.copy()
+            cut[i, j] = cut[j, i] = 0.0
+            want[:, k] = long_time_average(WalkSpec(cut, psi)).long_time - base
+        rows, cols = np.array(links).T
+        w, v = np.linalg.eigh(communities._trimmed_stack(h, rows, cols, 0, len(links) + 1))
+        occ = walks._pure_occupations(v, np.flatnonzero(_group_starts(w)), psi)
+        assert np.abs((occ[1:] - occ[0]).T - want).max() <= 1e-12
+
+
+def test_link_failure_chunks_bound_memory_and_keep_values(monkeypatch):
+    # one chunk holds at most MAX_LINK_FAILURE_ENTRIES matrix entries; its
+    # Hamiltonians, eigenvectors, block terms and amplitudes are each at
+    # most one chunk of float64, so the traced peak stays within 8 chunks
+    # plus the node x link response arrays. Unchunked, the same steps on
+    # all m + 1 = 282 Hamiltonians of this graph would peak near 40 MB.
+    n = 64
+    h = adjacency_matrix(random_connected_graph(np.random.default_rng(3), n, extra_edge_prob=0.1))
+    m = int(np.count_nonzero(np.triu(h, 1)))
+    results = []
+    for entries in (communities.MAX_LINK_FAILURE_ENTRIES, 4 * n * n):
+        monkeypatch.setattr(communities, "MAX_LINK_FAILURE_ENTRIES", entries)
+        tracemalloc.start()
+        try:
+            results.append(closeness_link_failure(h))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * entries * 8 + 8 * n * (m + 1) * 8
+    assert np.array_equal(results[0].matrix, results[1].matrix)
+    assert results[0].notes == results[1].notes
+
+
+def test_link_failure_rejects_oversized_graph_before_allocating():
+    n = int(np.sqrt(communities.MAX_LINK_FAILURE_ENTRIES)) + 1
+    h = np.zeros((n, n))
+    h[0, 1] = h[1, 0] = 1.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the chunk limit"):
+            closeness_link_failure(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 # ---------------------------------------------------------------------------

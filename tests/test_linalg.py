@@ -16,7 +16,7 @@ from qnet import (
     lindblad_rhs,
     matrix_function_hermitian,
 )
-from qnet.linalg import is_unitary
+from qnet.linalg import _group_starts, is_unitary
 
 from _helpers import random_density, random_hermitian
 
@@ -84,6 +84,36 @@ def test_degenerate_eigenvalues_grouped():
     assert len(dec.projectors) == 2
     assert np.allclose(dec.group_values, [0.0, 3.0], atol=1e-12)
     assert int(round(np.trace(dec.projectors[1]).real)) == 2
+
+
+def test_phase_free_input_decomposes_in_real_arithmetic():
+    rng = np.random.default_rng(13)
+    a = np.abs(random_hermitian(rng, 9))
+    a = 0.5 * (a + a.T)
+    real = hermitian_eig(a)
+    typed = hermitian_eig(a.astype(complex))   # complex dtype, zero imaginary part
+    phased = hermitian_eig(random_hermitian(rng, 9))
+    assert not np.iscomplexobj(real.vectors) and not np.iscomplexobj(typed.vectors)
+    assert np.iscomplexobj(phased.vectors)
+    assert np.array_equal(real.vectors, typed.vectors)
+    assert np.array_equal(real.eigenvalues, typed.eigenvalues)
+    # the complex driver spans the same eigenspaces
+    complex_path = np.linalg.eigh(a + 0j)[1]
+    assert np.abs(real.vectors @ real.vectors.T
+                  - complex_path @ complex_path.conj().T).max() <= 1e-12
+
+
+def test_stacked_grouping_matches_hermitian_eig_per_matrix():
+    # the break rule on the last axis of a stack is the rule of hermitian_eig
+    rng = np.random.default_rng(14)
+    mats = [3.0 * np.eye(4) - np.ones((4, 4)), np.eye(4),
+            np.diag([0.0, 1e-12, 1.0, 1.0 + 1e-10]), np.real(random_hermitian(rng, 4))]
+    w = np.stack([np.linalg.eigh(m)[0] for m in mats])
+    starts = _group_starts(w)
+    for row, m in zip(starts, mats):
+        sizes = hermitian_eig(m).group_sizes
+        assert np.array_equal(np.flatnonzero(row), np.cumsum(sizes) - sizes)
+    assert starts[:, 0].all()
 
 
 def test_expm_pauli_x_quarter_period():

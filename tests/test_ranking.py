@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnet import (
     ConvergenceError,
@@ -271,18 +273,20 @@ def _explicit_jumps(g, jump_form, damping=0.85):
     return jumps
 
 
-def _liouvillian_kernel_scores(g, jump_form, damping=0.85):
+def _liouvillian_kernel_scores(g, jump_form, damping=0.85, unitary_weight=1.0,
+                               dissipative_weight=1.0):
     """Diagonal of the trace-one kernel of the dense Liouvillian of
-    -i[H, rho] + sum_ij (L_ij rho L_ij^H - {L_ij^H L_ij, rho}/2), with every
+    -i wu [H, rho] + wd sum_ij (L_ij rho L_ij^H - {L_ij^H L_ij, rho}/2), with every
     jump operator written out (row-major vec: vec(X rho Y) = (X kron Y^T) vec(rho))."""
     n = g.n
     a = np.abs(adjacency_matrix(g))
     h = 0.5 * (a + a.T)
     eye = np.eye(n)
-    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    sup = -1j * unitary_weight * (np.kron(h, eye) - np.kron(eye, h.T))
     for jump in _explicit_jumps(g, jump_form, damping):
         ldl = jump.T @ jump
-        sup += np.kron(jump, jump) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+        sup += dissipative_weight * (np.kron(jump, jump)
+                                     - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T)))
     _, sing, vh = np.linalg.svd(sup)
     assert sing[-2] > 1e-3  # one-dimensional kernel
     rho = vh[-1].conj().reshape(n, n)
@@ -306,6 +310,20 @@ def test_qsw_matches_liouvillian_kernel(jump_form):
         r = qsw_activity(g, jump_form=jump_form)
         assert r.converged
         want = _liouvillian_kernel_scores(g, jump_form)
+        assert np.abs(r.scores - want).sum() <= QSW_KERNEL_L1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
+       alpha=st.floats(0.1, 1.0), damping=st.floats(0.5, 0.95))
+def test_closed_form_steady_state_is_the_liouvillian_kernel(n, seed, alpha, damping):
+    # seeded random digraphs, dangling nodes allowed; damping below 1 makes
+    # the chain irreducible, so the steady state is unique
+    g = random_directed_graph(np.random.default_rng(seed), n)
+    for r, wu, wd in ((interpolated_rank(g, alpha=alpha, damping=damping), 1.0 - alpha, alpha),
+                      (qsw_activity(g, damping=damping), 1.0, 1.0)):
+        assert r.converged and r.degenerate is False
+        want = _liouvillian_kernel_scores(g, "transport", damping, wu, wd)
         assert np.abs(r.scores - want).sum() <= QSW_KERNEL_L1
 
 
