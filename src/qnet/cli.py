@@ -2,11 +2,17 @@
 
 Exit codes: 0 success, 1 bad flags or bad input data, 2 numerical failure,
 3 I/O failure. Output is deterministic for a fixed seed and flag set.
+
+Every float written goes through one formatter, the C JSON encoder's repr:
+JSON is json.dumps(payload, indent=2, sort_keys=True) byte for byte, and a
+CSV cell is the same text, so it reads back as the same double. A walk
+formats each probability once for both its JSON and its --matrix-out CSV.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -95,9 +101,57 @@ def _default_seed() -> int:
         raise UsageError(f"QNET_SEED must be an integer, got {raw!r}")
 
 
+# Cells per C-encoder call in _float_rows: big enough that the call overhead
+# vanishes, small enough that one block's cell strings stay a few MB.
+_BLOCK_CELLS = 2**15
+
+
+class _Rows(list):
+    """A row table: one comma-joined text of finite floats per JSON array row,
+    as _float_rows makes it. _plain passes it through and _layout writes its
+    rows without formatting a number again."""
+
+
+def _dumps(x) -> str:
+    return json.dumps(x, separators=(",", ":"))
+
+
+def _float_rows(matrix) -> tuple[list[str], list[str]]:
+    """The rows and the columns of a finite 2-D float matrix, each as one
+    comma-joined string of the C JSON encoder's float text (repr). Every
+    float is formatted once: one encoder call per block of rows, whose text
+    is split into rows and transposed block by block. A matrix bitwise equal
+    to its transpose formats each row from its diagonal on and takes the
+    cells left of it from the columns of the rows above."""
+    m = np.asarray(matrix, dtype=float)
+    if not np.isfinite(m).all():
+        raise ValueError("cannot write a matrix with non-finite entries")
+    mirror = m.shape[0] == m.shape[1] and np.array_equal(m.view(np.uint64), m.T.view(np.uint64))
+    rows: list[str] = []
+    pieces: list[list[str]] = [[] for _ in range(m.shape[1])]  # column text of the rows done
+    step = max(1, _BLOCK_CELLS // max(1, m.shape[1]))
+    for start in range(0, m.shape[0], step):
+        stop = min(start + step, m.shape[0])
+        text = _dumps([m[i, i:].tolist() for i in range(start, stop)] if mirror
+                      else m[start:stop].tolist())[2:-2].split("],[")
+        cells = [row.split(",") for row in text]
+        if mirror:  # pieces begins at column start; the block's own columns end here
+            above, pieces = pieces[:len(cells)], pieces[len(cells):]
+            text = [",".join([*above[k], *(cells[h][k - h] for h in range(k)), row])
+                    for k, row in enumerate(text)]
+            cells = [own[len(cells) - k:] for k, own in enumerate(cells)]
+        rows += text
+        for piece, column in zip(pieces, zip(*cells)):
+            piece.append(",".join(column))
+    return rows, rows if mirror else [",".join(piece) for piece in pieces]
+
+
 def _plain(x):
     """Recursively convert a payload to plain JSON types; non-finite floats
-    become strings so the output stays strict JSON."""
+    become strings so the output stays strict JSON. A row table passes
+    through as it is."""
+    if isinstance(x, _Rows):
+        return x
     if isinstance(x, dict):
         return {str(k): _plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -122,19 +176,17 @@ def _plain(x):
 
 def _layout(x, pad: str = "") -> str:
     """The text of json.dumps(x, indent=2, sort_keys=True) for a plain value
-    x that starts at indent pad. json.dumps with an indent runs the
-    pure-Python encoder; here every list without nested containers is one
-    call of the C encoder, whose item separator carries the line break and
-    indent, so large arrays cost one call per row."""
-    inner = pad + "  "
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        items = [f"{json.dumps(k)}: {_layout(v, inner)}" for k, v in sorted(x.items())]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    x that starts at indent pad, with a row table laid out as the nested list
+    of its numbers. json.dumps with an indent runs the pure-Python encoder;
+    here every list without nested containers is one call of the C encoder,
+    whose item separator carries the line break and indent, so large arrays
+    cost one call per row."""
+    if isinstance(x, (dict, _Rows)):
+        return "".join(_chunks(x, pad))
     if isinstance(x, list):
         if not x:
             return "[]"
+        inner = pad + "  "
         if {dict, list}.isdisjoint(map(type, x)):
             body = json.dumps(x, separators=(",\n" + inner, ": "))[1:-1]
         else:
@@ -143,17 +195,48 @@ def _layout(x, pad: str = "") -> str:
     return json.dumps(x)
 
 
+def _chunks(x: dict | _Rows, pad: str):
+    """_layout(x, pad) of a dict or a row table in pieces: one per value of a
+    dict, a row table's values one row at a time. A row's float text is
+    reused; only its separators gain the line break and indent."""
+    if not x:
+        yield "{}" if isinstance(x, dict) else "[]"
+        return
+    inner = pad + "  "
+    if isinstance(x, _Rows):
+        comma, sep = ",\n" + inner + "  ", "[\n" + inner
+        for row in x:
+            yield sep + "[\n" + inner + "  " + row.replace(",", comma) + "\n" + inner + "]"
+            sep = ",\n" + inner
+        yield "\n" + pad + "]"
+        return
+    sep = "{\n" + inner
+    for key, value in sorted(x.items()):
+        yield f"{sep}{json.dumps(key)}: "
+        if isinstance(value, _Rows):
+            yield from _chunks(value, inner)
+        else:
+            yield _layout(value, inner)
+        sep = ",\n" + inner
+    yield "\n" + pad + "}"
+
+
 def _emit(payload: dict, output: str | None) -> None:
-    text = _layout(_plain(payload)) + "\n"
+    """Write json.dumps(payload, indent=2, sort_keys=True) and a newline to
+    output or stdout one top-level value at a time, and a row table one row
+    at a time, so the whole document is never one string."""
+    chunks = itertools.chain(_chunks(_plain(payload), ""), ("\n",))
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(output, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
-def _write_matrix(path: str, matrix: np.ndarray) -> None:
-    np.savetxt(path, np.asarray(matrix), delimiter=",", fmt="%.17g")
+def _write_matrix(path: str, rows: list[str]) -> None:
+    """Write the rows of _float_rows as CSV, one matrix row a line."""
+    with open(path, "w") as fh:
+        fh.writelines(row + "\n" for row in rows)
 
 
 def _load_graph(toy: str | None, path: str | None, directed: bool | None) -> Graph:
@@ -244,11 +327,12 @@ def _cmd_walk(args) -> int:
     else:
         grid = _parse_linspace(args.times, "--times")
         res = evolve(WalkSpec(generator=h, initial=initial, times=grid))
-        payload["times"] = res.times
-        payload["probabilities"] = res.series.T  # [node][time]
-        payload["variance"] = res.variance
+        rows, columns = _float_rows(res.series)  # [time][node], [node][time]
         if args.matrix_out:
-            _write_matrix(args.matrix_out, res.series)
+            _write_matrix(args.matrix_out, rows)
+        payload["times"] = res.times
+        payload["probabilities"] = _Rows(columns)
+        payload["variance"] = res.variance
     payload["average"] = res.long_time
     _emit(payload, args.output)
     return 0
@@ -326,7 +410,7 @@ def _cmd_communities(args) -> int:
     else:
         c = closeness_link_failure(h)
     if args.matrix_out:
-        _write_matrix(args.matrix_out, c.matrix)
+        _write_matrix(args.matrix_out, _float_rows(c.matrix)[0])
     part = agglomerate(c)
     payload = part.as_dict()
     payload["measure"] = c.measure
@@ -348,14 +432,15 @@ def _parse_lattice(text: str) -> tuple[int, int]:
 
 
 def _write_trials(path: str, curve) -> None:
-    lines = ["p,trial,spanning,largest_fraction"]
-    for stats in curve:
-        for idx, rec in enumerate(stats.records):
-            lines.append(
-                f"{stats.p:.17g},{idx},{int(rec.spanning)},{rec.largest_fraction:.17g}"
-            )
+    """Per-trial records as CSV, with each grid point's p formatted once and
+    every float in the JSON encoder's text."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("p,trial,spanning,largest_fraction\n")
+        for stats in curve:
+            p, *fractions = _dumps(
+                [stats.p, *(rec.largest_fraction for rec in stats.records)])[1:-1].split(",")
+            fh.writelines(f"{p},{idx},{int(rec.spanning)},{fraction}\n"
+                          for idx, (rec, fraction) in enumerate(zip(stats.records, fractions)))
 
 
 def _cmd_percolate(args) -> int:
@@ -413,7 +498,7 @@ def _cmd_layers(args) -> int:
     stack = LayerStack(layers=tuple(graphs), labels=tuple(labels))
     clustering = layer_cluster(stack, tau=args.tau)
     if args.matrix_out:
-        _write_matrix(args.matrix_out, clustering.distance_matrix)
+        _write_matrix(args.matrix_out, _float_rows(clustering.distance_matrix)[0])
     payload = {
         "labels": list(clustering.labels),
         "merges": [

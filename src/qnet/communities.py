@@ -76,6 +76,7 @@ def closeness_short_time_transport(
     t * max|H| exceeds 0.1.
     """
     h = np.asarray(h)
+    assert_hermitian(h)  # the default horizon reads max|H|, which must be finite
     scale = max(float(np.abs(h).max()), 1e-300)
     t = 0.01 / scale if t is None else t
     c = _window_closeness(h, t, "short-time-transport")

@@ -36,12 +36,17 @@ from .errors import IntegrationInstabilityError, SymmetryError
 
 
 def assert_hermitian(m: np.ndarray, name: str = "operator") -> None:
-    """Raise SymmetryError with a deviation report unless m is Hermitian."""
+    """Raise SymmetryError with a deviation report unless m is Hermitian, and
+    before any comparison when an entry is NaN or infinite (a NaN deviation
+    would pass every tolerance test)."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SymmetryError(f"{name} must be a square matrix, got shape {m.shape}")
+    largest = np.abs(m).max() if m.size else 0.0  # NaN or inf iff an entry is
+    if not np.isfinite(largest):
+        raise SymmetryError(f"{name} has non-finite entries")
     dev = np.abs(m - m.conj().T)
-    scale = max(np.abs(m).max(), 1.0) if m.size else 1.0
+    scale = max(largest, 1.0)
     worst = float(dev.max()) if m.size else 0.0
     allowed = DEFAULT_TOLS.hermitian_rtol * scale
     if worst > allowed:
@@ -56,6 +61,8 @@ def check_density_matrix(m: np.ndarray) -> None:
     """Raise ValueError unless m is a square, Hermitian, unit-trace PSD matrix."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"density matrix must be square, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("density matrix has non-finite entries")
     if np.abs(m - m.conj().T).max() > DEFAULT_TOLS.density_hermitian_atol:
         raise ValueError("density matrix is not hermitian")
     if abs(np.trace(m).real - 1.0) > DEFAULT_TOLS.density_trace_atol:

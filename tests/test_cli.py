@@ -12,8 +12,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qnet import IntegrationInstabilityError, cli, walks
+from qnet import (IntegrationInstabilityError, bond_percolation, cli, communities,
+                  to_edge_list, walks)
 from qnet.cli import main
+
+from _helpers import random_connected_graph
 
 K4_EDGES = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 TWO_CYCLES_EDGES = (
@@ -176,12 +179,18 @@ def test_output_file_and_matrix_out(capsys, tmp_path):
 
 def test_trials_out_csv(capsys, tmp_path):
     path = tmp_path / "trials.csv"
-    rc, _ = run_cli(capsys, "percolate", "--lattice", "8x8", "--p", "0.5",
+    rc, _ = run_cli(capsys, "percolate", "--lattice", "10x10", "--p", "0.45",
                     "--trials", "6", "--trials-out", str(path))
     assert rc == 0
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "p,trial,spanning,largest_fraction"
     assert len(lines) == 7
+    stats = bond_percolation(10, 10, 0.45, trials=6, seed=0)
+    expected = [f"{stats.p!r},{k},{int(rec.spanning)},{rec.largest_fraction!r}"
+                for k, rec in enumerate(stats.records)]
+    assert lines[1:] == expected
+    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(back[:, 3], [rec.largest_fraction for rec in stats.records])
 
 
 def test_seed_env_matches_flag(capsys, monkeypatch):
@@ -263,6 +272,110 @@ def test_emit_matches_indented_json_dumps(capsys, payload):
     cli._emit(payload, None)
     expected = json.dumps(cli._plain(payload), indent=2, sort_keys=True) + "\n"
     assert capsys.readouterr().out.encode() == expected.encode()
+
+
+@pytest.fixture(scope="module")
+def walk120_edges(tmp_path_factory):
+    """A seeded connected 120-node graph as an edge-list file."""
+    path = tmp_path_factory.mktemp("walk120") / "w120.edges"
+    path.write_text(to_edge_list(random_connected_graph(np.random.default_rng(33), 120, 0.03)))
+    return path
+
+
+@pytest.mark.parametrize("toy,times", [
+    ("k2", "0:3.14159:5"),
+    ("barbell7", "0:10:11"),
+    (None, "0:20:2001"),
+], ids=["k2", "barbell7", "n120-2001"])
+def test_walk_matrix_out_is_the_json_text_transposed(capsys, tmp_path, walk120_edges,
+                                                      toy, times):
+    path = None if toy else str(walk120_edges)
+    out, mat = tmp_path / "walk.json", tmp_path / "walk.csv"
+    rc, _ = run_cli(capsys, "walk", *(("--toy", toy) if toy else ("--input", path)),
+                    "--times", times, "--output", str(out), "--matrix-out", str(mat))
+    assert rc == 0
+    text = out.read_text()
+    tokens = json.loads(text, parse_float=str)["probabilities"]  # [node][time] float text
+    cells = [line.split(",") for line in mat.read_text().splitlines()]  # [time][node]
+    assert cells == [list(column) for column in zip(*tokens)]
+
+    g = cli._load_graph(toy, path, None)
+    res = walks.evolve(walks.WalkSpec(generator=cli._hamiltonian(g, "adjacency", False),
+                                      initial=0, times=cli._parse_linspace(times, "t")))
+    payload = {"generator": "adjacency", "initial": 0, "nodes": g.n, "times": res.times,
+               "probabilities": res.series.T, "variance": res.variance,
+               "average": res.long_time}
+    assert text == json.dumps(_elementwise_plain(payload), indent=2, sort_keys=True) + "\n"
+
+
+def test_walk_peak_memory_is_bounded_by_its_json_size(capsys, tmp_path, walk120_edges):
+    out, mat = tmp_path / "walk.json", tmp_path / "walk.csv"
+    argv = ["walk", "--input", str(walk120_edges), "--times", "0:20:2001",
+            "--output", str(out), "--matrix-out", str(mat)]
+    assert main(argv) == 0  # warm: imports and caches are not the walk's
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * out.stat().st_size
+
+
+def _repr_rows(m):
+    return [",".join(map(repr, row)) for row in np.asarray(m, dtype=float).tolist()]
+
+
+def _one_ulp_off(m):
+    m = m.copy()
+    m[0, -1] = np.nextafter(m[0, -1], np.inf)
+    return m
+
+
+def _signed_zero(m):
+    m = m.copy()
+    m[0, 1], m[1, 0] = 0.0, -0.0
+    return m
+
+
+_SYM = np.random.default_rng(34).standard_normal((9, 9))
+_SYM = _SYM + _SYM.T
+_SYM_300 = np.random.default_rng(36).random((300, 300))
+_SYM_300 = _SYM_300 + _SYM_300.T
+
+
+@pytest.mark.parametrize("matrix,mirrored", [
+    (_SYM, True),
+    (_one_ulp_off(_SYM), False),
+    (_signed_zero(_SYM), False),
+    (np.array([[0.1]]), True),
+    (np.array([[0.1, 2.0, 1e-300, -3.5e17]]), False),
+    (np.array([[0.1], [2.0], [1e-300], [-3.5e17]]), False),
+    (np.random.default_rng(35).random((700, 50)), False),
+    (_SYM_300, True),
+], ids=["symmetric", "one-ulp-off", "signed-zero", "1x1", "1xn", "nx1", "multi-block",
+        "symmetric-multi-block"])
+def test_float_rows_are_repr_text_of_rows_and_columns(matrix, mirrored):
+    rows, columns = cli._float_rows(matrix)
+    assert rows == _repr_rows(matrix)
+    assert columns == _repr_rows(matrix.T)
+    assert (rows is columns) == mirrored
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_out_is_refused_before_the_file_is_created(
+        capsys, tmp_path, monkeypatch, bad):
+    def broken(h, policy):
+        m = np.zeros(h.shape)
+        m[0, 1] = m[1, 0] = bad
+        return communities.ClosenessMatrix(m, "fidelity")
+    monkeypatch.setattr(cli, "closeness_fidelity", broken)
+    out = tmp_path / "closeness.csv"
+    rc = main(["communities", "--toy", "barbell7", "--measure", "fidelity",
+               "--matrix-out", str(out)])
+    assert rc == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,15 @@ def test_non_finite_horizon_is_rejected(closeness, t):
         closeness(h, t=t)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("closeness", [closeness_long_time_transport,
+                                       closeness_short_time_transport,
+                                       closeness_fidelity, closeness_link_failure])
+def test_non_finite_hamiltonian_is_rejected(closeness, bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        closeness(np.array([[0.0, bad], [bad, 0.0]]))
+
+
 def test_barbell_windowed_entries_pinned():
     c = closeness_long_time_transport(adjacency_matrix(toys.barbell7()), t=2.0)
     assert c.matrix[0, 1] == pytest.approx(BARBELL_T2_C01, abs=1e-12)

@@ -118,6 +118,8 @@ def test_make_density_validation(validate):
         validate(np.eye(2))
     with pytest.raises(ValueError, match="negative"):
         validate(np.diag([1.5, -0.5]))
+    with pytest.raises(ValueError, match="non-finite"):
+        validate(np.array([[np.nan, 0.0], [0.0, 0.5]]))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,15 @@ def test_non_hermitian_rejected_with_report():
         hermitian_eig(m)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_non_finite_matrix_rejected_before_decomposing(bad, where):
+    m = np.array([[0.0, 1.0], [1.0, 0.0]])
+    m[where] = m[where[::-1]] = bad
+    with pytest.raises(SymmetryError, match="non-finite"):
+        hermitian_eig(m)
+
+
 def test_random_hermitian_reconstruction_and_orthogonality():
     rng = np.random.default_rng(11)
     for _ in range(10):
