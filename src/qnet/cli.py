@@ -33,7 +33,6 @@ from .entropy import (
     LayerStack,
     density_propagator,
     density_rescaled,
-    js_distance,
     js_divergence,
     kl_divergence,
     layer_cluster,
@@ -382,10 +381,9 @@ def _cmd_compare(args) -> int:
     rho = _density(g, args.density, args.tau)
     sigma = _density(other, args.density, args.tau)
     if args.measure == "js":
-        payload = {
-            "js_divergence_bits": js_divergence(rho, sigma),
-            "js_distance": js_distance(rho, sigma),
-        }
+        divergence = js_divergence(rho, sigma)
+        # js_distance is this root; calling it would decompose all three states again
+        payload = {"js_divergence_bits": divergence, "js_distance": math.sqrt(divergence)}
     else:
         payload = {"kl_bits": kl_divergence(rho, sigma)}
     _emit(payload, args.output)
@@ -491,8 +489,7 @@ def _cmd_layers(args) -> int:
         raise UsageError("layers needs --input FILE at least twice")
     graphs, labels = [], []
     for path in args.input:
-        with open(path) as fh:
-            graphs.append(load_edge_list(fh.read(), directed=args.directed))
+        graphs.append(_load_graph(None, path, args.directed))
         base = os.path.basename(path)
         labels.append(base.rsplit(".", 1)[0] if "." in base else base)
     stack = LayerStack(layers=tuple(graphs), labels=tuple(labels))

@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .errors import GraphFormatError, SupportViolationWarning
-from .graphs import Graph, build_graph, build_operators
+from .graphs import Graph, _graph, build_operators
 from .linalg import check_density_matrix, expm_hermitian
 
 
@@ -203,10 +203,11 @@ def aggregate_layers(layers: Sequence[Graph]) -> Graph:
         raise ValueError("layers must share the node set")
     if any(g.directed for g in layers) or any(g.has_phases() for g in layers):
         raise ValueError("aggregation is defined for undirected phase-free layers")
-    weights: dict[tuple[int, int], float] = {}
-    for g in layers:
-        for e in g.edges:
-            key = (min(e.src, e.dst), max(e.src, e.dst))
-            weights[key] = weights.get(key, 0.0) + e.weight
-    edges = [(u, v, w, 0.0) for (u, v), w in sorted(weights.items())]
-    return build_graph(n, edges, directed=False)
+    lo = np.concatenate([np.minimum(g.src, g.dst) for g in layers])
+    hi = np.concatenate([np.maximum(g.src, g.dst) for g in layers])
+    # each pair's weights summed from 0.0 in layer order, pairs in (lo, hi) order
+    pairs, which = np.unique(lo * n + hi, return_inverse=True)
+    weight = np.bincount(which, np.concatenate([g.weight for g in layers]), len(pairs))
+    src, dst = divmod(pairs, n)
+    return _graph(n, src.tolist(), dst.tolist(), weight.tolist(), [0.0] * len(pairs),
+                  directed=False)

@@ -1,6 +1,8 @@
 """Graph type, parsers, and the operator bundle (adjacency, Laplacians, google matrix).
 
 Conventions:
+  * A graph stores its edges as four columns: src, dst, weight, phase.
+    Graph.edges, the same edges as Edge tuples, is built from them on first use.
   * Adjacency rows are sources: A[u, v] = w for a directed edge u -> v.
   * A phase theta on an undirected edge (u, v) enters as A[u, v] = w e^{i theta},
     A[v, u] = w e^{-i theta}, keeping A Hermitian.
@@ -9,8 +11,12 @@ Conventions:
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
+import operator
+import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -30,20 +36,100 @@ class Edge(NamedTuple):
     phase: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable weighted graph; phases model directional complex couplings."""
 
     n: int
-    edges: tuple[Edge, ...]
+    src: np.ndarray      # (m,) intp, read-only like every column
+    dst: np.ndarray      # (m,) intp
+    weight: np.ndarray   # (m,) float, finite and >= 0
+    phase: np.ndarray    # (m,) float, finite
     directed: bool = False
+
+    @functools.cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(map(Edge, self.src.tolist(), self.dst.tolist(),
+                         self.weight.tolist(), self.phase.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.src)
 
     def has_phases(self) -> bool:
-        return any(e.phase != 0.0 for e in self.edges)
+        return np.count_nonzero(self.phase) > 0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.n, self.directed) == (other.n, other.directed) and all(
+            map(np.array_equal, (self.src, self.dst, self.weight, self.phase),
+                (other.src, other.dst, other.weight, other.phase)))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.directed, self.edges))
+
+
+def _first_failure(masks) -> tuple[int, int] | None:
+    """(row, check): the first row that fails any of the boolean masks, and
+    the first mask it fails; None when every row passes."""
+    bad = functools.reduce(np.logical_or, masks).nonzero()[0]
+    if not len(bad):
+        return None
+    return int(bad[0]), next(c for c, mask in enumerate(masks) if mask[bad[0]])
+
+
+def _edge_masks(n: int, src, dst, weight, phase, directed: bool,
+                allow_self_loops: bool) -> tuple[np.ndarray, ...]:
+    """The per-edge checks as boolean masks, in the order of _EDGE_ERRORS."""
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    key = src * n + dst if directed else lo * n + hi
+    order = key.argsort(kind="stable")
+    repeat = np.zeros(len(key), dtype=bool)
+    # equal keys sit together in input order; each after the first repeats it
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    return (~((lo >= 0) & (hi < n)), (lo == hi) & (not allow_self_loops),
+            ~(np.isfinite(weight) & np.isfinite(phase)), weight < 0.0, repeat)
+
+
+_EDGE_ERRORS = ("edge ({0}, {1}) outside node range [0, {3})",
+                "self-loop on node {0} (not enabled)",
+                "non-finite weight or phase on edge ({0}, {1})",
+                "negative weight {2} on edge ({0}, {1})",
+                "duplicate edge ({0}, {1})")
+
+
+def _graph(n: int, src, dst, weight, phase, directed: bool,
+           allow_self_loops: bool = False, rows=None) -> Graph:
+    """Validate edge columns, sequences of Python numbers, and freeze them.
+    An error names the first offending edge, with its values from rows when
+    given, and the first check it fails."""
+    if n < 0:
+        raise GraphFormatError(f"node count must be >= 0, got {n}")
+    if n > MAX_NODES:
+        raise GraphFormatError(f"node count {n} exceeds the limit of {MAX_NODES} nodes")
+    # Whole-column tests that every valid edge set passes, each defined once
+    # those before it hold; a sum can also overflow, so a failure is settled
+    # by the per-edge masks.
+    if not (min(src, default=0) >= 0 and min(dst, default=0) >= 0
+            and max(src, default=-1) < n and max(dst, default=-1) < n
+            and math.isfinite(sum(src) + sum(dst) + sum(weight) + sum(phase))
+            and min(weight, default=0.0) >= 0
+            and (allow_self_loops or not any(map(operator.eq, src, dst)))
+            and len(pairs := set(zip(src, dst))) == len(src)
+            and (directed or pairs.isdisjoint(zip(dst, src)))):
+        failure = _first_failure(_edge_masks(
+            n, np.asarray(src), np.asarray(dst), np.asarray(weight, dtype=float),
+            np.asarray(phase, dtype=float), directed, allow_self_loops))
+        if failure is not None:
+            k, check = failure
+            u, v, w = rows[k][:3] if rows is not None else (src[k], dst[k], weight[k])
+            raise GraphFormatError(_EDGE_ERRORS[check].format(u, v, w, n))
+    columns = (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
+               np.array(weight, dtype=float), np.array(phase, dtype=float))
+    for column in columns:
+        column.setflags(write=False)
+    return Graph(int(n), *columns, directed=bool(directed))
 
 
 def build_graph(
@@ -54,38 +140,28 @@ def build_graph(
 ) -> Graph:
     """Validate and freeze a graph: ids in range, finite weights >= 0 and
     phases, no duplicates."""
-    if n < 0:
-        raise GraphFormatError(f"node count must be >= 0, got {n}")
-    if n > MAX_NODES:
-        raise GraphFormatError(f"node count {n} exceeds the limit of {MAX_NODES} nodes")
-    out: list[Edge] = []
-    seen: set[tuple[int, int]] = set()
-    for raw in edges:
-        e = Edge(*raw)
-        if not (0 <= e.src < n and 0 <= e.dst < n):
-            raise GraphFormatError(
-                f"edge ({e.src}, {e.dst}) outside node range [0, {n})"
-            )
-        if e.src == e.dst and not allow_self_loops:
-            raise GraphFormatError(f"self-loop on node {e.src} (not enabled)")
-        if not (math.isfinite(e.weight) and math.isfinite(e.phase)):
-            raise GraphFormatError(
-                f"non-finite weight or phase on edge ({e.src}, {e.dst})"
-            )
-        if e.weight < 0:
-            raise GraphFormatError(
-                f"negative weight {e.weight} on edge ({e.src}, {e.dst})"
-            )
-        key = (e.src, e.dst) if directed else (min(e.src, e.dst), max(e.src, e.dst))
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge ({e.src}, {e.dst})")
-        seen.add(key)
-        out.append(Edge(int(e.src), int(e.dst), float(e.weight), float(e.phase)))
-    return Graph(n=int(n), edges=tuple(out), directed=bool(directed))
+    rows = list(itertools.starmap(Edge, edges))
+    return _graph(n, *(list(zip(*rows)) or [()] * 4), directed=directed,
+                  allow_self_loops=allow_self_loops, rows=rows)
 
 
 # ---------------------------------------------------------------------------
 # parsing and serialization
+
+_FIELD_COUNTS = {2, 3, 4}
+_DEFAULT_FIELDS = ["1.0", "0.0"]   # the weight and phase a short line omits
+# from '#' to the end of its line, as str.splitlines ends lines
+_COMMENT = re.compile(r"#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
+
+
+def _convert(fn, tokens: list[str]) -> list:
+    """fn over tokens, up to the first token that fn rejects."""
+    out: list = []
+    try:
+        out.extend(map(fn, tokens))   # keeps what was converted before a failure
+    except ValueError:
+        pass
+    return out
 
 
 def load_edge_list(text: str, directed: bool | None = None) -> Graph:
@@ -95,20 +171,19 @@ def load_edge_list(text: str, directed: bool | None = None) -> Graph:
     before the first edge; a 'nodes' directive overrides the max-id-plus-one
     default. A bare two-column line means unit weight and zero phase; a phase
     needs an explicit weight column first.
+
+    Each line is split once, and each column of fields is converted by int or
+    float and checked as a whole. An error names the first offending line
+    and the first check it fails: directive after edges, field count, number
+    syntax, negative id, non-finite weight or phase, negative weight.
     """
+    split = list(map(str.split, _COMMENT.sub("", text).splitlines()))
     header_nodes: int | None = None
     header_directed = False
-    edges: list[tuple] = []
-    max_id = -1
-    saw_edge = False
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0].lower() == "nodes":
-            if saw_edge:
-                raise GraphFormatError(f"line {ln}: 'nodes' directive after edges")
+    first = len(split)
+    for ln, tokens in enumerate(split, start=1):
+        key = tokens[0].lower() if tokens else ""
+        if key == "nodes":
             if len(tokens) != 2:
                 raise GraphFormatError(f"line {ln}: expected 'nodes N'")
             try:
@@ -120,38 +195,56 @@ def load_edge_list(text: str, directed: bool | None = None) -> Graph:
                     f"line {ln}: node count {header_nodes} exceeds the limit of "
                     f"{MAX_NODES} nodes"
                 )
-            continue
-        if tokens[0].lower() == "directed":
-            if saw_edge:
-                raise GraphFormatError(f"line {ln}: 'directed' directive after edges")
+        elif key == "directed":
             header_directed = True
-            continue
-        if len(tokens) < 2 or len(tokens) > 4:
-            raise GraphFormatError(
-                f"line {ln}: expected 'src dst [weight] [phase]', got {len(tokens)} fields"
-            )
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-            w = float(tokens[2]) if len(tokens) >= 3 else 1.0
-            phase = float(tokens[3]) if len(tokens) == 4 else 0.0
-        except ValueError:
-            raise GraphFormatError(f"line {ln}: malformed edge {line!r}") from None
-        if u < 0 or v < 0:
-            raise GraphFormatError(f"line {ln}: negative node id")
-        if not (math.isfinite(w) and math.isfinite(phase)):
-            raise GraphFormatError(f"line {ln}: non-finite weight or phase")
-        if w < 0:
-            raise GraphFormatError(f"line {ln}: negative weight {w}")
-        saw_edge = True
-        max_id = max(max_id, u, v)
-        edges.append((u, v, w, phase))
+        elif tokens:
+            first = ln - 1
+            break
+    rows = list(filter(None, split[first:]))
+    fields, widths = rows, set(map(len, rows))
+    if not widths <= _FIELD_COUNTS:
+        fields = rows[:next(k for k, r in enumerate(rows) if len(r) not in _FIELD_COUNTS)]
+        widths = set(map(len, fields))
+    width = max(widths, default=2)
+    if len(widths) > 1:
+        fields = [r + _DEFAULT_FIELDS[len(r) - 2:width - 2] for r in fields]
+    flat = list(itertools.chain.from_iterable(fields))
+    columns = [_convert(int, flat[0::width]), _convert(int, flat[1::width]),
+               _convert(float, flat[2::width]) if width > 2 else [1.0] * len(fields),
+               _convert(float, flat[3::width]) if width > 3 else [0.0] * len(fields)]
+    # the rows before the first one with a field that int or float rejects
+    parsed = min(map(len, columns))
+    us, vs, ws, ps = (column[:parsed] for column in columns)
+    max_id = max(max(us, default=-1), max(vs, default=-1))
+    failure = None
+    if not (min(us, default=0) >= 0 and min(vs, default=0) >= 0
+            and math.isfinite(sum(ws) + sum(ps)) and min(ws, default=0.0) >= 0):
+        # with n = max_id + 1 only a negative id is out of range; object
+        # columns keep ids of any size exact
+        masks = _edge_masks(max_id + 1, np.array(us, dtype=object), np.array(vs, dtype=object),
+                            np.array(ws), np.array(ps), True, True)
+        failure = _first_failure((masks[0], masks[2], masks[3]))
+    bad = parsed if failure is None else failure[0]
+    if bad < len(rows):
+        ln = first + 1 + int(np.flatnonzero(list(map(len, split[first:])))[bad])
+        key = rows[bad][0].lower()
+        if failure is not None:
+            msg = ("negative node id", "non-finite weight or phase",
+                   f"negative weight {ws[bad]}")[failure[1]]
+        elif key in ("nodes", "directed"):
+            msg = f"'{key}' directive after edges"
+        elif len(rows[bad]) not in _FIELD_COUNTS:
+            msg = f"expected 'src dst [weight] [phase]', got {len(rows[bad])} fields"
+        else:
+            msg = f"malformed edge {text.splitlines()[ln - 1].split('#', 1)[0].strip()!r}"
+        raise GraphFormatError(f"line {ln}: {msg}")
     n = header_nodes if header_nodes is not None else max_id + 1
     if header_nodes is not None and header_nodes < max_id + 1:
         raise GraphFormatError(
             f"node id {max_id} outside declared node count {header_nodes}"
         )
     is_directed = directed if directed is not None else header_directed
-    return build_graph(n, edges, directed=is_directed)
+    return _graph(n, us, vs, ws, ps, is_directed)
 
 
 def to_edge_list(g: Graph) -> str:
@@ -196,20 +289,18 @@ def graph_from_json(obj: dict | str) -> Graph:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense adjacency; complex dtype only when some edge carries a phase."""
-    if g.has_phases():
-        a = np.zeros((g.n, g.n), dtype=complex)
-        for e in g.edges:
-            amp = e.weight * np.exp(1j * e.phase)
-            a[e.src, e.dst] += amp
-            if not g.directed:
-                a[e.dst, e.src] += np.conj(amp)
-        return a
-    a = np.zeros((g.n, g.n))
-    for e in g.edges:
-        a[e.src, e.dst] += e.weight
-        if not g.directed:
-            a[e.dst, e.src] += e.weight
+    """Dense adjacency; complex dtype only when some edge carries a phase.
+
+    One scatter-add: an undirected edge also adds its conjugate at (dst,
+    src), so an undirected self-loop puts twice its weight on the diagonal.
+    """
+    amp = g.weight * np.exp(1j * g.phase) if g.has_phases() else g.weight
+    rows, cols, vals = g.src, g.dst, amp
+    if not g.directed:
+        rows, cols = np.concatenate((g.src, g.dst)), np.concatenate((g.dst, g.src))
+        vals = np.concatenate((amp, amp.conj()))
+    a = np.zeros((g.n, g.n), dtype=amp.dtype)
+    np.add.at(a, (rows, cols), vals)
     return a
 
 
@@ -358,7 +449,7 @@ def _components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Components of the undirected view, each sorted, in discovery order."""
-    return _components(g.n, ((e.src, e.dst) for e in g.edges))
+    return _components(g.n, zip(g.src.tolist(), g.dst.tolist()))
 
 
 def is_connected(g: Graph) -> bool:
@@ -374,7 +465,7 @@ class BipartiteResult:
 
 def is_bipartite(g: Graph) -> BipartiteResult:
     """Two-color the undirected view; on failure return an odd-cycle witness."""
-    nbrs = _neighbor_lists(g.n, ((e.src, e.dst) for e in g.edges))
+    nbrs = _neighbor_lists(g.n, zip(g.src.tolist(), g.dst.tolist()))
     color = np.full(g.n, -1, dtype=int)
     parent = np.full(g.n, -1, dtype=int)
     for start in range(g.n):

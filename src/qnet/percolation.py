@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .graphs import Graph, build_graph
+from .graphs import Graph, _graph
 
 # Lattices are checked against this site count before anything is allocated;
 # a 2048 x 2048 lattice is the largest square one.
@@ -107,8 +107,9 @@ def sample_quantum_random_graph(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, 1)
     keep = rng.random(len(iu)) < p
-    edges = [(int(a), int(b), 1.0, 0.0) for a, b in zip(iu[keep], ju[keep])]
-    return build_graph(n, edges, directed=False)
+    m = int(keep.sum())
+    return _graph(n, iu[keep].tolist(), ju[keep].tolist(), [1.0] * m, [0.0] * m,
+                  directed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +181,7 @@ def _target(target: str | Graph) -> _Target:
     """Node count, links and search plans of a named or explicit target,
     validated."""
     if isinstance(target, Graph):
-        n, edges = target.n, [(e.src, e.dst) for e in target.edges]
+        n, edges = target.n, list(zip(target.src.tolist(), target.dst.tolist()))
     else:
         try:
             n, edges = _NAMED_TARGETS[target]
@@ -253,9 +254,8 @@ def contains_subgraph(g: Graph, target: str | Graph) -> bool:
     """Exact (non-induced) containment check for targets of up to 5 nodes;
     self-loops of the host are ignored."""
     tg = _target(target)
-    links = np.array([(e.src, e.dst) for e in g.edges if e.src != e.dst],
-                     dtype=np.intp).reshape(-1, 2)
-    return _first_link(tg, links[:, 0], links[:, 1]) >= 0
+    link = g.src != g.dst
+    return _first_link(tg, g.src[link], g.dst[link]) >= 0
 
 
 def _first_containing(tg: _Target, u: np.ndarray, iu: np.ndarray, ju: np.ndarray,

@@ -12,8 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qnet import (IntegrationInstabilityError, bond_percolation, cli, communities,
-                  to_edge_list, walks)
+from qnet import (IntegrationInstabilityError, bond_percolation, cli, communities, entropy,
+                  to_edge_list, vn_entropy, walks)
 from qnet.cli import main
 
 from _helpers import random_connected_graph
@@ -89,6 +89,7 @@ def test_compare_js_and_kl(capsys, tmp_path):
     js = run_json(capsys, "compare", "--input", str(a), "--other", str(b))
     assert set(js) >= {"js_divergence_bits", "js_distance"}
     assert 0.0 <= js["js_divergence_bits"] <= 1.0
+    assert js["js_distance"] == math.sqrt(js["js_divergence_bits"])
     kl = run_json(capsys, "compare", "--input", str(a), "--other", str(b),
                   "--measure", "kl", "--tau", "1.0")
     assert kl["kl_bits"] == pytest.approx(0.382175197082409, abs=1e-12)
@@ -382,8 +383,34 @@ def test_non_finite_matrix_out_is_refused_before_the_file_is_created(
 # exit codes
 
 
+def test_compare_js_takes_each_entropy_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(rho):
+        calls.append(rho)
+        return vn_entropy(rho)
+    monkeypatch.setattr(entropy, "vn_entropy", counted)
+    payload = run_json(capsys, "compare", "--toy", "p3", "--other-toy", "triangle")
+    assert len(calls) == 3    # rho, sigma and their mixture
+    assert payload["js_distance"] == math.sqrt(payload["js_divergence_bits"])
+
+
 def test_missing_file_is_io_failure(capsys):
     rc = main(["entropy", "--input", "/nonexistent/file.edges"])
+    capsys.readouterr()
+    assert rc == 3
+
+
+@pytest.mark.parametrize("command", ["entropy", "layers"])
+def test_bad_edge_list_names_its_line(capsys, tmp_path, command):
+    good, bad = tmp_path / "good.edges", tmp_path / "bad.edges"
+    good.write_text("0 1\n1 2\n")
+    bad.write_text("nodes 3\n0 1\n1 2 nan\n")
+    command = [command] if command == "entropy" else [command, "--input", str(good)]
+    rc = main(command + ["--input", str(bad)])
+    assert rc == 1
+    assert "line 3: non-finite weight or phase" in capsys.readouterr().err
+    rc = main(command + ["--input", str(tmp_path / "missing.edges")])
     capsys.readouterr()
     assert rc == 3
 
