@@ -99,15 +99,19 @@ _EDGE_ERRORS = ("edge ({0}, {1}) outside node range [0, {3})",
                 "duplicate edge ({0}, {1})")
 
 
+def _check_node_count(n: int) -> None:
+    if n < 0:
+        raise GraphFormatError(f"node count must be >= 0, got {n}")
+    if n > MAX_NODES:
+        raise GraphFormatError(f"node count {n} exceeds the limit of {MAX_NODES} nodes")
+
+
 def _graph(n: int, src, dst, weight, phase, directed: bool,
            allow_self_loops: bool = False, rows=None) -> Graph:
     """Validate edge columns, sequences of Python numbers, and freeze them.
     An error names the first offending edge, with its values from rows when
     given, and the first check it fails."""
-    if n < 0:
-        raise GraphFormatError(f"node count must be >= 0, got {n}")
-    if n > MAX_NODES:
-        raise GraphFormatError(f"node count {n} exceeds the limit of {MAX_NODES} nodes")
+    _check_node_count(n)
     # Whole-column tests that every valid edge set passes, each defined once
     # those before it hold; a sum can also overflow, so a failure is settled
     # by the per-edge masks.

@@ -5,13 +5,17 @@ Monte Carlo conventions: every trial draws from its own seeded substream, and
 sweeps over a probability grid reuse each trial's uniforms (common random
 numbers), which makes per-trial outcomes exactly monotone in p.
 
-Both Monte Carlo loops run on array kernels, one pass per trial:
+Both Monte Carlo loops run on array kernels:
 
-- Lattice runs stack the trial's copies of the lattice, one per p, as a
-  block-diagonal graph and label it with a single compiled
-  ``scipy.sparse.csgraph.connected_components`` call. A copy spans when a
+- Lattice runs draw each copy of the lattice, one per (trial, p), as a
+  refined bond image: sites on the even/even pixels, always on; each bond on
+  the pixel between its two sites, on when its u < p. Whole trials' copies,
+  or a chunk of one trial's copies, stack into one 3-d image up to a site
+  budget, and one compiled ``scipy.ndimage.label`` call with in-plane
+  neighbours labels them (the Hoshen-Kopelman problem). A copy spans when a
   label of its left column is also a label of its right column; cluster
-  sizes and the size histogram come from ``np.bincount`` on the labels.
+  sizes come from ``np.bincount`` on the site labels, and the size
+  histogram is keyed by (p, size) over every call.
 - Subgraph emergence draws a trial's uniforms once and keeps the pairs with
   u below the largest p as index arrays. It computes the trial's
   first-appearance threshold directly: links enter in increasing-u order
@@ -31,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .graphs import Graph, _graph
+from .graphs import Graph, _check_node_count, _graph
 
 # Lattices are checked against this site count before anything is allocated;
 # a 2048 x 2048 lattice is the largest square one.
@@ -39,9 +43,13 @@ MAX_LATTICE_SITES = 2**22
 # Subgraph emergence draws n(n-1)/2 uniforms per trial; the largest n is
 # checked against this pair count before anything is allocated.
 MAX_EMERGENCE_PAIRS = 2**22
-# Lattice copies labelled in one components call hold at most this many sites
-# together (always at least one copy), which bounds the index arrays of a call.
-_BATCH_SITES = 2**20
+# Lattice copies labelled in one ndimage.label call hold at most this many
+# sites together (always at least one copy), which bounds the images of a call.
+_BATCH_SITES = 2**16
+# Label structure of stacked lattice images: the four in-plane neighbours, so
+# that no cluster crosses from one copy to the next.
+_IN_PLANE = np.zeros((3, 3, 3), dtype=bool)
+_IN_PLANE[1] = [[0, 1, 0], [1, 1, 1], [0, 1, 0]]
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,7 @@ def sample_quantum_random_graph(
     """Measure a network of identical partial links: every pair keeps its edge
     with the link's conversion probability, yielding a classical G(n, p)."""
     p = _conversion_p(link)
+    _check_node_count(n)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, 1)
     keep = rng.random(len(iu)) < p
@@ -393,43 +402,36 @@ class ClusterStats:
         }
 
 
-def _lattice_bonds(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    """Site indices (y * width + x) at the two ends of every bond: the
-    horizontal bonds row by row, then the vertical bonds, in draw order."""
-    sites = np.arange(width * height).reshape(height, width)
-    src = np.concatenate([sites[:, :-1].ravel(), sites[:-1, :].ravel()])
-    dst = np.concatenate([sites[:, 1:].ravel(), sites[1:, :].ravel()])
-    return src, dst
+def _label_lattices(uh: np.ndarray, uv: np.ndarray, ps: np.ndarray):
+    """Clusters of the bond configurations {u < p} of every trial of the
+    uniforms uh, uv (shapes (trials, height, width - 1) and
+    (trials, height - 1, width)) at every p in ps, labelled by one
+    ``ndimage.label`` call on the stacked refined bond images, copy
+    trial * len(ps) + p index. Returns per copy: spanning (bool) and the
+    largest cluster size; and per cluster: its p index and its size."""
+    from scipy import ndimage
 
-
-def _lattice_clusters(width: int, height: int, src: np.ndarray, dst: np.ndarray,
-                      u: np.ndarray, ps: np.ndarray):
-    """Cluster statistics of the bond configurations {u < p} for every p in
-    ps, as one block-diagonal graph of len(ps) lattice copies labelled by a
-    single components call. Returns per copy: spanning (bool), largest
-    cluster size, and the nonzero entries of its size histogram as
-    (copy, size, count) arrays sorted by copy, then size."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    n, copies = width * height, len(ps)
-    copy, bond = np.divmod(np.flatnonzero(u < ps[:, np.newaxis]), len(u))
-    offset = copy * n
-    graph = coo_matrix((np.ones(len(bond)), (src[bond] + offset, dst[bond] + offset)),
-                       shape=(copies * n, copies * n))
-    count, labels = connected_components(graph, directed=False)
-    labels = labels.reshape(copies, n)
-    on_left = np.zeros(count, dtype=bool)
-    on_left[labels[:, ::width]] = True
-    spanning = on_left[labels[:, width - 1::width]].any(axis=1)
-    # no cluster crosses copies, so each label belongs to exactly one copy
-    copy_of = np.empty(count, dtype=np.intp)
-    copy_of[labels] = np.arange(copies)[:, np.newaxis]
-    sizes = np.bincount(labels.ravel(), minlength=count)
-    keys, counts = np.unique(copy_of * (n + 1) + sizes, return_counts=True)
-    hist_copy, hist_size = np.divmod(keys, n + 1)
-    largest = hist_size[np.searchsorted(hist_copy, np.arange(copies), side="right") - 1]
-    return spanning, largest, (hist_copy, hist_size, counts)
+    trials, height, width = len(uh), uv.shape[1] + 1, uh.shape[2] + 1
+    copies = trials * len(ps)
+    image = np.empty((trials, len(ps), 2 * height - 1, 2 * width - 1), dtype=bool)
+    image[..., ::2, ::2] = True
+    image[..., 1::2, 1::2] = False
+    cut = ps[:, np.newaxis, np.newaxis]
+    np.less(uh[:, np.newaxis], cut, out=image[..., ::2, 1::2])
+    np.less(uv[:, np.newaxis], cut, out=image[..., 1::2, ::2])
+    labels, count = ndimage.label(image.reshape(copies, 2 * height - 1, 2 * width - 1),
+                                  _IN_PLANE)
+    sites = labels[:, ::2, ::2]
+    on_left = np.zeros(count + 1, dtype=bool)
+    on_left[sites[:, :, 0]] = True
+    spanning = on_left[sites[:, :, -1]].any(axis=1)
+    # every cluster holds a site and lies in one copy
+    copy_of = np.empty(count + 1, dtype=np.intp)
+    copy_of[sites] = np.arange(copies)[:, np.newaxis, np.newaxis]
+    copy_of, sizes = copy_of[1:], np.bincount(sites.ravel(), minlength=count + 1)[1:]
+    largest = np.zeros(copies, dtype=np.intp)
+    np.maximum.at(largest, copy_of, sizes)
+    return spanning, largest, copy_of % len(ps), sizes
 
 
 def bond_percolation_curve(
@@ -451,37 +453,49 @@ def bond_percolation_curve(
     if any(not 0.0 <= p <= 1.0 for p in ps):
         raise ValueError("bond probabilities must lie in [0, 1]")
     n = width * height
-    src, dst = _lattice_bonds(width, height)
-    nh = (width - 1) * height
     grid = np.array(ps)
-    batch = max(1, _BATCH_SITES // n)
+    # a call holds whole trials, or a chunk of one trial's copies
+    per_call = max(1, _BATCH_SITES // n)
+    trial_step, p_step = (per_call // len(ps), len(ps)) if per_call >= len(ps) else (1, per_call)
     spans = np.zeros((len(ps), trials), dtype=bool)
     largest = np.zeros((len(ps), trials), dtype=np.intp)
-    hists: list[dict[int, int]] = [{} for _ in ps]
-    for t, ts in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        rng = np.random.default_rng(ts)
-        uh = rng.random(nh)
-        uv = rng.random(len(src) - nh)
-        u = np.concatenate([uh, uv])
-        for lo in range(0, len(ps), batch):
-            hi = min(lo + batch, len(ps))
-            spans[lo:hi, t], largest[lo:hi, t], (copy, size, count) = _lattice_clusters(
-                width, height, src, dst, u, grid[lo:hi])
-            for k, s, c in zip(copy.tolist(), size.tolist(), count.tolist()):
-                hist = hists[lo + k]
-                hist[s] = hist.get(s, 0) + c
+    hist_keys, hist_counts = [], []
+    streams = np.random.SeedSequence(seed).spawn(trials)
+    for t0 in range(0, trials, trial_step):
+        t1 = min(t0 + trial_step, trials)
+        uh = np.empty((t1 - t0, height, width - 1))
+        uv = np.empty((t1 - t0, height - 1, width))
+        for k, ts in enumerate(streams[t0:t1]):
+            rng = np.random.default_rng(ts)
+            rng.random(out=uh[k])
+            rng.random(out=uv[k])
+        for lo in range(0, len(ps), p_step):
+            hi = min(lo + p_step, len(ps))
+            span, big, pidx, sizes = _label_lattices(uh, uv, grid[lo:hi])
+            spans[lo:hi, t0:t1] = span.reshape(t1 - t0, hi - lo).T
+            largest[lo:hi, t0:t1] = big.reshape(t1 - t0, hi - lo).T
+            key, count = np.unique((pidx + lo) * (n + 1) + sizes, return_counts=True)
+            hist_keys.append(key)
+            hist_counts.append(count)
+    # the size histogram of every p, summed over the calls
+    keys, inverse = np.unique(np.concatenate(hist_keys), return_inverse=True)
+    totals = np.zeros(len(keys), dtype=np.intp)
+    np.add.at(totals, inverse, np.concatenate(hist_counts))
+    hist_p, hist_size = np.divmod(keys, n + 1)
+    bounds = np.searchsorted(hist_p, np.arange(len(ps) + 1)).tolist()
 
     out = []
     for pi, p in enumerate(ps):
         fractions = [size / n for size in largest[pi].tolist()]
         prob = float(spans[pi].mean())
         ci = 1.96 * float(np.sqrt(prob * (1.0 - prob) / trials))
+        lo, hi = bounds[pi], bounds[pi + 1]
         out.append(ClusterStats(
             p=p, width=width, height=height, trials=trials,
             spanning_prob=prob,
             spanning_ci=ci,
             largest_fraction_mean=float(np.mean(fractions)),
-            histogram=dict(sorted(hists[pi].items())),
+            histogram=dict(zip(hist_size[lo:hi].tolist(), totals[lo:hi].tolist())),
             records=tuple(TrialRecord(s, f)
                           for s, f in zip(spans[pi].tolist(), fractions)),
         ))

@@ -28,6 +28,7 @@ from qnet import (
     toys,
 )
 from qnet import percolation
+from qnet.errors import GraphFormatError
 from qnet.percolation import ClusterStats
 
 import _percolation_reference as reference
@@ -94,6 +95,18 @@ def test_sampling_is_seed_deterministic():
 def test_sampling_validates_probability():
     with pytest.raises(ValueError, match="probability"):
         sample_quantum_random_graph(5, 1.7)
+
+
+@pytest.mark.parametrize("n,match", [(30_000, "exceeds the limit"), (-1, "must be >= 0")])
+def test_sampling_rejects_node_count_before_allocation(n, match):
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphFormatError, match=match):
+            sample_quantum_random_graph(n, 0.5, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +387,37 @@ def test_lattice_kernel_splits_large_grids_into_batches(monkeypatch):
     ps = [0.2, 0.45, 0.5, 0.55, 0.8]
     curve = bond_percolation_curve(6, 6, ps, trials=5, seed=12)
     _assert_matches_reference(curve, 6, 6, ps, 5, 12)
+
+
+@pytest.mark.parametrize("width,height,ps,trials,budget", [
+    # 15 copies per call hold three whole trials; the last call holds one
+    (6, 6, [0.2, 0.45, 0.5, 0.55, 0.8], 7, 3 * 5 * 36),
+    (6, 6, [0.2, 0.45, 0.5, 0.55, 0.8], 7, 4 * 5 * 36 - 1),
+    # two of a trial's five copies per call: chunks of 2, 2 and 1
+    (6, 6, [0.2, 0.45, 0.5, 0.55, 0.8], 4, 2 * 36),
+    (2, 5, [0.0, 0.3, 0.6, 1.0], 9, 2 * 4 * 10),
+    (2, 5, [0.0, 0.3, 0.6, 1.0], 3, 3 * 10),
+    (7, 1, [0.1, 0.5, 0.9], 8, 3 * 3 * 7),
+    (7, 1, [0.1, 0.5, 0.9], 3, 2 * 7),
+    (2, 1, [0.0, 0.5, 1.0], 11, 2 * 3 * 2),
+])
+def test_lattice_kernel_batch_boundaries(monkeypatch, width, height, ps, trials, budget):
+    monkeypatch.setattr(percolation, "_BATCH_SITES", budget)
+    curve = bond_percolation_curve(width, height, ps, trials=trials, seed=13)
+    _assert_matches_reference(curve, width, height, ps, trials, 13)
+
+
+def test_largest_lattice_memory():
+    side = 2048
+    assert side * side == percolation.MAX_LATTICE_SITES
+    tracemalloc.start()
+    try:
+        stats = bond_percolation(side, side, 0.5, trials=1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(size * count for size, count in stats.histogram.items()) == side * side
+    assert peak < 256 << 20
 
 
 def test_oversized_lattice_rejected_before_allocation():
