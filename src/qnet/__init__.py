@@ -34,11 +34,9 @@ from .graphs import (
 from .linalg import (
     EigenDecomposition,
     Trajectory,
-    expm_hermitian,
     hermitian_eig,
     integrate_master_equation,
     lindblad_rhs,
-    matrix_function_hermitian,
 )
 from .walks import (
     ChiralTransportReport,

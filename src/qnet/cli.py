@@ -382,7 +382,7 @@ def _cmd_compare(args) -> int:
     sigma = _density(other, args.density, args.tau)
     if args.measure == "js":
         divergence = js_divergence(rho, sigma)
-        # js_distance is this root; calling it would decompose all three states again
+        # js_distance is this root; calling it would decompose the mixture again
         payload = {"js_divergence_bits": divergence, "js_distance": math.sqrt(divergence)}
     else:
         payload = {"kl_bits": kl_divergence(rho, sigma)}

@@ -1,4 +1,6 @@
-"""Network density matrices, spectral entropies, divergences, and layer clustering."""
+"""Network density matrices, spectral entropies, divergences, and layer clustering.
+
+A DensityMatrix keeps its spectrum: only plain arrays and JS mixtures are decomposed."""
 from __future__ import annotations
 
 import warnings
@@ -10,15 +12,17 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .errors import GraphFormatError, SupportViolationWarning
 from .graphs import Graph, _graph, build_operators
-from .linalg import check_density_matrix, expm_hermitian
+from .linalg import check_density_matrix, hermitian_eig
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A unit-trace PSD matrix tagged with how it was built from a graph."""
+    """A unit-trace PSD matrix, how it was built, and its spectrum (V * w) @ V^H."""
 
     matrix: np.ndarray
     construction: str            # "rescaled-laplacian" | "propagator" | "external"
+    eigenvalues: np.ndarray      # (n,) real, summing to 1
+    vectors: np.ndarray          # (n, n), column k pairs with eigenvalues[k]
     tau: float | None = None
 
 
@@ -26,7 +30,7 @@ def make_density(matrix: np.ndarray, construction: str = "external",
                  tau: float | None = None) -> DensityMatrix:
     m = np.asarray(matrix)
     check_density_matrix(m)
-    return DensityMatrix(matrix=m, construction=construction, tau=tau)
+    return DensityMatrix(m, construction, *np.linalg.eigh(m), tau)
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -39,37 +43,44 @@ def density_rescaled(g: Graph) -> DensityMatrix:
     tr = float(np.trace(lap).real)
     if tr <= 0:
         raise GraphFormatError("rescaled-laplacian density needs a graph with edges")
-    return DensityMatrix(matrix=lap / tr, construction="rescaled-laplacian")
+    dec = hermitian_eig(lap)
+    return DensityMatrix(lap / tr, "rescaled-laplacian", dec.eigenvalues / tr, dec.vectors)
+
+
+def _propagator(lap: np.ndarray, tau: float) -> DensityMatrix:
+    """exp(-tau L) / tr exp(-tau L) from the spectrum of L, weighted by
+    exp(-tau (lambda - lambda_min)) so that no finite tau underflows every weight."""
+    if not 0.0 <= tau < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
+    dec = hermitian_eig(lap)
+    w = np.exp(-tau * (dec.eigenvalues - dec.eigenvalues[0]))
+    w /= w.sum()
+    v = dec.vectors
+    return DensityMatrix((v * w) @ v.conj().T, "propagator", w, v, float(tau))
 
 
 def density_propagator(g: Graph, tau: float) -> DensityMatrix:
     """exp(-tau * Laplacian) normalized by its trace; tau = 0 gives I/n."""
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    lap = build_operators(g).laplacian
-    prop = expm_hermitian(lap, scale=-tau)
-    return DensityMatrix(matrix=prop / np.trace(prop).real,
-                         construction="propagator", tau=float(tau))
+    return _propagator(build_operators(g).laplacian, tau)
 
 
 def vn_entropy(rho) -> float:
     """Spectral entropy in bits; eigenvalues below the clip floor count as zero."""
-    w = np.linalg.eigvalsh(_as_matrix(rho))
+    w = rho.eigenvalues if isinstance(rho, DensityMatrix) else np.linalg.eigvalsh(rho)
     w = w[w > DEFAULT_TOLS.eig_clip_floor]
     return float(-(w * np.log2(w)).sum() + 0.0)
 
 
-def _log_on_support(r: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
+def _log_on_support(r: np.ndarray, sigma) -> tuple[float, float]:
     """(mass of r outside the support of sigma, tr[r log2 sigma] on that support).
 
     Eigenvalues of sigma at or below Tolerances.eig_clip_floor span its null space.
     """
-    ws, vs = np.linalg.eigh(sigma)
+    ws, vs = ((sigma.eigenvalues, sigma.vectors) if isinstance(sigma, DensityMatrix)
+              else np.linalg.eigh(sigma))
+    weights = np.real((vs.conj() * (r @ vs)).sum(axis=0))  # <v_k| r |v_k>
     null = ws <= DEFAULT_TOLS.eig_clip_floor
-    null_vecs, keep = vs[:, null], ~null
-    leaked = float(np.real(np.trace(null_vecs.conj().T @ r @ null_vecs)))
-    weights = np.real(np.einsum("ij,jk,ki->i", vs[:, keep].conj().T, r, vs[:, keep]))
-    return leaked, float((weights * np.log2(ws[keep])).sum())
+    return float(weights[null].sum()), float((weights[~null] * np.log2(ws[~null])).sum())
 
 
 def kl_divergence(rho, sigma) -> float:
@@ -78,8 +89,7 @@ def kl_divergence(rho, sigma) -> float:
     When rho carries mass outside sigma's support the divergence is infinite;
     math.inf is returned and a SupportViolationWarning explains the overlap.
     """
-    r = _as_matrix(rho)
-    leaked, cross_term = _log_on_support(r, _as_matrix(sigma))
+    leaked, cross_term = _log_on_support(_as_matrix(rho), sigma)
     if leaked > DEFAULT_TOLS.support_mass_atol:
         warnings.warn(
             f"support violation: {leaked:.3e} of the state lies outside the "
@@ -87,18 +97,13 @@ def kl_divergence(rho, sigma) -> float:
             SupportViolationWarning,
         )
         return float("inf")
-    wr = np.linalg.eigvalsh(r)
-    wr = wr[wr > DEFAULT_TOLS.eig_clip_floor]
-    entropy_term = float((wr * np.log2(wr)).sum())
-    return entropy_term - cross_term
+    return -vn_entropy(rho) - cross_term
 
 
 def js_divergence(rho, sigma) -> float:
     """S(mix) - [S(rho) + S(sigma)]/2 in bits, bounded by [0, 1]."""
-    r, s = _as_matrix(rho), _as_matrix(sigma)
-    mix = 0.5 * (r + s)
-    val = vn_entropy(mix) - 0.5 * (vn_entropy(r) + vn_entropy(s))
-    return float(max(0.0, val))
+    mix = 0.5 * (_as_matrix(rho) + _as_matrix(sigma))
+    return max(0.0, vn_entropy(mix) - 0.5 * (vn_entropy(rho) + vn_entropy(sigma)))
 
 
 def js_distance(rho, sigma) -> float:
@@ -116,14 +121,15 @@ class ErdosRenyiModel:
     p: float
     tau: float = 1.0
 
+    def __post_init__(self):
+        if not 0.0 <= self.p <= 1.0:  # NaN fails both comparisons
+            raise ValueError(f"edge probability p must lie in [0, 1], got {self.p}")
+
     def expected_laplacian(self, n: int) -> np.ndarray:
         return self.p * ((n - 1) * np.eye(n) - (np.ones((n, n)) - np.eye(n)))
 
     def density(self, n: int) -> DensityMatrix:
-        lap = self.expected_laplacian(n)
-        prop = expm_hermitian(lap, scale=-self.tau)
-        return DensityMatrix(matrix=prop / np.trace(prop).real,
-                             construction="propagator", tau=self.tau)
+        return _propagator(self.expected_laplacian(n), self.tau)
 
 
 def log_likelihood(rho, model) -> float:
@@ -136,10 +142,7 @@ def log_likelihood(rho, model) -> float:
     the observed state lives.
     """
     r = _as_matrix(rho)
-    if hasattr(model, "density"):
-        sigma = model.density(r.shape[0]).matrix
-    else:
-        sigma = _as_matrix(model)
+    sigma = model.density(r.shape[0]) if hasattr(model, "density") else model
     leaked, cross_term = _log_on_support(r, sigma)
     if leaked > DEFAULT_TOLS.support_mass_atol:
         warnings.warn(

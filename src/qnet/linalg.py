@@ -13,8 +13,9 @@ Design notes:
     is applied as two real GEMMs, one per part. The degeneracy break rule
     lives in _group_starts, which works on the last axis, so a stack of
     spectra (link failure) is grouped exactly as hermitian_eig groups one.
-  * Matrix functions of Hermitian operators are built from the decomposition
-    directly, (V * f(w)) @ V^H, instead of generic Pade routines.
+  * A function of an operator, like the network propagator exp(-tau L), is
+    formed by its consumer from hermitian_eig's spectrum, which qnet.entropy
+    then keeps on the density matrix instead of decomposing it again.
   * Transport sums sum_ab K_ab (P_a)_ij conj(P_b)_ij over a Hermitian PSD
     kernel K on the eigenvalue groups have one helper, _kernel_transport:
     infinite, windowed and short-time closeness, fidelity closeness and the
@@ -209,19 +210,6 @@ def _kernel_transport(dec: EigenDecomposition, kernel: np.ndarray | None = None,
     for m, k in zip(mu[keep], modes[:, keep].T):
         c += m * _abs2_matmul(v * k[labels], vh)
     return c
-
-
-def matrix_function_hermitian(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """f applied to a Hermitian matrix through its eigendecomposition."""
-    m = np.asarray(m)
-    assert_hermitian(m)
-    w, v = np.linalg.eigh(m)
-    return (v * f(w)) @ v.conj().T
-
-
-def expm_hermitian(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * m) for Hermitian m. Purely imaginary scales give unitaries."""
-    return matrix_function_hermitian(m, lambda w: np.exp(scale * w))
 
 
 def lindblad_rhs(h: np.ndarray, jumps: Sequence[np.ndarray] = ()):

@@ -52,6 +52,14 @@ def test_entropy_propagator_flag(capsys):
     assert payload["entropy_bits"] <= 1e-6
 
 
+def test_entropy_propagator_past_underflow_is_pure(capsys):
+    # at this tau exp(-tau * lambda) underflows (or overflows) even at the
+    # Laplacian's zero eigenvalue, which LAPACK returns as about +-1e-16
+    payload = run_json(capsys, "entropy", "--toy", "p3",
+                       "--density", "propagator", "--tau", "1e19")
+    assert payload["entropy_bits"] == 0.0
+
+
 def test_walk_payload_schema(capsys):
     payload = run_json(capsys, "walk", "--toy", "k2", "--times", "0:3.14159:5")
     assert payload["nodes"] == 2

@@ -15,6 +15,7 @@ from qnet import (
     WalkSpec,
     aggregate_layers,
     build_graph,
+    cli,
     density_propagator,
     density_rescaled,
     js_distance,
@@ -101,6 +102,90 @@ def test_propagator_entropy_decreases_with_tau():
     taus = np.array([0.1, 0.3, 1.0, 3.0, 10.0])
     ent = [vn_entropy(density_propagator(g, float(t))) for t in taus]
     assert all(a >= b - 1e-10 for a, b in zip(ent, ent[1:]))
+
+
+def test_propagator_past_underflow_is_the_ground_state():
+    # exp(-tau * lambda) is 0 or inf for every eigenvalue at this tau; the
+    # weights relative to the smallest eigenvalue are not
+    d = density_propagator(toys.path(3), tau=1e19)
+    ground = np.full(3, 1.0 / np.sqrt(3.0))
+    assert np.abs(d.matrix - np.outer(ground, ground)).max() <= 1e-12
+    assert vn_entropy(d) == 0.0
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, -50.0, -1e-300])
+def test_propagator_rejects_non_finite_or_negative_tau(tau):
+    with pytest.raises(ValueError, match="tau"):
+        density_propagator(toys.path(3), tau=tau)
+    with pytest.raises(ValueError, match="tau"):
+        ErdosRenyiModel(p=0.3, tau=tau).density(4)
+
+
+@pytest.mark.parametrize("p", [1.5, -0.1, np.nan, np.inf])
+def test_er_model_rejects_p_outside_unit_interval(p):
+    with pytest.raises(ValueError, match="probability"):
+        ErdosRenyiModel(p=p)
+
+
+def _random_states(rng):
+    for _ in range(8):
+        g = random_connected_graph(rng, int(rng.integers(2, 24)))
+        rho = random_density(rng, g.n)
+        yield from (density_rescaled(g), density_propagator(g, float(rng.uniform(0.0, 8.0))),
+                    make_density(rho))
+
+
+def test_stored_spectrum_rebuilds_the_state():
+    for d in _random_states(np.random.default_rng(58)):
+        v, w = d.vectors, d.eigenvalues
+        assert np.abs((v * w) @ v.conj().T - d.matrix).max() <= 1e-13
+        assert w.sum() == pytest.approx(1.0, abs=1e-13)
+        assert vn_entropy(d) == pytest.approx(vn_entropy(d.matrix), abs=1e-12)
+
+
+def test_self_divergence_of_stored_spectra_is_zero():
+    for d in _random_states(np.random.default_rng(59)):
+        assert kl_divergence(d, d) <= 1e-10
+        assert js_divergence(d, d) <= 1e-12
+
+
+def test_er_model_density_is_the_weighted_clique_propagator():
+    for n, p, tau in [(2, 0.5, 1.0), (8, 0.3, 0.25), (17, 1.0, 3.0), (12, 0.0, 2.0)]:
+        clique = build_graph(n, [(i, j, p) for i in range(n) for j in range(i + 1, n)])
+        want = density_propagator(clique, tau).matrix
+        assert np.abs(ErdosRenyiModel(p, tau).density(n).matrix - want).max() <= 1e-13
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Counts np.linalg.eigh and eigvalsh calls made while the test runs."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["compare", "--toy", "p3", "--other-toy", "triangle"], 3),
+    (["compare", "--toy", "p3", "--other-toy", "triangle", "--measure", "kl"], 2),
+    (["entropy", "--toy", "p3", "--density", "propagator"], 1),
+    (["entropy", "--toy", "star-s4"], 1),
+], ids=["js", "kl", "propagator-entropy", "rescaled-entropy"])
+def test_cli_decomposes_each_laplacian_once_and_the_js_mixture(
+        capsys, decompositions, argv, count):
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(decompositions) == count
+
+
+def test_layer_cluster_decomposes_layers_and_pair_mixtures_once(decompositions):
+    rng = np.random.default_rng(60)
+    k = 5
+    layers = tuple(random_connected_graph(rng, 12) for _ in range(k))
+    layer_cluster(LayerStack(layers=layers, labels=tuple("abcde")), tau=1.0)
+    assert len(decompositions) == k + k * (k - 1) // 2
 
 
 def _walk_initial(m):

@@ -1,5 +1,5 @@
-"""Spectral decomposition, matrix exponentials, and the RK4 master-equation
-integrator, checked against closed forms and a vectorized-propagator oracle."""
+"""Spectral decomposition and the RK4 master-equation integrator, checked
+against closed forms and a vectorized-propagator oracle."""
 from __future__ import annotations
 
 import numpy as np
@@ -10,11 +10,9 @@ from qnet import (
     DEFAULT_TOLS,
     IntegrationInstabilityError,
     SymmetryError,
-    expm_hermitian,
     hermitian_eig,
     integrate_master_equation,
     lindblad_rhs,
-    matrix_function_hermitian,
 )
 from qnet.linalg import _group_starts, is_unitary
 
@@ -125,37 +123,15 @@ def test_stacked_grouping_matches_hermitian_eig_per_matrix():
     assert starts[:, 0].all()
 
 
-def test_expm_pauli_x_quarter_period():
-    u = expm_hermitian(PAULI_X, scale=-1j * np.pi / 2)
-    expect = np.array([[0.0, -1j], [-1j, 0.0]])
-    assert np.abs(u - expect).max() <= 1e-12
-
-
-def test_expm_zero_scale_is_identity():
-    rng = np.random.default_rng(13)
-    m = random_hermitian(rng, 5)
-    assert np.abs(expm_hermitian(m, scale=0.0) - np.eye(5)).max() <= 1e-12
-
-
-def test_expm_negative_scale_diagonal():
-    out = expm_hermitian(np.diag([0.0, 1.0]), scale=-1.0)
-    assert np.allclose(out, np.diag([1.0, np.exp(-1.0)]), atol=1e-14)
-
-
-def test_expm_imaginary_scale_unitary():
+def test_is_unitary_on_spectral_propagators():
     rng = np.random.default_rng(14)
     for _ in range(8):
         n = int(rng.integers(2, 20))
-        u = expm_hermitian(random_hermitian(rng, n), scale=-1j * rng.uniform(0.1, 5.0))
-        assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-10
+        dec = hermitian_eig(random_hermitian(rng, n))
+        phases = np.exp(-1j * rng.uniform(0.1, 5.0) * dec.eigenvalues)
+        u = (dec.vectors * phases) @ dec.vectors.conj().T
         assert is_unitary(u)
-
-
-def test_matrix_function_square_matches_product():
-    rng = np.random.default_rng(15)
-    m = random_hermitian(rng, 6)
-    sq = matrix_function_hermitian(m, lambda w: w ** 2)
-    assert np.abs(sq - m @ m).max() <= 1e-10 * max(np.abs(m @ m).max(), 1.0)
+        assert not is_unitary(1.001 * u)
 
 
 def _liouvillian_matrix(rhs, n: int) -> np.ndarray:
