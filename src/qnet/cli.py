@@ -245,7 +245,10 @@ def _load_graph(toy: str | None, path: str | None, directed: bool | None) -> Gra
         return toys.toy_graph(toy)
     with open(path) as fh:
         text = fh.read()
-    return load_edge_list(text, directed=directed)
+    g = load_edge_list(text, directed=directed)
+    if g.n == 0:  # every analysis needs a node; the library parser admits n = 0
+        raise GraphFormatError(f"{path}: edge list has no nodes")
+    return g
 
 
 def _graph_args(p: argparse.ArgumentParser, prefix: str = "") -> None:

@@ -59,8 +59,11 @@ def _window_closeness(h: np.ndarray, t, measure: str) -> ClosenessMatrix:
     if not (np.isfinite(t) and t > 0):
         raise ValueError(f"horizon must be positive and finite, got {t}")
     dec = hermitian_eig(h)
-    x = 0.5 * np.subtract.outer(dec.group_values, dec.group_values) * t
-    c = _kernel_transport(dec, np.exp(-1j * x) * np.sinc(x / np.pi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = 0.5 * np.subtract.outer(dec.group_values, dec.group_values) * t
+        kernel = np.exp(-1j * x) * np.sinc(x / np.pi)
+    # where x overflowed the window average of e^{-ix} takes its limit, 0
+    c = _kernel_transport(dec, np.where(np.isfinite(kernel), kernel, 0.0))
     return _finalize(c, measure, time=float(t))
 
 

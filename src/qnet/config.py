@@ -13,7 +13,6 @@ from dataclasses import dataclass
 class Tolerances:
     # operator symmetry checks
     hermitian_rtol: float = 1e-12       # max|M - M^H| relative to max|M|
-    unitary_atol: float = 1e-10         # max|U^H U - I|
     # eigendecomposition
     degeneracy_rtol: float = 1e-9       # eigenvalue grouping, relative to spectral range
     # master-equation integration
@@ -22,7 +21,6 @@ class Tolerances:
     trace_annihilation_atol: float = 1e-9  # |tr(rhs(rho0))| for a valid generator
     step_count_slack: float = 1e-12     # t_final/dt this far above an integer rounds down to it
     # density-matrix validation and entropy
-    density_hermitian_atol: float = 1e-10  # max|rho - rho^H|
     density_trace_atol: float = 1e-10
     density_psd_atol: float = 1e-10
     eig_clip_floor: float = 1e-14       # eigenvalues below this count as exact zeros

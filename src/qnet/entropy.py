@@ -12,7 +12,7 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .errors import GraphFormatError, SupportViolationWarning
 from .graphs import Graph, _graph, build_operators
-from .linalg import check_density_matrix, hermitian_eig
+from .linalg import _density_spectrum, hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,7 @@ class DensityMatrix:
 def make_density(matrix: np.ndarray, construction: str = "external",
                  tau: float | None = None) -> DensityMatrix:
     m = np.asarray(matrix)
-    check_density_matrix(m)
-    return DensityMatrix(m, construction, *np.linalg.eigh(m), tau)
+    return DensityMatrix(m, construction, *_density_spectrum(m), tau)
 
 
 def _as_matrix(rho) -> np.ndarray:

@@ -20,6 +20,9 @@ Design notes:
     kernel K on the eigenvalue groups have one helper, _kernel_transport:
     infinite, windowed and short-time closeness, fidelity closeness and the
     dissipative rankings' steady-state map all use it.
+  * Every density matrix taken in (make_density, a walk's matrix start, the
+    integrator's rho0) passes one validator, _density_spectrum, which returns
+    the spectrum its positivity test computed, so make_density decomposes once.
   * The density-matrix integrator is a fixed-step classical RK4 with
     re-hermitization and trace renormalization after every step; it refuses
     to continue when the state drifts off the physical manifold.
@@ -58,24 +61,18 @@ def assert_hermitian(m: np.ndarray, name: str = "operator") -> None:
         )
 
 
-def check_density_matrix(m: np.ndarray) -> None:
-    """Raise ValueError unless m is a square, Hermitian, unit-trace PSD matrix."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"density matrix must be square, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("density matrix has non-finite entries")
-    if np.abs(m - m.conj().T).max() > DEFAULT_TOLS.density_hermitian_atol:
-        raise ValueError("density matrix is not hermitian")
-    if abs(np.trace(m).real - 1.0) > DEFAULT_TOLS.density_trace_atol:
-        raise ValueError(f"density matrix trace {np.trace(m).real} != 1")
-    if np.linalg.eigvalsh(m)[0] < -DEFAULT_TOLS.density_psd_atol:
-        raise ValueError("density matrix has a negative eigenvalue")
-
-
-def is_unitary(u: np.ndarray) -> bool:
-    u = np.asarray(u)
-    eye = np.eye(u.shape[0])
-    return bool(np.abs(u.conj().T @ u - eye).max() <= DEFAULT_TOLS.unitary_atol)
+def _density_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, vectors) from one eigh of m, in real arithmetic when m has no
+    phases, or ValueError unless m is square, finite and Hermitian (SymmetryError),
+    of unit trace and positive semidefinite."""
+    assert_hermitian(m, name="density matrix")
+    trace = np.trace(m).real
+    if abs(trace - 1.0) > DEFAULT_TOLS.density_trace_atol:
+        raise ValueError(f"density matrix trace {trace} != 1")
+    w, v = np.linalg.eigh(_real_if_phase_free(m))
+    if w[0] < -DEFAULT_TOLS.density_psd_atol:
+        raise ValueError(f"density matrix has a negative eigenvalue {w[0]:.3e}")
+    return w, v
 
 
 class _Projectors(Sequence):
@@ -257,22 +254,6 @@ class Trajectory:
         return np.real(np.einsum("tii->ti", self.states))
 
 
-def check_physical_state(rho: np.ndarray, t: float) -> None:
-    """Raise IntegrationInstabilityError if rho left the density-matrix manifold."""
-    trace = float(np.real(np.trace(rho)))
-    if abs(trace - 1.0) > DEFAULT_TOLS.trace_drift_atol:
-        raise IntegrationInstabilityError(
-            f"trace drifted to {trace:.9f} at t={t:.6g} (allowed drift "
-            f"{DEFAULT_TOLS.trace_drift_atol:.1e}); reduce dt"
-        )
-    low = float(np.linalg.eigvalsh(rho)[0])
-    if low < -DEFAULT_TOLS.negative_eig_atol:
-        raise IntegrationInstabilityError(
-            f"state eigenvalue {low:.3e} at t={t:.6g} is below "
-            f"-{DEFAULT_TOLS.negative_eig_atol:.1e}; reduce dt"
-        )
-
-
 def integrate_master_equation(
     rhs: Callable[[np.ndarray], np.ndarray],
     rho0: np.ndarray,
@@ -281,9 +262,10 @@ def integrate_master_equation(
 ) -> Trajectory:
     """Fixed-step RK4 evolution of a density matrix under a trace-annihilating rhs.
 
-    Every stored state is re-hermitized and trace-renormalized. Trace drift
-    beyond Tolerances.trace_drift_atol (before renormalization) or an
-    eigenvalue below -Tolerances.negative_eig_atol aborts with
+    rho0 must be a density matrix (_density_spectrum), else ValueError before
+    the first step. Every stored state is re-hermitized and trace-renormalized.
+    Trace drift beyond Tolerances.trace_drift_atol (before renormalization) or
+    an eigenvalue below -Tolerances.negative_eig_atol aborts with
     IntegrationInstabilityError.
     """
     if t_final < 0:
@@ -291,9 +273,7 @@ def integrate_master_equation(
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     rho = np.asarray(rho0, dtype=complex).copy()
-    assert_hermitian(rho, name="initial state")
-    if abs(np.trace(rho).real - 1.0) > DEFAULT_TOLS.density_trace_atol:
-        raise ValueError(f"initial state trace is {np.trace(rho).real:.9f}, expected 1")
+    _density_spectrum(rho)
     drift = complex(np.trace(rhs(rho)))
     if abs(drift) > DEFAULT_TOLS.trace_annihilation_atol * max(1.0, float(np.abs(rho).max())):
         raise ValueError(
@@ -305,7 +285,18 @@ def integrate_master_equation(
     for k in range(1, steps + 1):
         rho = rk4_step(rhs, rho, dt)
         rho = 0.5 * (rho + rho.conj().T)
-        check_physical_state(rho, k * dt)
-        rho = rho / np.real(np.trace(rho))
+        trace = float(np.real(np.trace(rho)))
+        if abs(trace - 1.0) > DEFAULT_TOLS.trace_drift_atol:
+            raise IntegrationInstabilityError(
+                f"trace drifted to {trace:.9f} at t={k * dt:.6g} (allowed drift "
+                f"{DEFAULT_TOLS.trace_drift_atol:.1e}); reduce dt"
+            )
+        low = float(np.linalg.eigvalsh(rho)[0])
+        if low < -DEFAULT_TOLS.negative_eig_atol:
+            raise IntegrationInstabilityError(
+                f"state eigenvalue {low:.3e} at t={k * dt:.6g} is below "
+                f"-{DEFAULT_TOLS.negative_eig_atol:.1e}; reduce dt"
+            )
+        rho = rho / trace
         out[k] = rho
     return Trajectory(times=np.arange(steps + 1) * dt, states=out)

@@ -14,7 +14,7 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .errors import DisconnectedGraphError, DistributionError
 from .graphs import Graph, adjacency_matrix, build_operators, is_connected
-from .linalg import EigenDecomposition, _abs2_matmul, check_density_matrix, hermitian_eig
+from .linalg import EigenDecomposition, _abs2_matmul, _density_spectrum, hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,9 @@ def _initial_state(initial, n: int):
             raise ValueError("zero state vector")
         return "pure", arr / norm
     if arr.ndim == 2:
-        check_density_matrix(arr)
         if arr.shape != (n, n):
-            raise ValueError(f"density matrix shape {arr.shape} != ({n}, {n})")
+            raise ValueError(f"density matrix must be square ({n}, {n}), got {arr.shape}")
+        _density_spectrum(arr)
         return "mixed", arr
     raise ValueError("initial must be a node id, a vector, or a density matrix")
 

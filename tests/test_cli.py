@@ -423,6 +423,28 @@ def test_bad_edge_list_names_its_line(capsys, tmp_path, command):
     assert rc == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--density", "propagator", "--input", "{empty}"],
+    ["layers", "--input", "{empty}", "--input", "{comments}"],
+    ["communities", "--t", "1.0", "--input", "{empty}"],
+    ["compare", "--input", "{empty}", "--other", "{comments}"],
+], ids=["entropy", "layers", "communities", "compare"])
+def test_edge_list_without_nodes_is_usage_error(capsys, tmp_path, argv):
+    files = {"empty": tmp_path / "empty.edges", "comments": tmp_path / "comments.edges"}
+    files["empty"].write_text("")
+    files["comments"].write_text("# no edges\n")
+    rc = main([a.format(**files) for a in argv])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == f"qnet: error: {files['empty']}: edge list has no nodes\n"
+
+
+def test_overflowing_horizon_exits_0(capsys):
+    payload = run_json(capsys, "communities", "--toy", "barbell7", "--t", "1.7e308")
+    assert payload["time"] == 1.7e308
+
+
 def test_bad_flag_is_usage_error(capsys):
     rc = main(["walk", "--toy", "k2", "--times", "abc"])
     capsys.readouterr()

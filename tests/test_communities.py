@@ -3,6 +3,7 @@ detection through the phase-marked Laplacian."""
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,25 @@ def test_non_finite_horizon_is_rejected(closeness, t):
 def test_non_finite_hamiltonian_is_rejected(closeness, bad):
     with pytest.raises(ValueError, match="non-finite"):
         closeness(np.array([[0.0, bad], [bad, 0.0]]))
+
+
+def test_overflowing_horizon_takes_the_infinite_limit():
+    h = adjacency_matrix(toys.barbell7())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = closeness_long_time_transport(h, t=1.7e308)
+    assert np.isfinite(c.matrix).all()
+    assert np.abs(c.matrix - closeness_long_time_transport(h).matrix).max() <= 1e-12
+
+
+@pytest.mark.parametrize("t", [0.01, 2.0, 1e3, 1e300])
+def test_finite_horizon_kernel_is_the_plain_window_average(t):
+    h = adjacency_matrix(toys.barbell7())
+    dec = linalg.hermitian_eig(h)
+    x = 0.5 * np.subtract.outer(dec.group_values, dec.group_values) * t
+    want = communities._finalize(
+        linalg._kernel_transport(dec, np.exp(-1j * x) * np.sinc(x / np.pi)), "w")
+    assert np.array_equal(closeness_long_time_transport(h, t=t).matrix, want.matrix)
 
 
 def test_barbell_windowed_entries_pinned():

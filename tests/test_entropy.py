@@ -18,10 +18,12 @@ from qnet import (
     cli,
     density_propagator,
     density_rescaled,
+    integrate_master_equation,
     js_distance,
     js_divergence,
     kl_divergence,
     layer_cluster,
+    lindblad_rhs,
     log_likelihood,
     long_time_average,
     make_density,
@@ -188,12 +190,23 @@ def test_layer_cluster_decomposes_layers_and_pair_mixtures_once(decompositions):
     assert len(decompositions) == k + k * (k - 1) // 2
 
 
+def test_make_density_decomposes_once(decompositions):
+    rho = make_density(random_density(np.random.default_rng(61), 6))
+    assert len(decompositions) == 1
+    assert vn_entropy(rho) >= 0.0
+    assert len(decompositions) == 1
+
+
 def _walk_initial(m):
     return long_time_average(WalkSpec(np.zeros((2, 2)), m))
 
 
-@pytest.mark.parametrize("validate", [make_density, _walk_initial],
-                         ids=["make_density", "walk_initial"])
+def _integrator_start(m):
+    return integrate_master_equation(lindblad_rhs(np.zeros((2, 2))), m, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("validate", [make_density, _walk_initial, _integrator_start],
+                         ids=["make_density", "walk_initial", "integrator_start"])
 def test_make_density_validation(validate):
     with pytest.raises(ValueError, match="square"):
         validate(np.ones((2, 3)))

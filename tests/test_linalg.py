@@ -13,8 +13,9 @@ from qnet import (
     hermitian_eig,
     integrate_master_equation,
     lindblad_rhs,
+    linalg,
 )
-from qnet.linalg import _group_starts, is_unitary
+from qnet.linalg import _group_starts
 
 from _helpers import random_density, random_hermitian
 
@@ -130,8 +131,9 @@ def test_is_unitary_on_spectral_propagators():
         dec = hermitian_eig(random_hermitian(rng, n))
         phases = np.exp(-1j * rng.uniform(0.1, 5.0) * dec.eigenvalues)
         u = (dec.vectors * phases) @ dec.vectors.conj().T
-        assert is_unitary(u)
-        assert not is_unitary(1.001 * u)
+        for scale, unitary in ((1.0, True), (1.001, False)):
+            v = scale * u
+            assert (np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-10) == unitary
 
 
 def _liouvillian_matrix(rhs, n: int) -> np.ndarray:
@@ -220,6 +222,16 @@ def test_initial_state_validation():
         integrate_master_equation(rhs, np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex), 1.0, 0.1)
     with pytest.raises(ValueError, match="dt"):
         integrate_master_equation(rhs, np.diag([0.5, 0.5]).astype(complex), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("t_final", [0.0, 1.0])
+def test_non_psd_start_is_refused_before_any_step(t_final, monkeypatch):
+    steps = []
+    monkeypatch.setattr(linalg, "rk4_step", lambda *a: steps.append(1))
+    with pytest.raises(ValueError, match="negative eigenvalue") as info:
+        integrate_master_equation(lindblad_rhs(PAULI_X), np.diag([1.5, -0.5]), t_final, 0.1)
+    assert not isinstance(info.value, IntegrationInstabilityError)
+    assert steps == []
 
 
 def test_trajectory_populations_real():
