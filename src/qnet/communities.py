@@ -7,9 +7,9 @@ take them from linalg._kernel_transport, as GEMMs on the grouped eigenvector
 blocks V_a of the Hamiltonian; no n x n matrix per eigenspace is formed.
 Link failure decomposes the intact and the m trimmed Hamiltonians as stacks,
 one numpy.linalg.eigh call per chunk of at most MAX_LINK_FAILURE_ENTRIES
-entries, and sums every chunk's block amplitudes with one segment sum
-(walks._pure_occupations, which long_time_average also uses). A phase-free
-Hamiltonian is decomposed in real arithmetic throughout.
+entries, and takes each chunk's long-time occupations from linalg._dephased,
+the kernel behind long_time_average and the infinite-horizon closeness. A
+phase-free Hamiltonian is decomposed in real arithmetic throughout.
 """
 from __future__ import annotations
 
@@ -21,13 +21,14 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .graphs import Graph, _components, adjacency_matrix
 from .linalg import (
+    _dephased,
     _group_starts,
     _kernel_transport,
     _real_if_phase_free,
     assert_hermitian,
     hermitian_eig,
 )
-from .walks import _pure_occupations
+from .walks import _check_distributions
 
 # closeness_link_failure decomposes its m + 1 trimmed Hamiltonians in stacks
 # of at most this many entries (2 MB of float64); a graph whose one n x n
@@ -175,13 +176,14 @@ def closeness_link_failure(h: np.ndarray) -> ClosenessMatrix:
     m = len(rows)
     if not m:
         raise ValueError("no links to remove")
-    psi0 = np.full(n, 1.0 / np.sqrt(n))
+    psi0 = np.full((n, 1), 1.0 / np.sqrt(n))
     occupations = np.empty((m + 1, n))
     per_chunk = MAX_LINK_FAILURE_ENTRIES // (n * n)
     for lo in range(0, m + 1, per_chunk):
         hi = min(lo + per_chunk, m + 1)
         w, v = np.linalg.eigh(_trimmed_stack(h, rows, cols, lo, hi))
-        occupations[lo:hi] = _pure_occupations(v, np.flatnonzero(_group_starts(w)), psi0)
+        y = v.conj().transpose(0, 2, 1) @ psi0
+        occupations[lo:hi] = _check_distributions(_dephased(v, _group_starts(w), y)[..., 0])
     responses = (occupations[1:] - occupations[0]).T    # node x link
     incident = np.zeros((n, m), dtype=bool)              # node x link
     incident[rows, np.arange(m)] = True

@@ -24,6 +24,7 @@ class DensityMatrix:
     eigenvalues: np.ndarray      # (n,) real, summing to 1
     vectors: np.ndarray          # (n, n), column k pairs with eigenvalues[k]
     tau: float | None = None
+    log_eigenvalues: np.ndarray | None = None  # (n,) exact ln eigenvalues (propagator)
 
 
 def make_density(matrix: np.ndarray, construction: str = "external",
@@ -52,10 +53,11 @@ def _propagator(lap: np.ndarray, tau: float) -> DensityMatrix:
     if not 0.0 <= tau < np.inf:  # NaN fails both comparisons
         raise ValueError(f"tau must be finite and >= 0, got {tau}")
     dec = hermitian_eig(lap)
-    w = np.exp(-tau * (dec.eigenvalues - dec.eigenvalues[0]))
-    w /= w.sum()
-    v = dec.vectors
-    return DensityMatrix((v * w) @ v.conj().T, "propagator", w, v, float(tau))
+    with np.errstate(over="ignore"):  # -inf marks a direction out of the support
+        logs = -tau * (dec.eigenvalues - dec.eigenvalues[0])
+    total = np.exp(logs).sum()
+    w, v, logs = np.exp(logs) / total, dec.vectors, logs - np.log(total)
+    return DensityMatrix((v * w) @ v.conj().T, "propagator", w, v, float(tau), logs)
 
 
 def density_propagator(g: Graph, tau: float) -> DensityMatrix:
@@ -70,16 +72,32 @@ def vn_entropy(rho) -> float:
     return float(-(w * np.log2(w)).sum() + 0.0)
 
 
-def _log_on_support(r: np.ndarray, sigma) -> tuple[float, float]:
-    """(mass of r outside the support of sigma, tr[r log2 sigma] on that support).
+def _cross_entropy(r: np.ndarray, sigma) -> float:
+    """tr[r log2 sigma] in bits, or -inf with a SupportViolationWarning when r has
+    mass above Tolerances.support_mass_atol outside the support of sigma.
 
-    Eigenvalues of sigma at or below Tolerances.eig_clip_floor span its null space.
+    A propagator state's support is where its exact log-weights are finite, and
+    there weights of r at or below support_mass_atol are rounding, which a large
+    log-weight would magnify, so they count as zero. For any other sigma,
+    eigenvalues at or below Tolerances.eig_clip_floor span its null space.
     """
     ws, vs = ((sigma.eigenvalues, sigma.vectors) if isinstance(sigma, DensityMatrix)
               else np.linalg.eigh(sigma))
     weights = np.real((vs.conj() * (r @ vs)).sum(axis=0))  # <v_k| r |v_k>
-    null = ws <= DEFAULT_TOLS.eig_clip_floor
-    return float(weights[null].sum()), float((weights[~null] * np.log2(ws[~null])).sum())
+    logs = getattr(sigma, "log_eigenvalues", None)
+    if logs is None:
+        null = ws <= DEFAULT_TOLS.eig_clip_floor
+        cross_term = float((weights[~null] * np.log2(ws[~null])).sum())
+    else:
+        weights[np.abs(weights) <= DEFAULT_TOLS.support_mass_atol] = 0.0
+        null = np.isneginf(logs)  # tau (lambda - lambda_min) overflowed
+        cross_term = float(weights[~null] @ logs[~null]) / np.log(2.0)
+    leaked = float(weights[null].sum())
+    if leaked > DEFAULT_TOLS.support_mass_atol:
+        warnings.warn(f"support violation: {leaked:.3e} of the state lies outside "
+                      "the reference support", SupportViolationWarning)
+        return float("-inf")
+    return cross_term
 
 
 def kl_divergence(rho, sigma) -> float:
@@ -88,15 +106,10 @@ def kl_divergence(rho, sigma) -> float:
     When rho carries mass outside sigma's support the divergence is infinite;
     math.inf is returned and a SupportViolationWarning explains the overlap.
     """
-    leaked, cross_term = _log_on_support(_as_matrix(rho), sigma)
-    if leaked > DEFAULT_TOLS.support_mass_atol:
-        warnings.warn(
-            f"support violation: {leaked:.3e} of the state lies outside the "
-            "reference support; divergence is infinite",
-            SupportViolationWarning,
-        )
+    cross_term = _cross_entropy(_as_matrix(rho), sigma)
+    if cross_term == -np.inf:
         return float("inf")
-    return -vn_entropy(rho) - cross_term
+    return max(-vn_entropy(rho) - cross_term, 0.0)  # clamps rounding; keeps a NaN and -0.0
 
 
 def js_divergence(rho, sigma) -> float:
@@ -141,15 +154,7 @@ def log_likelihood(rho, model) -> float:
     the observed state lives.
     """
     r = _as_matrix(rho)
-    sigma = model.density(r.shape[0]) if hasattr(model, "density") else model
-    leaked, cross_term = _log_on_support(r, sigma)
-    if leaked > DEFAULT_TOLS.support_mass_atol:
-        warnings.warn(
-            f"model support misses {leaked:.3e} of the observed state",
-            SupportViolationWarning,
-        )
-        return float("-inf")
-    return cross_term
+    return _cross_entropy(r, model.density(r.shape[0]) if hasattr(model, "density") else model)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,9 @@ Design notes:
   * A function of an operator, like the network propagator exp(-tau L), is
     formed by its consumer from hermitian_eig's spectrum, which qnet.entropy
     then keeps on the density matrix instead of decomposing it again.
+  * The infinite-time dephased sum sum_a square(V_a Y_a) has one kernel,
+    _dephased, over a stack of decompositions: a walk's long-time occupations,
+    the K = I transport sums and link failure's trimmed stacks all use it.
   * Transport sums sum_ab K_ab (P_a)_ij conj(P_b)_ij over a Hermitian PSD
     kernel K on the eigenvalue groups have one helper, _kernel_transport:
     infinite, windowed and short-time closeness, fidelity closeness and the
@@ -115,6 +118,12 @@ class EigenDecomposition:
         return np.repeat(np.arange(len(self.group_sizes)), self.group_sizes)
 
     @property
+    def group_starts(self) -> np.ndarray:
+        """(n,) mask, True at the first column of every group."""
+        return np.bincount(np.cumsum(self.group_sizes) - self.group_sizes,
+                           minlength=len(self.eigenvalues)) > 0
+
+    @property
     def projectors(self) -> Sequence[np.ndarray]:
         """Eigenspace projectors V_a V_a^H, computed on access."""
         return _Projectors(self.blocks)
@@ -175,33 +184,50 @@ def _abs2_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.abs(x @ y) ** 2
 
 
+def _abs2(x: np.ndarray) -> np.ndarray:
+    return np.abs(x) ** 2
+
+
+def _dephased(vectors: np.ndarray, starts: np.ndarray, y: np.ndarray,
+              square: Callable[[np.ndarray], np.ndarray] = _abs2) -> np.ndarray:
+    """sum_a square(V_a Y_a) over the eigenvalue groups a of each of B decompositions:
+    vectors (B, n, n), group starts (B, n), rows y (B, n, r) -> (B, n, r).
+
+    y = V^H Phi gives the dephased occupations sum_a |P_a phi|^2 of each column
+    phi; y = V^H gives sum_a |P_a|^2, or sum_a P_a o P_a with square = np.square.
+    A singleton's term is the outer product square(v) square(y_k), so all
+    singletons take one batched GEMM, and each degenerate group one block product.
+    """
+    ends = np.ones_like(starts)
+    ends[:, :-1] = starts[:, 1:]  # a group ends where the next one starts, or at the row's end
+    out = (square(vectors) * (starts & ends)[:, np.newaxis, :]) @ square(y)
+    # a degenerate group starts without ending, and ends without starting
+    lasts = np.flatnonzero(ends & ~starts).tolist()
+    for f, e in zip(np.flatnonzero(starts & ~ends).tolist(), lasts):
+        b, j = divmod(f, starts.shape[1])
+        out[b] += square(vectors[b, :, j:j + e - f + 1] @ y[b, j:j + e - f + 1])
+    return out
+
+
 def _kernel_transport(dec: EigenDecomposition, kernel: np.ndarray | None = None,
                       conjugate: bool = True) -> np.ndarray:
     """sum_ab K_ab (P_a)_ij conj(P_b)_ij for a Hermitian PSD kernel K over the
     eigenvalue groups of dec.
 
-    kernel=None means K = I, and conjugate=False then gives sum_a P_a o P_a.
-    A singleton's term is an outer product, |v|^2 (|v|^2)^T or (v o v)(v o v)^H,
-    so all singletons take one GEMM and each degenerate group one block term.
-    Otherwise, with K = sum_r mu_r k_r k_r^H the sum is
-    sum_r mu_r |V diag(k_r) V^H|^2, one GEMM per numerically nonzero mode (two
-    real ones for a complex mode on real vectors); the result is real and
-    nonnegative.
+    kernel=None means K = I: _dephased with y = V^H gives sum_a |P_a|^2, or
+    sum_a P_a o P_a when conjugate=False. Otherwise, with K = sum_r mu_r k_r k_r^H
+    the sum is sum_r mu_r |V diag(k_r) V^H|^2, one GEMM per numerically nonzero
+    mode (two real ones for a complex mode on real vectors); the result is real
+    and nonnegative.
     """
+    v = dec.vectors
+    vh = v.conj().T
     if kernel is None:
-        square = (lambda x: np.abs(x) ** 2) if conjugate else np.square
-        single = np.repeat(dec.group_sizes == 1, dec.group_sizes)
-        f = square(dec.vectors[:, single])
-        c = f @ f.conj().T
-        for block in dec.blocks:
-            if block.shape[1] > 1:
-                c += square(block @ block.conj().T)
-        return c
+        return _dephased(v[np.newaxis], dec.group_starts[np.newaxis], vh[np.newaxis],
+                         _abs2 if conjugate else np.square)[0]
     mu, modes = np.linalg.eigh(kernel)
     # drop modes below the numerical rank of K (numpy.linalg.matrix_rank's cut)
     keep = mu > len(mu) * np.finfo(float).eps * mu[-1]
-    v = dec.vectors
-    vh = v.conj().T
     labels = dec.group_labels
     c = np.zeros(v.shape)
     for m, k in zip(mu[keep], modes[:, keep].T):

@@ -322,9 +322,11 @@ def subgraph_emergence(
         raise ValueError(f"z must be positive, got {z}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not len(n_values):
+        raise ValueError("n_values must not be empty")
     if any(n < 1 for n in n_values):
         raise ValueError(f"every n must be >= 1, got {list(n_values)}")
-    n_max = int(max(n_values, default=1))
+    n_max = int(max(n_values))
     pairs = n_max * (n_max - 1) // 2
     if pairs > MAX_EMERGENCE_PAIRS:
         raise ValueError(f"n = {n_max} has {pairs} node pairs, over the limit of "
@@ -450,6 +452,8 @@ def bond_percolation_curve(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     ps = [float(p) for p in p_values]
+    if not ps:
+        raise ValueError("p_values must not be empty")
     if any(not 0.0 <= p <= 1.0 for p in ps):
         raise ValueError("bond probabilities must lie in [0, 1]")
     n = width * height

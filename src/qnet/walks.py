@@ -1,7 +1,8 @@
 """Continuous-time walk evolution, long-time averages, and chirality probes.
 
-Long-time averages always use the closed eigenspace form, evaluated on the
-grouped eigenvector blocks V_a of the generator as sum_a |V_a V_a^H psi|^2
+A start is used through its spectrum (p, Phi): a node or a vector is one
+column, a density matrix its eigenvectors. Long-time averages use the closed
+eigenspace form sum_k p_k sum_a |V_a V_a^H phi_k|^2 from linalg._dephased,
 without forming any projector; time quadrature of the instantaneous series
 appears only in tests as an oracle.
 """
@@ -14,7 +15,7 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .errors import DisconnectedGraphError, DistributionError
 from .graphs import Graph, adjacency_matrix, build_operators, is_connected
-from .linalg import EigenDecomposition, _abs2_matmul, _density_spectrum, hermitian_eig
+from .linalg import EigenDecomposition, _abs2_matmul, _dephased, _density_spectrum, hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -37,14 +38,13 @@ class OccupationResult:
     variance: np.ndarray | None = None    # (n,) fluctuation variance of the series
 
 
-def _initial_state(initial, n: int):
-    """Normalize the initial-state argument to ('pure', psi) or ('mixed', rho)."""
+def _initial_state(initial, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The start as its spectrum (p, Phi), rho0 = Phi diag(p) Phi^H: a node or a
+    vector is one column of weight 1, a density matrix its _density_spectrum."""
     if isinstance(initial, (int, np.integer)):
         if not 0 <= initial < n:
             raise ValueError(f"start node {initial} outside [0, {n})")
-        psi = np.zeros(n, dtype=complex)
-        psi[int(initial)] = 1.0
-        return "pure", psi
+        initial = np.eye(1, n, int(initial))[0]  # the node's basis vector
     arr = np.asarray(initial, dtype=complex)
     if arr.ndim == 1:
         if arr.shape[0] != n:
@@ -52,12 +52,11 @@ def _initial_state(initial, n: int):
         norm = np.linalg.norm(arr)
         if norm == 0:
             raise ValueError("zero state vector")
-        return "pure", arr / norm
+        return np.ones(1), (arr / norm)[:, np.newaxis]
     if arr.ndim == 2:
         if arr.shape != (n, n):
             raise ValueError(f"density matrix must be square ({n}, {n}), got {arr.shape}")
-        _density_spectrum(arr)
-        return "mixed", arr
+        return _density_spectrum(arr)
     raise ValueError("initial must be a node id, a vector, or a density matrix")
 
 
@@ -74,74 +73,44 @@ def _check_distributions(p: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def _pure_occupations(vectors: np.ndarray, starts: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Infinite-time occupations sum_a |V_a V_a^H psi|^2 of the pure state psi
-    under each decomposition of a stack, shape (B, n).
-
-    vectors is (B, n, n), the eigenvector columns of B matrices; starts holds
-    the first column of every eigenvalue group along the flattened (B * n)
-    column axis, so one segment sum forms every block amplitude V_a V_a^H psi
-    of the stack and a second sums their squares per matrix.
-    """
-    b, n, _ = vectors.shape
-    coeff = (psi.conj() @ vectors).conj()                       # (B, n): V^H psi
-    # terms[i, (m, k)] = V_ik (V^H psi)_k of matrix m, laid out so that each
-    # group of each matrix is one contiguous run of columns
-    terms = np.multiply(vectors.transpose(1, 0, 2), coeff, order="C").reshape(n, b * n)
-    amps = np.add.reduceat(terms, starts, axis=1)               # (n, groups)
-    first = np.flatnonzero(starts % n == 0)                     # each matrix's first group
-    occ = np.add.reduceat(np.abs(amps) ** 2, first, axis=1).T
-    return _check_distributions(occ)
-
-
-def _dephased_occupations(dec: EigenDecomposition, kind: str, state: np.ndarray) -> np.ndarray:
-    """Infinite-time occupations sum_a diag(P_a rho0 P_a) with P_a = V_a V_a^H."""
-    v = dec.vectors
-    if kind == "pure":
-        starts = np.cumsum(dec.group_sizes) - dec.group_sizes
-        return _pure_occupations(v[np.newaxis], starts, state)[0]
-    # rho0 in the eigenbasis, with coherences between different groups dephased
-    labels = dec.group_labels
-    coh = np.where(labels[:, None] == labels[None, :], v.conj().T @ state @ v, 0.0)
-    avg = np.real(np.sum((v @ coh) * v.conj(), axis=1))
-    return _check_distributions(avg[np.newaxis, :])[0]
+def _long_time(dec: EigenDecomposition, p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Infinite-time occupations sum_k p_k sum_a |V_a V_a^H phi_k|^2 of the start
+    (p, Phi), from y = V^H Phi."""
+    occ = _dephased(dec.vectors[np.newaxis], dec.group_starts[np.newaxis], y[np.newaxis])[0]
+    return _check_distributions((occ @ p)[np.newaxis])[0]
 
 
 def evolve(spec: WalkSpec) -> OccupationResult:
     """Occupation series p_i(t) = <i| U_t rho0 U_t^H |i> on the time grid,
-    with the infinite-time average from the same eigendecomposition."""
+    with the infinite-time average from the same eigendecomposition. Each column
+    phi_k of the start (p, Phi) adds p_k |V e^{-iwt} V^H phi_k|^2: r columns cost r T n^2."""
     if spec.times is None:
         raise ValueError("evolve needs a time grid")
     times = np.asarray(spec.times, dtype=float)
+    if not times.size:
+        raise ValueError("evolve needs at least one time")
     if not np.isfinite(times).all():
         raise ValueError("evolve needs finite times")
-    gen = np.asarray(spec.generator)
-    dec = hermitian_eig(gen)
-    kind, state = _initial_state(spec.initial, gen.shape[0])
+    dec = hermitian_eig(spec.generator)
+    p, phi = _initial_state(spec.initial, len(dec.eigenvalues))
     w, v = dec.eigenvalues, dec.vectors
-    if kind == "pure":
-        coeff = v.conj().T @ state
-        probs = _abs2_matmul(np.exp(-1j * np.outer(times, w)) * coeff, v.T)
-    else:
-        probs = np.empty((len(times), gen.shape[0]))
-        for k, t in enumerate(times):
-            u = (v * np.exp(-1j * w * t)) @ v.conj().T
-            probs[k] = np.real(np.diag(u @ state @ u.conj().T))
-    probs = _check_distributions(probs)
+    y = v.conj().T @ phi
+    phases = np.exp(-1j * np.outer(times, w))
+    probs = _check_distributions(
+        sum(pk * _abs2_matmul(phases * yk, v.T) for pk, yk in zip(p, y.T)))
     return OccupationResult(
         times=times,
         series=probs,
-        long_time=_dephased_occupations(dec, kind, state),
+        long_time=_long_time(dec, p, y),
         variance=probs.var(axis=0),
     )
 
 
 def long_time_average(spec: WalkSpec) -> OccupationResult:
     """Infinite-time mean occupations from the grouped eigenvector blocks."""
-    gen = np.asarray(spec.generator)
-    dec = hermitian_eig(gen)
-    kind, state = _initial_state(spec.initial, gen.shape[0])
-    return OccupationResult(long_time=_dephased_occupations(dec, kind, state))
+    dec = hermitian_eig(spec.generator)
+    p, phi = _initial_state(spec.initial, len(dec.eigenvalues))
+    return OccupationResult(long_time=_long_time(dec, p, dec.vectors.conj().T @ phi))
 
 
 def uniform_superposition(n: int) -> np.ndarray:
@@ -161,18 +130,13 @@ def quantumness(g: Graph, initial="uniform-pure") -> float:
     dec = hermitian_eig(build_operators(g).quantum_generator)
     phi0 = dec.ground_vector
     if isinstance(initial, str):
-        if initial == "uniform-pure":
-            overlap = abs(np.vdot(phi0, uniform_superposition(g.n))) ** 2
-        elif initial == "maximally-mixed":
-            overlap = 1.0 / g.n
-        else:
+        if initial not in ("uniform-pure", "maximally-mixed"):
             raise ValueError(f"unknown initial-state policy {initial!r}")
-    else:
-        kind, state = _initial_state(initial, g.n)
-        if kind == "pure":
-            overlap = abs(np.vdot(phi0, state)) ** 2
-        else:
-            overlap = float(np.real(np.vdot(phi0, state @ phi0)))
+        if initial == "maximally-mixed":
+            return 1.0 - 1.0 / g.n
+        initial = uniform_superposition(g.n)
+    p, phi = _initial_state(initial, g.n)
+    overlap = float(p @ np.abs(phi.conj().T @ phi0) ** 2)
     return float(max(0.0, 1.0 - overlap))
 
 

@@ -641,6 +641,18 @@ def test_non_finite_grid_is_usage_error(capsys, argv):
     assert "qnet: error:" in err and "finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["percolate", "--lattice", "8x8", "--scan", ",", "--trials", "2"],
+    ["percolate", "--emergence", "triangle", "--n-values", ",", "--c-values", "0.5,1"],
+], ids=" ".join)
+def test_empty_grid_is_usage_error(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "qnet: error:" in captured.err and "must not be empty" in captured.err
+
+
 def test_oversized_time_grid_is_usage_error(capsys):
     tracemalloc.start()
     try:

@@ -261,7 +261,7 @@ def test_link_failure_decomposes_no_matrix_one_by_one(monkeypatch):
     for module in (linalg, walks, communities):
         monkeypatch.setattr(module, "hermitian_eig", counting(module.hermitian_eig))
     monkeypatch.setattr(walks, "long_time_average", counting(walks.long_time_average))
-    monkeypatch.setattr(walks, "_dephased_occupations", counting(walks._dephased_occupations))
+    monkeypatch.setattr(walks, "_long_time", counting(walks._long_time))
     closeness_link_failure(adjacency_matrix(toys.barbell7()))
     assert calls == []
 
@@ -283,7 +283,8 @@ def test_link_failure_matches_per_link_long_time_average():
             want[:, k] = long_time_average(WalkSpec(cut, psi)).long_time - base
         rows, cols = np.array(links).T
         w, v = np.linalg.eigh(communities._trimmed_stack(h, rows, cols, 0, len(links) + 1))
-        occ = walks._pure_occupations(v, np.flatnonzero(_group_starts(w)), psi)
+        y = v.conj().transpose(0, 2, 1) @ psi[:, None]
+        occ = linalg._dephased(v, _group_starts(w), y)[..., 0]
         assert np.abs((occ[1:] - occ[0]).T - want).max() <= 1e-12
 
 

@@ -2,6 +2,7 @@
 layer clustering."""
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from qnet import (
     WalkSpec,
     aggregate_layers,
     build_graph,
+    build_operators,
     cli,
     density_propagator,
     density_rescaled,
@@ -147,7 +149,7 @@ def test_stored_spectrum_rebuilds_the_state():
 
 def test_self_divergence_of_stored_spectra_is_zero():
     for d in _random_states(np.random.default_rng(59)):
-        assert kl_divergence(d, d) <= 1e-10
+        assert 0.0 <= kl_divergence(d, d) <= 1e-10
         assert js_divergence(d, d) <= 1e-12
 
 
@@ -262,6 +264,65 @@ def test_kl_support_violation_warns_and_returns_inf():
         out = kl_divergence(rho, sigma)
     assert out == np.inf
     assert any(issubclass(w.category, SupportViolationWarning) for w in caught)
+
+
+def _weighted_er_graph(rng, n, p):
+    iu, ju = np.triu_indices(n, 1)
+    keep = rng.random(len(iu)) < p
+    weights = rng.uniform(0.5, 2.0, int(keep.sum()))
+    return build_graph(n, list(zip(iu[keep].tolist(), ju[keep].tolist(), weights.tolist())))
+
+
+def test_kl_against_a_propagator_state_is_finite_and_exact():
+    # sigma's smallest weights e^{-tau (lambda - lambda_min)} / Z fall near 1e-24,
+    # below the clip floor, yet are positive; the cross entropy against the trace
+    # form -tr(rho log sigma) = tau tr(rho L) + ln Z, ln Z = -tau lambda_min + ln sum
+    rng = np.random.default_rng(0)
+    g_rho, g_sigma = _weighted_er_graph(rng, 256, 0.1), _weighted_er_graph(rng, 256, 0.1)
+    rho, sigma = density_propagator(g_rho, tau=1.0), density_propagator(g_sigma, tau=1.0)
+    assert sigma.eigenvalues.min() < 1e-20
+    lap = build_operators(g_sigma).laplacian
+    lam = np.linalg.eigvalsh(lap)
+    log_z = -lam[0] + np.log(np.exp(-(lam - lam[0])).sum())
+    cross_bits = (np.trace(rho.matrix @ lap).real + log_z) / np.log(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SupportViolationWarning)
+        kl = kl_divergence(rho, sigma)
+        ll = log_likelihood(rho, sigma)
+    assert kl == pytest.approx(-vn_entropy(rho) + cross_bits, abs=1e-12)
+    assert ll == pytest.approx(-cross_bits, abs=1e-12)
+
+
+@pytest.mark.parametrize("tau", [1e19, 1.7e308])
+def test_self_divergence_of_a_frozen_propagator_state_is_zero(tau):
+    # weights that rounding leaves near 1e-17 meet log-weights near -1e19 * gap,
+    # or -inf where tau * gap overflows; both must leave the cross term alone
+    d = density_propagator(toys.barbell7(), tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SupportViolationWarning)
+        assert abs(kl_divergence(d, d)) <= 1e-12
+        assert abs(log_likelihood(d, d) + vn_entropy(d)) <= 1e-12
+
+
+@pytest.mark.parametrize("tau", ["1e19", "1.7e308"])
+def test_cli_self_divergence_of_a_frozen_propagator_state_is_zero(capsys, tau):
+    assert cli.main(["compare", "--toy", "barbell7", "--other-toy", "barbell7",
+                     "--measure", "kl", "--density", "propagator", "--tau", tau]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["kl_bits"]) <= 1e-12
+
+
+@pytest.mark.parametrize("sigma", [
+    lambda: density_rescaled(toys.path(3)),
+    lambda: make_density(np.diag([0.5, 0.5, 0.0])),
+    lambda: np.diag([0.5, 0.5, 0.0]),
+    lambda: density_propagator(toys.path(3), tau=1.7e308),  # tau * 3 overflows
+], ids=["rescaled-laplacian", "external", "plain-array", "overflowed-propagator"])
+def test_singular_references_keep_the_support_test(sigma):
+    rho = density_propagator(toys.path(3), tau=1.0)
+    with pytest.warns(SupportViolationWarning):
+        assert kl_divergence(rho, sigma()) == np.inf
+    with pytest.warns(SupportViolationWarning):
+        assert log_likelihood(rho, sigma()) == -np.inf
 
 
 def test_js_identical_and_orthogonal():

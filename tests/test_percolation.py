@@ -252,11 +252,17 @@ def test_emergence_validation():
     ({"c_values": [0.5, np.inf]}, "finite"),
     ({"c_values": [np.nan]}, "finite"),
     ({"c_values": [-1.0, 2.0]}, ">= 0"),
+    ({"n_values": []}, "n_values must not be empty"),
 ])
 def test_emergence_rejects_bad_counts_and_densities(bad, match):
     kwargs = {"n_values": [16], "c_values": [0.5, 3.0], "trials": 4, **bad}
     with pytest.raises(ValueError, match=match):
         subgraph_emergence("triangle", z=1.0, **kwargs)
+
+
+def test_empty_bond_probability_grid_is_rejected():
+    with pytest.raises(ValueError, match="p_values must not be empty"):
+        bond_percolation_curve(8, 8, [], trials=2)
 
 
 def test_oversized_emergence_is_rejected_before_allocation():

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qnet import (
     DisconnectedGraphError,
@@ -27,7 +28,10 @@ from qnet import (
 from _helpers import (
     random_bipartite_phased,
     random_connected_graph,
+    random_density,
+    random_hermitian,
     random_nonbipartite_phased,
+    random_unit_vector,
 )
 
 # value pinned from an independent closed form: for the 4-node star the
@@ -153,6 +157,36 @@ def test_initial_state_validation():
         evolve(WalkSpec(generator=a, initial=np.eye(2), times=np.array([0.0])))
     with pytest.raises(ValueError, match="time grid"):
         evolve(WalkSpec(generator=a, initial=0))
+    with pytest.raises(ValueError, match="at least one time"):
+        evolve(WalkSpec(generator=a, initial=0, times=np.array([])))
+
+
+def _real_low_rank_density(rng, n, rank):
+    m = rng.standard_normal((n, rank))
+    rho = m @ m.T
+    return rho / np.trace(rho)
+
+
+@pytest.mark.parametrize("generator", [
+    lambda rng: random_hermitian(rng, 9),
+    lambda rng: adjacency_matrix(random_nonbipartite_phased(rng, 8)),
+    lambda rng: adjacency_matrix(toys.torus(4, 4)),
+    lambda rng: build_operators(toys.cycle(6)).laplacian,
+], ids=["hermitian", "phased", "torus", "cycle-laplacian"])
+def test_mixed_start_series_matches_explicit_conjugation(generator):
+    # every series row against diag(U_t rho U_t^H) with U_t from scipy's expm,
+    # for full-rank complex, low-rank real and pure density starts
+    rng = np.random.default_rng(39)
+    h = generator(rng)
+    n = h.shape[0]
+    psi = random_unit_vector(rng, n)
+    times = np.linspace(0.0, 5.0, 7)
+    for rho in (random_density(rng, n), _real_low_rank_density(rng, n, 3),
+                np.outer(psi, psi.conj())):
+        got = evolve(WalkSpec(h, rho, times)).series
+        for t, row in zip(times, got):
+            u = scipy.linalg.expm(-1j * t * h)
+            assert np.abs(row - np.real(np.diag(u @ rho @ u.conj().T))).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +209,16 @@ def test_ground_state_start_has_zero_quantumness():
     deg = np.diag(ops.degree_matrix)
     phi0 = np.sqrt(deg / deg.sum())
     assert quantumness(g, initial=phi0) <= 1e-12
+
+
+def test_density_start_quantumness_is_its_ground_deficit():
+    rng = np.random.default_rng(40)
+    g = random_connected_graph(rng, 7)
+    phi0 = np.linalg.eigh(build_operators(g).quantum_generator)[1][:, 0]
+    rho = random_density(rng, 7)
+    want = 1.0 - np.real(np.vdot(phi0, rho @ phi0))
+    assert quantumness(g, initial=rho) == pytest.approx(want, abs=1e-12)
+    assert quantumness(g, initial=np.outer(phi0, phi0)) <= 1e-12
 
 
 def test_maximally_mixed_quantumness():
