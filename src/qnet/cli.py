@@ -3,16 +3,18 @@
 Exit codes: 0 success, 1 bad flags or bad input data, 2 numerical failure,
 3 I/O failure. Output is deterministic for a fixed seed and flag set.
 
-Every float written goes through one formatter, the C JSON encoder's repr:
-JSON is json.dumps(payload, indent=2, sort_keys=True) byte for byte, and a
-CSV cell is the same text, so it reads back as the same double. A walk
-formats each probability once for both its JSON and its --matrix-out CSV.
+Every payload is built from plain Python values where it is made, and every
+float written goes through one formatter, the JSON encoder's repr: JSON is
+json.dumps(payload, indent=2, sort_keys=True) byte for byte, and a CSV cell
+is the same text, so it reads back as the same double. A walk formats each
+probability once for both its JSON and its --matrix-out CSV. The only
+non-finite value written is kl_bits "inf"; any other is refused, exit 1.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -107,8 +109,8 @@ _BLOCK_CELLS = 2**15
 
 class _Rows(list):
     """A row table: one comma-joined text of finite floats per JSON array row,
-    as _float_rows makes it. _plain passes it through and _layout writes its
-    rows without formatting a number again."""
+    as _float_rows makes it. _emit writes its rows without formatting a
+    number again."""
 
 
 def _dumps(x) -> str:
@@ -145,91 +147,47 @@ def _float_rows(matrix) -> tuple[list[str], list[str]]:
     return rows, rows if mirror else [",".join(piece) for piece in pieces]
 
 
-def _plain(x):
-    """Recursively convert a payload to plain JSON types; non-finite floats
-    become strings so the output stays strict JSON. A row table passes
-    through as it is."""
-    if isinstance(x, _Rows):
-        return x
-    if isinstance(x, dict):
-        return {str(k): _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if isinstance(x, np.ndarray):
-        if x.dtype.kind in "biu" or (x.dtype.kind == "f" and np.isfinite(x).all()):
-            return x.tolist()  # already plain bools, ints and finite floats
-        return [_plain(v) for v in x.tolist()]
-    if isinstance(x, (np.bool_, bool)):
-        return bool(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
-    if isinstance(x, (np.floating, float)):
-        v = float(x)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
-    return x
+def _text(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) of a top-level payload value,
+    indented two more spaces; ValueError if it holds a non-finite float. A
+    scalar or a flat list is one call of the C encoder, whose item separator
+    carries the line break and indent; an indent selects the Python encoder."""
+    items = value if isinstance(value, (list, tuple)) else ()
+    if isinstance(value, dict) or not {dict, list, tuple}.isdisjoint(map(type, items)):
+        return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  ")
+    text = json.dumps(value, separators=(",\n    ", ": "), allow_nan=False)
+    return f"[\n    {text[1:-1]}\n  ]" if items else text
 
 
-def _layout(x, pad: str = "") -> str:
-    """The text of json.dumps(x, indent=2, sort_keys=True) for a plain value
-    x that starts at indent pad, with a row table laid out as the nested list
-    of its numbers. json.dumps with an indent runs the pure-Python encoder;
-    here every list without nested containers is one call of the C encoder,
-    whose item separator carries the line break and indent, so large arrays
-    cost one call per row."""
-    if isinstance(x, (dict, _Rows)):
-        return "".join(_chunks(x, pad))
-    if isinstance(x, list):
-        if not x:
-            return "[]"
-        inner = pad + "  "
-        if {dict, list}.isdisjoint(map(type, x)):
-            body = json.dumps(x, separators=(",\n" + inner, ": "))[1:-1]
-        else:
-            body = (",\n" + inner).join(_layout(v, inner) for v in x)
-        return "[\n" + inner + body + "\n" + pad + "]"
-    return json.dumps(x)
-
-
-def _chunks(x: dict | _Rows, pad: str):
-    """_layout(x, pad) of a dict or a row table in pieces: one per value of a
-    dict, a row table's values one row at a time. A row's float text is
-    reused; only its separators gain the line break and indent."""
-    if not x:
-        yield "{}" if isinstance(x, dict) else "[]"
-        return
-    inner = pad + "  "
-    if isinstance(x, _Rows):
-        comma, sep = ",\n" + inner + "  ", "[\n" + inner
-        for row in x:
-            yield sep + "[\n" + inner + "  " + row.replace(",", comma) + "\n" + inner + "]"
-            sep = ",\n" + inner
-        yield "\n" + pad + "]"
-        return
-    sep = "{\n" + inner
-    for key, value in sorted(x.items()):
-        yield f"{sep}{json.dumps(key)}: "
-        if isinstance(value, _Rows):
-            yield from _chunks(value, inner)
-        else:
-            yield _layout(value, inner)
-        sep = ",\n" + inner
-    yield "\n" + pad + "}"
+def _chunks(rows: _Rows):
+    """A top-level row table as json.dumps lays out its nested list, one row
+    at a time. A row's float text is reused; only its separators gain the line
+    break and indent."""
+    sep = "[\n    ["
+    for row in rows:
+        yield sep + "\n      " + row.replace(",", ",\n      ") + "\n    ]"
+        sep = ",\n    ["
+    yield "\n  ]"
 
 
 def _emit(payload: dict, output: str | None) -> None:
     """Write json.dumps(payload, indent=2, sort_keys=True) and a newline to
     output or stdout one top-level value at a time, and a row table one row
-    at a time, so the whole document is never one string."""
-    chunks = itertools.chain(_chunks(_plain(payload), ""), ("\n",))
-    if output is None:
-        sys.stdout.writelines(chunks)
-    else:
-        with open(output, "w") as fh:
-            fh.writelines(chunks)
+    at a time, so the whole document is never one string. Every other value is
+    formatted before the output opens: a non-finite one leaves no output."""
+    texts = {}
+    for key, value in payload.items():
+        try:
+            texts[key] = value if isinstance(value, _Rows) else _text(value)
+        except ValueError:
+            raise ValueError(f"cannot write {key!r}: it holds a non-finite number") from None
+    with open(output, "w") if output is not None else contextlib.nullcontext(sys.stdout) as fh:
+        sep = "{\n  "
+        for key, text in sorted(texts.items()):
+            fh.write(f"{sep}{json.dumps(key)}: ")
+            fh.writelines(_chunks(text) if isinstance(text, _Rows) else (text,))
+            sep = ",\n  "
+        fh.write("\n}\n")
 
 
 def _write_matrix(path: str, rows: list[str]) -> None:
@@ -332,10 +290,10 @@ def _cmd_walk(args) -> int:
         rows, columns = _float_rows(res.series)  # [time][node], [node][time]
         if args.matrix_out:
             _write_matrix(args.matrix_out, rows)
-        payload["times"] = res.times
+        payload["times"] = res.times.tolist()
         payload["probabilities"] = _Rows(columns)
-        payload["variance"] = res.variance
-    payload["average"] = res.long_time
+        payload["variance"] = res.variance.tolist()
+    payload["average"] = res.long_time.tolist()
     _emit(payload, args.output)
     return 0
 
@@ -388,7 +346,9 @@ def _cmd_compare(args) -> int:
         # js_distance is this root; calling it would decompose the mixture again
         payload = {"js_divergence_bits": divergence, "js_distance": math.sqrt(divergence)}
     else:
-        payload = {"kl_bits": kl_divergence(rho, sigma)}
+        kl = kl_divergence(rho, sigma)
+        # +inf past the reference's support, which JSON can only hold as text
+        payload = {"kl_bits": "inf" if kl == math.inf else kl}
     _emit(payload, args.output)
     return 0
 

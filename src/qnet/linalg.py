@@ -184,6 +184,11 @@ def _abs2_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.abs(x @ y) ** 2
 
 
+def _above_rank_cut(w: np.ndarray) -> np.ndarray:
+    """Mask of the ascending w above numpy.linalg.matrix_rank's cut n eps max(w)."""
+    return w > len(w) * np.finfo(float).eps * w[-1]
+
+
 def _abs2(x: np.ndarray) -> np.ndarray:
     return np.abs(x) ** 2
 
@@ -226,8 +231,7 @@ def _kernel_transport(dec: EigenDecomposition, kernel: np.ndarray | None = None,
         return _dephased(v[np.newaxis], dec.group_starts[np.newaxis], vh[np.newaxis],
                          _abs2 if conjugate else np.square)[0]
     mu, modes = np.linalg.eigh(kernel)
-    # drop modes below the numerical rank of K (numpy.linalg.matrix_rank's cut)
-    keep = mu > len(mu) * np.finfo(float).eps * mu[-1]
+    keep = _above_rank_cut(mu)
     labels = dec.group_labels
     c = np.zeros(v.shape)
     for m, k in zip(mu[keep], modes[:, keep].T):

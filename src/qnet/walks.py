@@ -15,7 +15,8 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .errors import DisconnectedGraphError, DistributionError
 from .graphs import Graph, adjacency_matrix, build_operators, is_connected
-from .linalg import EigenDecomposition, _abs2_matmul, _dephased, _density_spectrum, hermitian_eig
+from .linalg import (EigenDecomposition, _above_rank_cut, _abs2_matmul, _dephased,
+                     _density_spectrum, hermitian_eig)
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,8 @@ class OccupationResult:
 
 def _initial_state(initial, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The start as its spectrum (p, Phi), rho0 = Phi diag(p) Phi^H: a node or a
-    vector is one column of weight 1, a density matrix its _density_spectrum."""
+    vector is one column of weight 1, a density matrix its _density_spectrum
+    columns above the numerical-rank cut, so a rank-r start costs r columns."""
     if isinstance(initial, (int, np.integer)):
         if not 0 <= initial < n:
             raise ValueError(f"start node {initial} outside [0, {n})")
@@ -56,7 +58,9 @@ def _initial_state(initial, n: int) -> tuple[np.ndarray, np.ndarray]:
     if arr.ndim == 2:
         if arr.shape != (n, n):
             raise ValueError(f"density matrix must be square ({n}, {n}), got {arr.shape}")
-        return _density_spectrum(arr)
+        p, phi = _density_spectrum(arr)
+        keep = _above_rank_cut(p)
+        return p[keep], phi[:, keep]
     raise ValueError("initial must be a node id, a vector, or a density matrix")
 
 

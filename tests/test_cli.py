@@ -237,33 +237,11 @@ def _elementwise_plain(x):
     if isinstance(x, (np.integer, int)):
         return int(x)
     if isinstance(x, (np.floating, float)):
-        v = float(x)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
+        return float(x)
     return x
 
 
-def test_emitted_arrays_match_elementwise_conversion(capsys):
-    rng = np.random.default_rng(31)
-    floats = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, (7, 5))
-    nonfinite = floats.copy()
-    nonfinite[1, 2], nonfinite[3, 0], nonfinite[6, 4] = np.nan, np.inf, -np.inf
-    payload = {
-        "bool": rng.random((3, 4)) < 0.5,
-        "int": rng.integers(-2**40, 2**40, size=(4, 3)),
-        "uint8": rng.integers(0, 255, size=6).astype(np.uint8),
-        "float": floats,
-        "float32": rng.standard_normal(5).astype(np.float32),
-        "nonfinite": nonfinite,
-        "empty": np.zeros((0, 3)),
-        "nested": [{"row": floats[2]}, (np.arange(3), 0.5)],
-    }
-    cli._emit(payload, None)
-    expected = json.dumps(_elementwise_plain(payload), indent=2, sort_keys=True) + "\n"
-    assert capsys.readouterr().out.encode() == expected.encode()
+_WALK = np.random.default_rng(32).random((120, 2001))  # [node][time]
 
 
 @pytest.mark.parametrize("payload", [
@@ -271,16 +249,43 @@ def test_emitted_arrays_match_elementwise_conversion(capsys):
     {"empty_dict": {}, "empty_list": [], "nested_empty": [[], {}, [[]]]},
     {"mix": [True, 1, 2.5, False, 0, -0.0, 1e300, 5e-324], "flags": [True, False],
      "scalars": [3, -7, 2**70], "x": 1.0, "y": True, "z": None},
-    {"nonfinite": np.array([1.0, np.nan, np.inf, -np.inf]), "scalar": float("-inf"),
-     "rows": [[np.nan, 1.0], [2.0, np.inf]], "label": "nan"},
+    {"pairs": [(1, 2.5), ("a", None)], "pair": (True, 0.1), "flat": [(), "b"]},
     {"\u00e9t\u00e9": "\u03c8 \u2192 \u03c6", "\u6f22": ["\u00fc", "\n\"\\", "\U0001f600"], "ascii": "plain"},
-    {"probabilities": np.random.default_rng(32).random((2001, 120)),
-     "times": np.linspace(0.0, 20.0, 2001), "n": 120},
-], ids=["nested", "empty", "mixed", "nonfinite", "non-ascii", "walk-2001x120"])
+    {"probabilities": cli._Rows(cli._float_rows(_WALK)[0]),
+     "times": np.linspace(0.0, 20.0, 2001).tolist(), "n": 120},
+], ids=["nested", "empty", "mixed", "tuples", "non-ascii", "walk-2001x120"])
 def test_emit_matches_indented_json_dumps(capsys, payload):
     cli._emit(payload, None)
-    expected = json.dumps(cli._plain(payload), indent=2, sort_keys=True) + "\n"
+    plain = {k: _WALK.tolist() if isinstance(v, cli._Rows) else v for k, v in payload.items()}
+    expected = json.dumps(plain, indent=2, sort_keys=True) + "\n"
     assert capsys.readouterr().out.encode() == expected.encode()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_payload_is_refused_before_the_output_opens(capsys, tmp_path, monkeypatch,
+                                                                 bad):
+    monkeypatch.setattr(cli, "vn_entropy", lambda rho: bad)
+    out = tmp_path / "entropy.json"
+    rc = main(["entropy", "--toy", "p3", "--output", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    with pytest.raises(ValueError, match="non-finite"):
+        cli._emit({"label": "ok", "rows": [[bad, 1.0]]}, None)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.filterwarnings("ignore::qnet.SupportViolationWarning")
+def test_kl_past_the_reference_support_is_the_string_inf(capsys, tmp_path):
+    path, links = tmp_path / "path.edges", tmp_path / "links.edges"
+    path.write_text("0 1\n1 2\n2 3\n")
+    links.write_text("nodes 4\n0 1\n2 3\n")
+    rc, out = run_cli(capsys, "compare", "--input", str(path), "--other", str(links),
+                      "--density", "rescaled", "--measure", "kl")
+    assert rc == 0
+    assert out == '{\n  "kl_bits": "inf"\n}\n'
 
 
 @pytest.fixture(scope="module")

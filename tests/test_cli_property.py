@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -109,11 +110,14 @@ def command_lines(draw, command, files):
 
 def _non_finite(x, key=None):
     """Paths of the non-finite markers in a payload, bar the one value that
-    may be infinite: a KL divergence past the reference's support."""
+    may be infinite: a KL divergence past the reference's support. json.loads
+    reads bare NaN and Infinity as floats, so those count too."""
     if isinstance(x, dict):
         return [p for k, v in x.items() for p in _non_finite(v, k)]
     if isinstance(x, list):
         return [p for v in x for p in _non_finite(v, key)]
+    if isinstance(x, float) and not math.isfinite(x):
+        return [key]
     if x == "nan" or (x in ("inf", "-inf") and key != "kl_bits"):
         return [key]
     return []
@@ -136,3 +140,4 @@ def test_every_command_line_ends_in_a_documented_exit(edge_files, command, data)
         return
     payload = json.loads(out.getvalue())
     assert _non_finite(payload) == [], argv
+    assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n", argv

@@ -189,6 +189,25 @@ def test_mixed_start_series_matches_explicit_conjugation(generator):
             assert np.abs(row - np.real(np.diag(u @ rho @ u.conj().T))).max() <= 1e-12
 
 
+def test_rank_one_density_start_is_one_column(monkeypatch):
+    # the eigenvalues of |psi><psi| that are rounding fall below the
+    # numerical-rank cut, so the series costs one |.|^2 product, as a vector does
+    rng = np.random.default_rng(41)
+    n = 64
+    h = random_hermitian(rng, n)
+    psi = random_unit_vector(rng, n)
+    times = np.linspace(0.0, 5.0, 20)
+    vector = evolve(WalkSpec(h, psi, times))
+    real, calls = walks._abs2_matmul, []
+    monkeypatch.setattr(walks, "_abs2_matmul", lambda x, y: calls.append(x.shape) or real(x, y))
+    density = evolve(WalkSpec(h, np.outer(psi, psi.conj()), times))
+    assert len(calls) == 1
+    assert np.abs(density.series - vector.series).max() <= 1e-12
+    assert np.abs(density.long_time - vector.long_time).max() <= 1e-12
+    mixed = long_time_average(WalkSpec(h, np.outer(psi, psi.conj())))
+    assert np.abs(mixed.long_time - vector.long_time).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # quantumness
 
