@@ -56,7 +56,6 @@ from .ranking import (
     qsw_activity,
     rank_hamiltonian,
     szegedy_rank,
-    szegedy_state_prep,
     szegedy_step_matrix,
 )
 from .entropy import (

@@ -420,35 +420,35 @@ def google_matrix(g: Graph, damping: float = 0.85) -> GoogleMatrix:
 # structure checks
 
 
-def _neighbor_lists(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+def _search(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first forest of n nodes joined by undirected pairs, each tree
+    started at the smallest node not yet reached: every node's root, parent
+    (-1 at a root) and depth."""
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for a, b in pairs:
         nbrs[a].append(b)
         nbrs[b].append(a)
-    return nbrs
+    root, parent, depth = [-1] * n, [-1] * n, [0] * n
+    for start in range(n):
+        if root[start] != -1:
+            continue
+        root[start] = start
+        queue = [start]
+        for u in queue:  # grows while it is read: breadth-first order
+            for v in nbrs[u]:
+                if root[v] == -1:
+                    root[v], parent[v], depth[v] = start, u, depth[u] + 1
+                    queue.append(v)
+    return root, parent, depth
 
 
 def _components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     """Components of n nodes joined by undirected pairs, each sorted, ordered
     by their smallest member."""
-    nbrs = _neighbor_lists(n, pairs)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        queue = [start]
-        seen[start] = True
-        comp = []
-        while queue:
-            u = queue.pop()
-            comp.append(u)
-            for v in nbrs[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        comps.append(sorted(comp))
-    return comps
+    comps: dict[int, list[int]] = {}
+    for v, r in enumerate(_search(n, pairs)[0]):
+        comps.setdefault(r, []).append(v)
+    return list(comps.values())
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -468,39 +468,30 @@ class BipartiteResult:
 
 
 def is_bipartite(g: Graph) -> BipartiteResult:
-    """Two-color the undirected view; on failure return an odd-cycle witness."""
-    nbrs = _neighbor_lists(g.n, zip(g.src.tolist(), g.dst.tolist()))
-    color = np.full(g.n, -1, dtype=int)
-    parent = np.full(g.n, -1, dtype=int)
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            for v in nbrs[u]:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    parent[v] = u
-                    queue.append(v)
-                elif color[v] == color[u] and u != v:
-                    return BipartiteResult(False, None, _odd_cycle(u, v, parent))
-    return BipartiteResult(True, color, None)
+    """Two-color the undirected view by the parity of breadth-first depth,
+    ignoring self-loops. The graph is not bipartite when a link joins two
+    nodes of equal parity; the witness is then the odd cycle that the first
+    such link, in edge order, closes through the search tree."""
+    pairs = list(zip(g.src.tolist(), g.dst.tolist()))
+    _, parent, depth = _search(g.n, pairs)
+    for u, v in pairs:
+        if u != v and depth[u] % 2 == depth[v] % 2:
+            return BipartiteResult(False, None, _odd_cycle(u, v, parent))
+    return BipartiteResult(True, np.array(depth, dtype=int) % 2, None)
 
 
-def _odd_cycle(u: int, v: int, parent: np.ndarray) -> tuple[int, ...]:
+def _odd_cycle(u: int, v: int, parent: list[int]) -> tuple[int, ...]:
     """Reconstruct the cycle through the conflict edge (u, v)."""
     path_u, path_v = [u], [v]
     seen = {u: 0}
     x = u
     while parent[x] != -1:
-        x = int(parent[x])
+        x = parent[x]
         seen[x] = len(path_u)
         path_u.append(x)
     x = v
     while x not in seen:
-        x = int(parent[x])
+        x = parent[x]
         path_v.append(x)
     meet = seen[x]
     cycle = path_u[:meet + 1] + list(reversed(path_v[:-1]))

@@ -4,8 +4,8 @@ and dissipative interpolation between the unitary and classical limits.
 The two-register (Szegedy) walk keeps its state as an n x n register array,
 so one reflect-and-swap step costs O(n^2); graphs of up to 2048 nodes rank,
 the limit MAX_SZEGEDY_ENTRIES sets on the register array and the step
-series. The dense edge-space matrices (szegedy_state_prep,
-szegedy_step_matrix) remain for checks on small graphs, capped at n <= 64.
+series. szegedy_step_matrix writes that same step densely on the n^2 edge
+space, for unitarity checks on graphs of up to 64 nodes.
 
 The dissipative rankings are steady states of a master equation, solved in
 closed form on the eigendecomposition of the symmetrized Hamiltonian rather
@@ -22,7 +22,8 @@ from .errors import ConvergenceError
 from .graphs import Graph, GoogleMatrix, adjacency_matrix, google_matrix
 from .linalg import _kernel_transport, hermitian_eig
 
-SZEGEDY_EDGE_SPACE_CAP = 4096  # dense edge-space vectors, n*n entries
+# szegedy_step_matrix is (n^2)^2 entries, 128 MiB at this cap of n^2 = 4096
+SZEGEDY_EDGE_SPACE_CAP = 4096
 # The walk's register array (n * n entries) and its step series (steps * n
 # entries) are checked against this count before anything is allocated; a
 # 2048-node graph is the largest the walk takes.
@@ -134,53 +135,28 @@ def adiabatic_rank(gm: GoogleMatrix | np.ndarray) -> RankingResult:
 # edge-space (two-register) walk
 
 
-def szegedy_state_prep(gm: GoogleMatrix | np.ndarray) -> np.ndarray:
-    """Columns psi_i = |i>_1 (x) sum_k sqrt(G_ki) |k>_2 in the n*n edge space."""
-    mat = _as_transition(gm)
-    n = mat.shape[0]
+def _szegedy_step(s: np.ndarray, s2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One step swap . (2 Pi - 1) on the register array x, x[i, k] on
+    |i>_1 |k>_2, or on each array of a stack x[..., i, k], with
+    s[i, k] = sqrt(G_ki) and s2 = 2.0 * s, built once per walk: Pi projects
+    onto the prepared columns |i>_1 (x) s[i], and the swap exchanges the
+    registers. O(n^2) per array."""
+    c = (s * x).sum(axis=-1)
+    return (s2 * c[..., None] - x).swapaxes(-1, -2)
+
+
+def szegedy_step_matrix(gm: GoogleMatrix | np.ndarray) -> np.ndarray:
+    """Dense one-step operator on the flat edge space, entry i * n + k on
+    |i>_1 |k>_2: column b is the walk's own step applied to basis state b.
+    For small n (unitarity checks), capped at SZEGEDY_EDGE_SPACE_CAP."""
+    s = np.sqrt(_as_transition(gm)).T
+    n = s.shape[0]
     if n * n > SZEGEDY_EDGE_SPACE_CAP:
         raise ValueError(
             f"edge space {n}^2 exceeds the dense cap {SZEGEDY_EDGE_SPACE_CAP}"
         )
-    sq = np.sqrt(mat)
-    psi = np.zeros((n * n, n))
-    for i in range(n):
-        psi[i * n: (i + 1) * n, i] = sq[:, i]
-    return psi
-
-
-def _szegedy_step(s: np.ndarray, s2: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One step swap . (2 Pi - 1) on the register array x, x[i, k] on
-    |i>_1 |k>_2, with s[i, k] = sqrt(G_ki) and s2 = 2.0 * s, built once per
-    walk: Pi projects onto the prepared columns |i>_1 (x) s[i], and the swap
-    exchanges the registers. O(n^2)."""
-    c = (s * x).sum(axis=1)
-    return (s2 * c[:, None] - x).T
-
-
-def szegedy_step_operator(gm: GoogleMatrix | np.ndarray):
-    """Return (apply, n): apply(x) is one step swap . (2 Pi - 1) applied to the
-    flat edge-space vector x, x[i * n + k] on |i>_1 |k>_2."""
-    s = np.sqrt(_as_transition(gm)).T
-    s2 = 2.0 * s
-    n = s.shape[0]
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        return _szegedy_step(s, s2, np.reshape(x, (n, n))).reshape(-1)
-
-    return apply, n
-
-
-def szegedy_step_matrix(gm: GoogleMatrix | np.ndarray) -> np.ndarray:
-    """Dense one-step operator, for small n (tests and unitarity checks)."""
-    psi = szegedy_state_prep(gm)
-    n = psi.shape[1]
-    reflect = 2.0 * (psi @ psi.conj().T) - np.eye(n * n)
-    swap = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            swap[i * n + j, j * n + i] = 1.0
-    return swap @ reflect
+    step = _szegedy_step(s, 2.0 * s, np.eye(n * n).reshape(n * n, n, n))
+    return step.reshape(n * n, n * n).T
 
 
 def szegedy_rank(

@@ -1,8 +1,11 @@
 """Graph parsing, operator construction, google matrices, and structure checks."""
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnet import (
     DisconnectedGraphError,
@@ -270,6 +273,38 @@ def test_connectivity_helpers():
     assert not is_connected(g)
     assert connected_components(g) == [[0, 1, 2], [3, 4]]
     assert is_connected(toys.cycle(5))
+
+
+@st.composite
+def structure_graphs(draw):
+    n = draw(st.integers(1, 12))
+    directed = draw(st.booleans())
+    pairs = [(i, j) for i in range(n) for j in range(n) if directed or i <= j]
+    links = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=16))
+    return build_graph(n, links, directed=directed, allow_self_loops=True)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(g=structure_graphs())
+def test_structure_checks_match_networkx(g):
+    # isolated nodes, self-loops and directed input against the undirected view
+    links = list(zip(g.src.tolist(), g.dst.tolist()))
+    view = nx.Graph()
+    view.add_nodes_from(range(g.n))
+    view.add_edges_from(links)
+    assert connected_components(g) == sorted(sorted(c) for c in nx.connected_components(view))
+    assert is_connected(g) == nx.is_connected(view)
+    loop_free = view.copy()
+    loop_free.remove_edges_from(list(nx.selfloop_edges(view)))
+    res = is_bipartite(g)
+    assert res.bipartite == nx.is_bipartite(loop_free)
+    if res.bipartite:
+        assert res.coloring.shape == (g.n,) and set(res.coloring.tolist()) <= {0, 1}
+        assert all(res.coloring[u] != res.coloring[v] for u, v in links if u != v)
+    else:
+        cycle = res.odd_cycle
+        assert len(cycle) % 2 == 1 and len(set(cycle)) == len(cycle)
+        assert all(view.has_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
 
 def test_fiedler_map_pair():

@@ -22,17 +22,13 @@ from qnet import (
     qsw_activity,
     rank_hamiltonian,
     szegedy_rank,
-    szegedy_state_prep,
     szegedy_step_matrix,
     toys,
 )
-from qnet.ranking import (
-    MAX_SZEGEDY_ENTRIES,
-    _symmetrized_hamiltonian,
-    szegedy_step_operator,
-)
+from qnet.ranking import MAX_SZEGEDY_ENTRIES, _symmetrized_hamiltonian
 
 from _helpers import random_connected_graph, random_directed_graph
+import _szegedy_reference as reference
 
 # two-node chain 0 -> 1 at damping 0.85: the stationary point of
 # p0 = 0.15/2 + 0.85 p1 / 2, p1 = 0.15/2 + 0.85 (p0 + p1/2) in closed form
@@ -119,8 +115,8 @@ def test_szegedy_step_is_unitary():
         u = szegedy_step_matrix(gm)
         n2 = u.shape[0]
         assert np.abs(u.conj().T @ u - np.eye(n2)).max() <= 1e-10
-        # operator form agrees with the dense matrix
-        apply, _ = szegedy_step_operator(gm)
+        # the dense reference operator agrees with the matrix
+        apply, _ = reference.szegedy_step_operator(gm)
         x = rng.standard_normal(n2) + 1j * rng.standard_normal(n2)
         assert np.abs(apply(x) - u @ x).max() <= 1e-10
 
@@ -136,12 +132,6 @@ def test_szegedy_three_chain_pinned_scores():
     cl = classical_pagerank(google_matrix(toys.directed_chain(3), 0.85))
     assert list(np.argsort(r.scores)) == list(np.argsort(cl.scores))
     assert r.variance is not None and np.all(r.variance >= 0.0)
-
-
-def test_szegedy_state_prep_columns_normalized():
-    gm = google_matrix(toys.directed_chain(3), 0.85)
-    prep = szegedy_state_prep(gm)
-    assert np.allclose(np.linalg.norm(prep, axis=0), 1.0, atol=1e-12)
 
 
 def _transitive_tournament(n: int):
@@ -162,8 +152,6 @@ def test_szegedy_ranks_past_the_dense_cap(n):
 
 def test_dense_edge_space_keeps_its_cap():
     gm = google_matrix(toys.directed_cycle(70), 0.85)
-    with pytest.raises(ValueError, match="cap"):
-        szegedy_state_prep(gm)
     with pytest.raises(ValueError, match="cap"):
         szegedy_step_matrix(gm)
 
