@@ -6,9 +6,11 @@ Exit codes: 0 success, 1 bad flags or bad input data, 2 numerical failure,
 Every payload is built from plain Python values where it is made, and every
 float written goes through one formatter, the JSON encoder's repr: JSON is
 json.dumps(payload, indent=2, sort_keys=True) byte for byte, and a CSV cell
-is the same text, so it reads back as the same double. A walk formats each
-probability once for both its JSON and its --matrix-out CSV. The only
-non-finite value written is kl_bits "inf"; any other is refused, exit 1.
+is the same text, so it reads back as the same double. A matrix is formatted
+a block of rows at a time, and each block's CSV rows are written as soon as
+it is formatted. A walk formats each probability once for both its JSON and
+its --matrix-out CSV, and keeps one copy of that text, as its JSON rows. The
+only non-finite value written is kl_bits "inf"; any other is refused, exit 1.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import json
 import math
 import os
 import sys
+from typing import Iterator
 
 import numpy as np
 
@@ -102,49 +105,51 @@ def _default_seed() -> int:
         raise UsageError(f"QNET_SEED must be an integer, got {raw!r}")
 
 
-# Cells per C-encoder call in _float_rows: big enough that the call overhead
-# vanishes, small enough that one block's cell strings stay a few MB.
-_BLOCK_CELLS = 2**15
+# Cells per C-encoder call in _float_blocks: big enough that the call overhead
+# vanishes, small enough that one block's text and cell strings stay well under
+# a MB, which bounds what a CSV writer holds beyond its output.
+_BLOCK_CELLS = 2**13
 
 
 class _Rows(list):
-    """A row table: one comma-joined text of finite floats per JSON array row,
-    as _float_rows makes it. _emit writes its rows without formatting a
-    number again."""
+    """A row table: each JSON array row as the comma-joined float text of its
+    cells in one or more pieces, as _series_columns makes it. _emit writes its
+    rows without formatting a number again."""
 
 
 def _dumps(x) -> str:
     return json.dumps(x, separators=(",", ":"))
 
 
-def _float_rows(matrix) -> tuple[list[str], list[str]]:
-    """The rows and the columns of a finite 2-D float matrix, each as one
-    comma-joined string of the C JSON encoder's float text (repr). Every
-    float is formatted once: one encoder call per block of rows, whose text
-    is split into rows and transposed block by block. A matrix bitwise equal
-    to its transpose formats each row from its diagonal on and takes the
-    cells left of it from the columns of the rows above."""
+def _float_blocks(matrix) -> Iterator[list[str]]:
+    """The rows of a finite 2-D float matrix, one block of rows at a time, each
+    row as one comma-joined string of the C JSON encoder's float text (repr).
+    A non-finite entry raises ValueError here, before the first block. Every
+    float is formatted once, by one encoder call per block. A matrix bitwise
+    equal to its transpose formats each row from its diagonal on and takes the
+    cells left of it from the columns of the blocks above."""
     m = np.asarray(matrix, dtype=float)
     if not np.isfinite(m).all():
         raise ValueError("cannot write a matrix with non-finite entries")
     mirror = m.shape[0] == m.shape[1] and np.array_equal(m.view(np.uint64), m.T.view(np.uint64))
-    rows: list[str] = []
-    pieces: list[list[str]] = [[] for _ in range(m.shape[1])]  # column text of the rows done
     step = max(1, _BLOCK_CELLS // max(1, m.shape[1]))
-    for start in range(0, m.shape[0], step):
-        stop = min(start + step, m.shape[0])
-        text = _dumps([m[i, i:].tolist() for i in range(start, stop)] if mirror
-                      else m[start:stop].tolist())[2:-2].split("],[")
-        cells = [row.split(",") for row in text]
-        if mirror:  # pieces begins at column start; the block's own columns end here
-            above, pieces = pieces[:len(cells)], pieces[len(cells):]
-            text = [",".join([*above[k], *(cells[h][k - h] for h in range(k)), row])
-                    for k, row in enumerate(text)]
-            cells = [own[len(cells) - k:] for k, own in enumerate(cells)]
-        rows += text
-        for piece, column in zip(pieces, zip(*cells)):
-            piece.append(",".join(column))
-    return rows, rows if mirror else [",".join(piece) for piece in pieces]
+
+    def blocks():
+        pieces: list[list[str]] = [[] for _ in range(m.shape[1])]  # column text of the rows done
+        for start in range(0, m.shape[0], step):
+            stop = min(start + step, m.shape[0])
+            text = _dumps([m[i, i:].tolist() for i in range(start, stop)] if mirror
+                          else m[start:stop].tolist())[2:-2].split("],[")
+            if mirror:  # pieces begins at column start; the block's own columns end here
+                cells = [row.split(",") for row in text]
+                above, pieces = pieces[:len(cells)], pieces[len(cells):]
+                for piece, column in zip(pieces, zip(*(own[len(cells) - k:]
+                                                       for k, own in enumerate(cells)))):
+                    piece.append(",".join(column))
+                text = [",".join([*above[k], *(cells[h][k - h] for h in range(k)), row])
+                        for k, row in enumerate(text)]
+            yield text
+    return blocks()
 
 
 def _text(value) -> str:
@@ -164,8 +169,8 @@ def _chunks(rows: _Rows):
     at a time. A row's float text is reused; only its separators gain the line
     break and indent."""
     sep = "[\n    ["
-    for row in rows:
-        yield sep + "\n      " + row.replace(",", ",\n      ") + "\n    ]"
+    for pieces in rows:
+        yield sep + "\n      " + ",".join(pieces).replace(",", ",\n      ") + "\n    ]"
         sep = ",\n    ["
     yield "\n  ]"
 
@@ -190,10 +195,29 @@ def _emit(payload: dict, output: str | None) -> None:
         fh.write("\n}\n")
 
 
-def _write_matrix(path: str, rows: list[str]) -> None:
-    """Write the rows of _float_rows as CSV, one matrix row a line."""
+def _write_matrix(path: str, matrix) -> None:
+    """Write a finite 2-D float matrix as CSV, one row a line, each block of
+    rows as soon as _float_blocks formats it. A non-finite matrix is refused
+    before the file is created."""
+    blocks = _float_blocks(matrix)
     with open(path, "w") as fh:
-        fh.writelines(row + "\n" for row in rows)
+        for rows in blocks:
+            fh.writelines(row + "\n" for row in rows)
+
+
+def _series_columns(series, path: str | None) -> _Rows:
+    """The columns of a finite 2-D float matrix as a row table, one text piece
+    a block of rows; with a path, each block's rows are also written there as
+    CSV lines as soon as they are formatted, so the text is held once."""
+    blocks = _float_blocks(series)
+    columns = _Rows([] for _ in range(np.shape(series)[1]))
+    with open(path, "w") if path else contextlib.nullcontext() as fh:
+        for rows in blocks:
+            if fh is not None:
+                fh.writelines(row + "\n" for row in rows)
+            for piece, column in zip(columns, zip(*(row.split(",") for row in rows))):
+                piece.append(",".join(column))
+    return columns
 
 
 def _load_graph(toy: str | None, path: str | None, directed: bool | None) -> Graph:
@@ -287,11 +311,9 @@ def _cmd_walk(args) -> int:
     else:
         grid = _parse_linspace(args.times, "--times")
         res = evolve(WalkSpec(generator=h, initial=initial, times=grid))
-        rows, columns = _float_rows(res.series)  # [time][node], [node][time]
-        if args.matrix_out:
-            _write_matrix(args.matrix_out, rows)
         payload["times"] = res.times.tolist()
-        payload["probabilities"] = _Rows(columns)
+        # [node][time] for the JSON; --matrix-out gets the [time][node] rows
+        payload["probabilities"] = _series_columns(res.series, args.matrix_out)
         payload["variance"] = res.variance.tolist()
     payload["average"] = res.long_time.tolist()
     _emit(payload, args.output)
@@ -371,7 +393,7 @@ def _cmd_communities(args) -> int:
     else:
         c = closeness_link_failure(h)
     if args.matrix_out:
-        _write_matrix(args.matrix_out, _float_rows(c.matrix)[0])
+        _write_matrix(args.matrix_out, c.matrix)
     part = agglomerate(c)
     payload = part.as_dict()
     payload["measure"] = c.measure
@@ -458,7 +480,7 @@ def _cmd_layers(args) -> int:
     stack = LayerStack(layers=tuple(graphs), labels=tuple(labels))
     clustering = layer_cluster(stack, tau=args.tau)
     if args.matrix_out:
-        _write_matrix(args.matrix_out, _float_rows(clustering.distance_matrix)[0])
+        _write_matrix(args.matrix_out, clustering.distance_matrix)
     payload = {
         "labels": list(clustering.labels),
         "merges": [

@@ -47,11 +47,15 @@ def density_rescaled(g: Graph) -> DensityMatrix:
     return DensityMatrix(lap / tr, "rescaled-laplacian", dec.eigenvalues / tr, dec.vectors)
 
 
+def _check_tau(tau: float) -> None:
+    if not 0.0 <= tau < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
+
+
 def _propagator(lap: np.ndarray, tau: float) -> DensityMatrix:
     """exp(-tau L) / tr exp(-tau L) from the spectrum of L, weighted by
     exp(-tau (lambda - lambda_min)) so that no finite tau underflows every weight."""
-    if not 0.0 <= tau < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"tau must be finite and >= 0, got {tau}")
+    _check_tau(tau)
     dec = hermitian_eig(lap)
     with np.errstate(over="ignore"):  # -inf marks a direction out of the support
         logs = -tau * (dec.eigenvalues - dec.eigenvalues[0])
@@ -141,7 +145,23 @@ class ErdosRenyiModel:
         return self.p * ((n - 1) * np.eye(n) - (np.ones((n, n)) - np.eye(n)))
 
     def density(self, n: int) -> DensityMatrix:
-        return _propagator(self.expected_laplacian(n), self.tau)
+        """The propagator state of expected_laplacian(n) = p (n I - J) in closed
+        form (De Domenico & Biamonte, PRX 6, 041062, 2016), with no
+        eigendecomposition: eigenvalue 0 on the uniform vector and p n, n - 1
+        times, on its complement. The eigenvectors are the columns of the
+        Householder reflection that swaps e_0 and -(1, ..., 1)/sqrt(n)."""
+        _check_tau(self.tau)
+        with np.errstate(over="ignore"):  # -inf marks a direction out of the support
+            gap = -self.tau * (self.p * n)
+        log_z = np.log1p((n - 1) * np.exp(gap))
+        logs = np.full(n, gap - log_z)
+        logs[0] = -log_z
+        w = np.exp(logs)
+        u = np.full(n, 1.0 / np.sqrt(n))
+        u[0] += 1.0  # e_0 + 1/sqrt(n), whose squared norm is 2 u[0]
+        matrix = np.full((n, n), (w[0] - w[-1]) / n) + w[-1] * np.eye(n)
+        return DensityMatrix(matrix, "propagator", w, np.eye(n) - np.outer(u, u) / u[0],
+                             float(self.tau), logs)
 
 
 def log_likelihood(rho, model) -> float:

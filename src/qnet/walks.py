@@ -19,6 +19,11 @@ from .linalg import (EigenDecomposition, _above_rank_cut, _abs2_matmul, _dephase
                      _density_spectrum, hermitian_eig)
 
 
+# Times per block of the series in evolve: its phase and product temporaries
+# hold about this many entries whatever the grid's length.
+_SERIES_BLOCK_ENTRIES = 2**15
+
+
 @dataclass(frozen=True)
 class WalkSpec:
     """A Hermitian generator, an initial state, and an evaluation time grid.
@@ -65,6 +70,8 @@ def _initial_state(initial, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_distributions(p: np.ndarray) -> np.ndarray:
+    """p, rows of occupation distributions, clipped at 0 in place once they
+    pass the checks."""
     if not np.isfinite(p).all():
         raise DistributionError("occupation distribution has non-finite entries")
     sums = p.sum(axis=-1)
@@ -74,7 +81,7 @@ def _check_distributions(p: np.ndarray) -> np.ndarray:
         )
     if p.min() < -DEFAULT_TOLS.distribution_negative_atol:
         raise DistributionError(f"negative occupation {p.min():.3e}")
-    return np.clip(p, 0.0, None)
+    return np.clip(p, 0.0, None, out=p)
 
 
 def _long_time(dec: EigenDecomposition, p: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -87,7 +94,8 @@ def _long_time(dec: EigenDecomposition, p: np.ndarray, y: np.ndarray) -> np.ndar
 def evolve(spec: WalkSpec) -> OccupationResult:
     """Occupation series p_i(t) = <i| U_t rho0 U_t^H |i> on the time grid,
     with the infinite-time average from the same eigendecomposition. Each column
-    phi_k of the start (p, Phi) adds p_k |V e^{-iwt} V^H phi_k|^2: r columns cost r T n^2."""
+    phi_k of the start (p, Phi) adds p_k |V e^{-iwt} V^H phi_k|^2: r columns cost r T n^2,
+    computed a block of times at a time."""
     if spec.times is None:
         raise ValueError("evolve needs a time grid")
     times = np.asarray(spec.times, dtype=float)
@@ -99,9 +107,13 @@ def evolve(spec: WalkSpec) -> OccupationResult:
     p, phi = _initial_state(spec.initial, len(dec.eigenvalues))
     w, v = dec.eigenvalues, dec.vectors
     y = v.conj().T @ phi
-    phases = np.exp(-1j * np.outer(times, w))
-    probs = _check_distributions(
-        sum(pk * _abs2_matmul(phases * yk, v.T) for pk, yk in zip(p, y.T)))
+    probs = np.empty((len(times), len(w)))
+    step = max(1, _SERIES_BLOCK_ENTRIES // len(w))
+    for start in range(0, len(times), step):
+        phases = np.exp(-1j * np.outer(times[start:start + step], w))
+        probs[start:start + step] = sum(pk * _abs2_matmul(phases * yk, v.T)
+                                        for pk, yk in zip(p, y.T))
+    probs = _check_distributions(probs)
     return OccupationResult(
         times=times,
         series=probs,

@@ -251,7 +251,7 @@ _WALK = np.random.default_rng(32).random((120, 2001))  # [node][time]
      "scalars": [3, -7, 2**70], "x": 1.0, "y": True, "z": None},
     {"pairs": [(1, 2.5), ("a", None)], "pair": (True, 0.1), "flat": [(), "b"]},
     {"\u00e9t\u00e9": "\u03c8 \u2192 \u03c6", "\u6f22": ["\u00fc", "\n\"\\", "\U0001f600"], "ascii": "plain"},
-    {"probabilities": cli._Rows(cli._float_rows(_WALK)[0]),
+    {"probabilities": cli._series_columns(_WALK.T, None),
      "times": np.linspace(0.0, 20.0, 2001).tolist(), "n": 120},
 ], ids=["nested", "empty", "mixed", "tuples", "non-ascii", "walk-2001x120"])
 def test_emit_matches_indented_json_dumps(capsys, payload):
@@ -336,6 +336,37 @@ def test_walk_peak_memory_is_bounded_by_its_json_size(capsys, tmp_path, walk120_
     assert peak <= 3 * out.stat().st_size
 
 
+def test_walk_holds_one_copy_of_its_json_text(capsys, tmp_path, walk120_edges):
+    # the CSV rows are written block by block and the JSON keeps each node's
+    # text pieces, so the peak is about one copy of the float text
+    out, mat = tmp_path / "walk.json", tmp_path / "walk.csv"
+    argv = ["walk", "--input", str(walk120_edges), "--times", "0:20:2001",
+            "--output", str(out), "--matrix-out", str(mat)]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * out.stat().st_size
+
+
+def test_symmetric_matrix_out_peak_is_below_its_csv_size(tmp_path):
+    m = np.random.default_rng(37).random((600, 600))
+    m = m + m.T
+    path = tmp_path / "closeness.csv"
+    cli._write_matrix(str(path), m)
+    tracemalloc.start()
+    try:
+        cli._write_matrix(str(path), m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_text().splitlines() == _repr_rows(m)
+    assert peak < 0.75 * path.stat().st_size
+
+
 def _repr_rows(m):
     return [",".join(map(repr, row)) for row in np.asarray(m, dtype=float).tolist()]
 
@@ -369,11 +400,20 @@ _SYM_300 = _SYM_300 + _SYM_300.T
     (_SYM_300, True),
 ], ids=["symmetric", "one-ulp-off", "signed-zero", "1x1", "1xn", "nx1", "multi-block",
         "symmetric-multi-block"])
-def test_float_rows_are_repr_text_of_rows_and_columns(matrix, mirrored):
-    rows, columns = cli._float_rows(matrix)
-    assert rows == _repr_rows(matrix)
-    assert columns == _repr_rows(matrix.T)
-    assert (rows is columns) == mirrored
+def test_float_rows_are_repr_text_of_rows_and_columns(monkeypatch, matrix, mirrored):
+    formatted = []  # cells per C-encoder call
+    dumps = cli._dumps
+    monkeypatch.setattr(cli, "_dumps", lambda x: formatted.append(sum(map(len, x))) or dumps(x))
+    blocks = list(cli._float_blocks(matrix))
+    monkeypatch.setattr(cli, "_dumps", dumps)
+    n, m = matrix.shape
+    step = max(1, cli._BLOCK_CELLS // m)
+    assert [len(rows) for rows in blocks] == [min(step, n - start) for start in range(0, n, step)]
+    assert [row for rows in blocks for row in rows] == _repr_rows(matrix)
+    columns = cli._series_columns(matrix, None)
+    assert [",".join(pieces) for pieces in columns] == _repr_rows(matrix.T)
+    assert sum(formatted) == (n * (n + 1) // 2 if mirrored else n * m)
+    assert len(formatted) == len(blocks)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

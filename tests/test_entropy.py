@@ -20,6 +20,7 @@ from qnet import (
     cli,
     density_propagator,
     density_rescaled,
+    entropy,
     integrate_master_equation,
     js_distance,
     js_divergence,
@@ -391,6 +392,29 @@ def test_max_likelihood_is_min_divergence():
     lls = [log_likelihood(rho, ErdosRenyiModel(p=float(p), tau=0.25)) for p in grid]
     kls = [kl_divergence(rho, ErdosRenyiModel(p=float(p), tau=0.25).density(n)) for p in grid]
     assert int(np.argmax(lls)) == int(np.argmin(kls))
+
+
+def test_er_log_likelihood_takes_no_decomposition(decompositions):
+    rho = density_propagator(random_connected_graph(np.random.default_rng(62), 16), tau=0.5)
+    decompositions.clear()
+    assert log_likelihood(rho, ErdosRenyiModel(p=0.3, tau=0.5)) < 0.0
+    assert decompositions == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 50, 200])
+def test_er_closed_form_matches_the_decomposed_propagator(n):
+    rho = make_density(random_density(np.random.default_rng(63 + n), n))
+    for p in (0.0, 0.05, 0.3, 1.0):
+        for tau in (0.0, 0.1, 1.0, 10.0):
+            model = ErdosRenyiModel(p, tau)
+            want = entropy._propagator(model.expected_laplacian(n), tau)
+            got = model.density(n)
+            v, w = got.vectors, got.eigenvalues
+            assert np.abs(got.matrix - want.matrix).max() <= 1e-12 * np.abs(want.matrix).max()
+            assert np.abs((v * w) @ v.T - got.matrix).max() <= 1e-13
+            assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-13
+            assert log_likelihood(rho, got) == pytest.approx(log_likelihood(rho, want),
+                                                             rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
