@@ -1,7 +1,9 @@
 """Command-line front end: load graphs, run any analysis, emit JSON or CSV.
 
 Exit codes: 0 success, 1 bad flags or bad input data, 2 numerical failure,
-3 I/O failure. Output is deterministic for a fixed seed and flag set.
+3 I/O failure. Output is deterministic for a fixed seed and flag set. Each
+subcommand returns its payload and main writes it; only communities --method
+magnetic and percolate draw random numbers, so only they read --seed or QNET_SEED.
 
 Every payload is built from plain Python values where it is made, and every
 float written goes through one formatter, the JSON encoder's repr: JSON is
@@ -72,7 +74,7 @@ from .ranking import (
     qsw_activity,
     szegedy_rank,
 )
-from .walks import WalkSpec, evolve, long_time_average
+from .walks import WalkSpec, evolve, long_time_average, uniform_superposition
 
 
 # start:stop:count grids are checked against this point count before they
@@ -97,7 +99,10 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """--seed, else QNET_SEED, else 0; read only by a run that draws random numbers."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get("QNET_SEED", "0")
     try:
         return int(raw)
@@ -290,17 +295,13 @@ def _hamiltonian(g: Graph, generator: str, symmetrize: bool) -> np.ndarray:
 # subcommands
 
 
-def _cmd_walk(args) -> int:
+def _cmd_walk(args) -> dict:
     g = _load_graph(args.toy, args.input, args.directed)
     h = _hamiltonian(g, args.generator, args.symmetrize)
     if args.uniform:
-        initial = np.full(h.shape[0], 1.0 / np.sqrt(h.shape[0]), dtype=complex)
-        initial_tag = "uniform"
+        initial, initial_tag = uniform_superposition(h.shape[0]), "uniform"
     else:
-        if not 0 <= args.start < h.shape[0]:
-            raise UsageError(f"--start {args.start} outside [0, {h.shape[0]})")
-        initial = args.start
-        initial_tag = args.start
+        initial = initial_tag = args.start
     payload: dict = {
         "generator": args.generator,
         "initial": initial_tag,
@@ -316,11 +317,10 @@ def _cmd_walk(args) -> int:
         payload["probabilities"] = _series_columns(res.series, args.matrix_out)
         payload["variance"] = res.variance.tolist()
     payload["average"] = res.long_time.tolist()
-    _emit(payload, args.output)
-    return 0
+    return payload
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args) -> dict:
     g = _load_graph(args.toy, args.input, args.directed)
     if args.variant in ("classical", "adiabatic", "szegedy"):
         gm = google_matrix(g, damping=args.damping)
@@ -339,8 +339,7 @@ def _cmd_rank(args) -> int:
         result = qsw_activity(g, damping=args.damping, jump_form=args.jump)
     payload = result.as_dict()
     payload["damping"] = args.damping
-    _emit(payload, args.output)
-    return 0
+    return payload
 
 
 def _density(g: Graph, kind: str, tau: float):
@@ -349,14 +348,12 @@ def _density(g: Graph, kind: str, tau: float):
     return density_propagator(g, tau)
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args) -> dict:
     g = _load_graph(args.toy, args.input, args.directed)
-    rho = _density(g, args.density, args.tau)
-    _emit({"entropy_bits": vn_entropy(rho)}, args.output)
-    return 0
+    return {"entropy_bits": vn_entropy(_density(g, args.density, args.tau))}
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> dict:
     g = _load_graph(args.toy, args.input, args.directed)
     other = _load_graph(args.other_toy, args.other, args.directed)
     if g.n != other.n:
@@ -366,23 +363,21 @@ def _cmd_compare(args) -> int:
     if args.measure == "js":
         divergence = js_divergence(rho, sigma)
         # js_distance is this root; calling it would decompose the mixture again
-        payload = {"js_divergence_bits": divergence, "js_distance": math.sqrt(divergence)}
-    else:
-        kl = kl_divergence(rho, sigma)
-        # +inf past the reference's support, which JSON can only hold as text
-        payload = {"kl_bits": "inf" if kl == math.inf else kl}
-    _emit(payload, args.output)
-    return 0
+        return {"js_divergence_bits": divergence, "js_distance": math.sqrt(divergence)}
+    kl = kl_divergence(rho, sigma)
+    # +inf past the reference's support, which JSON can only hold as text
+    return {"kl_bits": "inf" if kl == math.inf else kl}
 
 
-def _cmd_communities(args) -> int:
+def _cmd_communities(args) -> dict:
+    if args.method == "magnetic" and args.matrix_out:
+        raise UsageError("--matrix-out needs --method agglomerate: "
+                         "the magnetic method builds no closeness matrix")
     g = _load_graph(args.toy, args.input, args.directed)
     if args.method == "magnetic":
         if args.theta is None:
             raise UsageError("--theta is required for the magnetic method")
-        part = magnetic_partition(g, theta=args.theta, k=args.k, seed=args.seed)
-        _emit(part.as_dict(), args.output)
-        return 0
+        return magnetic_partition(g, theta=args.theta, k=args.k, seed=_seed(args)).as_dict()
     h = _hamiltonian(g, args.generator, args.symmetrize)
     if args.measure == "short-time":
         c = closeness_short_time_transport(h, t=args.t)
@@ -399,8 +394,7 @@ def _cmd_communities(args) -> int:
     payload["measure"] = c.measure
     if c.time is not None:
         payload["time"] = c.time
-    _emit(payload, args.output)
-    return 0
+    return payload
 
 
 def _parse_lattice(text: str) -> tuple[int, int]:
@@ -426,50 +420,46 @@ def _write_trials(path: str, curve) -> None:
                           for idx, (rec, fraction) in enumerate(zip(stats.records, fractions)))
 
 
-def _cmd_percolate(args) -> int:
+def _cmd_percolate(args) -> dict:
     modes = [args.p is not None, args.scan is not None,
              args.link_p is not None, args.emergence is not None]
     if sum(modes) != 1:
         raise UsageError("pick exactly one of --p, --scan, --link-p, --emergence")
+    if args.emergence is not None and args.trials_out:
+        raise UsageError("--trials-out needs a lattice mode: --emergence keeps no per-trial records")
+    seed = _seed(args)
     if args.emergence is not None:
         n_values = _parse_grid(args.n_values, "--n-values")
         if not all(v.is_integer() for v in n_values):
             raise UsageError(f"--n-values needs whole node counts, got {args.n_values!r}")
         n_values = [int(v) for v in n_values]
         c_values = _parse_grid(args.c_values, "--c-values")
-        res = subgraph_emergence(
+        return subgraph_emergence(
             args.emergence, z=args.z, n_values=n_values, c_values=c_values,
-            trials=args.trials, seed=args.seed,
-        )
-        _emit(res.as_dict(), args.output)
-        return 0
+            trials=args.trials, seed=seed,
+        ).as_dict()
     width, height = _parse_lattice(args.lattice)
     if args.p is not None:
-        stats = bond_percolation(width, height, args.p, trials=args.trials, seed=args.seed)
+        stats = bond_percolation(width, height, args.p, trials=args.trials, seed=seed)
         if args.trials_out:
             _write_trials(args.trials_out, [stats])
-        _emit(stats.as_dict(), args.output)
-        return 0
+        return stats.as_dict()
     if args.scan is not None:
         grid = _parse_grid(args.scan, "--scan")
-        curve = bond_percolation_curve(width, height, grid, trials=args.trials,
-                                       seed=args.seed)
+        curve = bond_percolation_curve(width, height, grid, trials=args.trials, seed=seed)
         if args.trials_out:
             _write_trials(args.trials_out, curve)
-        payload = {
+        return {
             "points": [s.as_dict() for s in curve],
             "crossing": estimate_spanning_crossing(curve),
         }
-        _emit(payload, args.output)
-        return 0
-    res = cep_lattice(width, height, args.link_p, trials=args.trials, seed=args.seed)
+    res = cep_lattice(width, height, args.link_p, trials=args.trials, seed=seed)
     if args.trials_out:
         _write_trials(args.trials_out, [res.stats])
-    _emit(res.as_dict(), args.output)
-    return 0
+    return res.as_dict()
 
 
-def _cmd_layers(args) -> int:
+def _cmd_layers(args) -> dict:
     if args.input is None or len(args.input) < 2:
         raise UsageError("layers needs --input FILE at least twice")
     graphs, labels = [], []
@@ -481,7 +471,7 @@ def _cmd_layers(args) -> int:
     clustering = layer_cluster(stack, tau=args.tau)
     if args.matrix_out:
         _write_matrix(args.matrix_out, clustering.distance_matrix)
-    payload = {
+    return {
         "labels": list(clustering.labels),
         "merges": [
             {"a": a, "b": b, "distance": d} for a, b, d in clustering.merges
@@ -489,8 +479,6 @@ def _cmd_layers(args) -> int:
         "order": list(clustering.order),
         "tau": args.tau,
     }
-    _emit(payload, args.output)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +489,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, edges=True, seed=False):
+        """--output; --directed where an edge list is read; --seed where numbers are drawn."""
         p.add_argument("--output", metavar="FILE", help="write JSON here instead of stdout")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (default: QNET_SEED env var, else 0)")
-        p.add_argument("--directed", action="store_true", default=None,
-                       help="treat the edge list as directed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="RNG seed (default: QNET_SEED env var, else 0)")
+        if edges:
+            p.add_argument("--directed", action="store_true", default=None,
+                           help="treat the edge list as directed")
 
     walk = sub.add_parser("walk", help="continuous-time walk occupations")
     _graph_args(walk)
@@ -553,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     comm = sub.add_parser("communities", help="closeness matrices and partitions")
     _graph_args(comm)
-    common(comm)
+    common(comm, seed=True)
     comm.add_argument("--method", choices=["agglomerate", "magnetic"], default="agglomerate")
     comm.add_argument("--measure",
                       choices=["short-time", "long-time", "fidelity", "link-failure"],
@@ -572,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     comm.add_argument("--matrix-out", metavar="FILE", help="write the closeness matrix as CSV")
 
     perc = sub.add_parser("percolate", help="bond percolation and subgraph emergence")
-    common(perc)
+    common(perc, edges=False, seed=True)
     perc.add_argument("--lattice", default="64x64", metavar="WxH")
     perc.add_argument("--p", type=_finite_float, default=None, help="bond probability")
     perc.add_argument("--scan", metavar="GRID",
@@ -619,9 +610,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        if getattr(args, "seed", None) is None:
-            args.seed = _default_seed()
-        return _DISPATCH[args.command](args)
+        _emit(_DISPATCH[args.command](args), args.output)
+        return 0
     # LinAlgError subclasses ValueError, so it must be caught first
     except (np.linalg.LinAlgError, IntegrationInstabilityError, ConvergenceError,
             DistributionError) as exc:

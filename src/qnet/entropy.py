@@ -1,6 +1,8 @@
 """Network density matrices, spectral entropies, divergences, and layer clustering.
 
-A DensityMatrix keeps its spectrum: only plain arrays and JS mixtures are decomposed."""
+A DensityMatrix keeps its spectrum. A plain array passed for a state is checked
+and decomposed by make_density; a JS mixture of two states is a state, and only
+its eigenvalues are computed."""
 from __future__ import annotations
 
 import warnings
@@ -20,9 +22,9 @@ class DensityMatrix:
     """A unit-trace PSD matrix, how it was built, and its spectrum (V * w) @ V^H."""
 
     matrix: np.ndarray
-    construction: str            # "rescaled-laplacian" | "propagator" | "external"
+    construction: str            # "rescaled-laplacian" | "propagator" | "external" | "mixture"
     eigenvalues: np.ndarray      # (n,) real, summing to 1
-    vectors: np.ndarray          # (n, n), column k pairs with eigenvalues[k]
+    vectors: np.ndarray | None   # (n, n), column k pairs with eigenvalues[k]; None for a JS mixture
     tau: float | None = None
     log_eigenvalues: np.ndarray | None = None  # (n,) exact ln eigenvalues (propagator)
 
@@ -33,8 +35,9 @@ def make_density(matrix: np.ndarray, construction: str = "external",
     return DensityMatrix(m, construction, *_density_spectrum(m), tau)
 
 
-def _as_matrix(rho) -> np.ndarray:
-    return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+def _state(rho) -> DensityMatrix:
+    """rho, or a plain array checked and decomposed by make_density."""
+    return rho if isinstance(rho, DensityMatrix) else make_density(rho)
 
 
 def density_rescaled(g: Graph) -> DensityMatrix:
@@ -71,12 +74,12 @@ def density_propagator(g: Graph, tau: float) -> DensityMatrix:
 
 def vn_entropy(rho) -> float:
     """Spectral entropy in bits; eigenvalues below the clip floor count as zero."""
-    w = rho.eigenvalues if isinstance(rho, DensityMatrix) else np.linalg.eigvalsh(rho)
+    w = _state(rho).eigenvalues
     w = w[w > DEFAULT_TOLS.eig_clip_floor]
     return float(-(w * np.log2(w)).sum() + 0.0)
 
 
-def _cross_entropy(r: np.ndarray, sigma) -> float:
+def _cross_entropy(r: np.ndarray, sigma: DensityMatrix) -> float:
     """tr[r log2 sigma] in bits, or -inf with a SupportViolationWarning when r has
     mass above Tolerances.support_mass_atol outside the support of sigma.
 
@@ -85,10 +88,8 @@ def _cross_entropy(r: np.ndarray, sigma) -> float:
     log-weight would magnify, so they count as zero. For any other sigma,
     eigenvalues at or below Tolerances.eig_clip_floor span its null space.
     """
-    ws, vs = ((sigma.eigenvalues, sigma.vectors) if isinstance(sigma, DensityMatrix)
-              else np.linalg.eigh(sigma))
+    ws, vs, logs = sigma.eigenvalues, sigma.vectors, sigma.log_eigenvalues
     weights = np.real((vs.conj() * (r @ vs)).sum(axis=0))  # <v_k| r |v_k>
-    logs = getattr(sigma, "log_eigenvalues", None)
     if logs is None:
         null = ws <= DEFAULT_TOLS.eig_clip_floor
         cross_term = float((weights[~null] * np.log2(ws[~null])).sum())
@@ -110,7 +111,8 @@ def kl_divergence(rho, sigma) -> float:
     When rho carries mass outside sigma's support the divergence is infinite;
     math.inf is returned and a SupportViolationWarning explains the overlap.
     """
-    cross_term = _cross_entropy(_as_matrix(rho), sigma)
+    rho = _state(rho)
+    cross_term = _cross_entropy(rho.matrix, _state(sigma))
     if cross_term == -np.inf:
         return float("inf")
     return max(-vn_entropy(rho) - cross_term, 0.0)  # clamps rounding; keeps a NaN and -0.0
@@ -118,8 +120,10 @@ def kl_divergence(rho, sigma) -> float:
 
 def js_divergence(rho, sigma) -> float:
     """S(mix) - [S(rho) + S(sigma)]/2 in bits, bounded by [0, 1]."""
-    mix = 0.5 * (_as_matrix(rho) + _as_matrix(sigma))
-    return max(0.0, vn_entropy(mix) - 0.5 * (vn_entropy(rho) + vn_entropy(sigma)))
+    rho, sigma = _state(rho), _state(sigma)
+    mix = 0.5 * (rho.matrix + sigma.matrix)
+    mixture = DensityMatrix(mix, "mixture", np.linalg.eigvalsh(mix), None)
+    return max(0.0, vn_entropy(mixture) - 0.5 * (vn_entropy(rho) + vn_entropy(sigma)))
 
 
 def js_distance(rho, sigma) -> float:
@@ -173,8 +177,9 @@ def log_likelihood(rho, model) -> float:
     with a SupportViolationWarning if the reference has lost support where
     the observed state lives.
     """
-    r = _as_matrix(rho)
-    return _cross_entropy(r, model.density(r.shape[0]) if hasattr(model, "density") else model)
+    r = _state(rho).matrix
+    return _cross_entropy(r, model.density(r.shape[0]) if hasattr(model, "density")
+                          else _state(model))
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,62 @@ def test_seed_env_matches_flag(capsys, monkeypatch):
     assert via_env == via_flag
 
 
+@pytest.mark.parametrize("argv", [
+    ["walk", "--toy", "k2"],
+    ["rank", "--toy", "chain3-directed"],
+    ["entropy", "--toy", "p3"],
+    ["compare", "--toy", "p3", "--other-toy", "triangle"],
+    ["layers", "--input", "a.edges", "--input", "b.edges"],
+], ids=lambda argv: argv[0])
+def test_seed_flag_only_where_numbers_are_drawn(capsys, argv):
+    rc = main([*argv, "--seed", "1"])
+    assert rc == 1
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def test_percolate_takes_no_directed_flag(capsys):
+    rc = main(["percolate", "--lattice", "8x8", "--p", "0.5", "--trials", "2", "--directed"])
+    assert rc == 1
+    assert "unrecognized arguments: --directed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, expected_rc", [
+    (["walk", "--toy", "k2", "--times", "0:1:3"], 0),
+    (["communities", "--toy", "barbell7"], 0),
+    (["communities", "--toy", "barbell7", "--method", "magnetic", "--theta", "0.7854"], 1),
+    (["percolate", "--lattice", "8x8", "--p", "0.5", "--trials", "2"], 1),
+], ids=["walk", "agglomerate", "magnetic", "percolate"])
+def test_seed_env_is_read_only_by_runs_that_draw(capsys, monkeypatch, argv, expected_rc):
+    monkeypatch.setenv("QNET_SEED", "abc")
+    rc, out = run_cli(capsys, *argv)
+    assert rc == expected_rc
+    assert (out == "") == bool(expected_rc)
+
+
+def test_walk_start_outside_the_graph_exits_1(capsys):
+    rc = main(["walk", "--toy", "k2", "--start", "2"])
+    assert rc == 1
+    assert "start node 2 outside [0, 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["communities", "--toy", "barbell7", "--method", "magnetic", "--theta", "0.7854",
+     "--matrix-out"],
+    ["percolate", "--emergence", "triangle", "--n-values", "32", "--c-values", "0.5,3.0",
+     "--trials", "20", "--trials-out"],
+], ids=["magnetic-matrix-out", "emergence-trials-out"])
+def test_output_flag_a_mode_cannot_fill_is_refused(capsys, monkeypatch, tmp_path, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("computed before the flags were checked")
+    monkeypatch.setattr(cli, "magnetic_partition", never)
+    monkeypatch.setattr(cli, "subgraph_emergence", never)
+    path = tmp_path / "out.csv"
+    rc = main([*argv, str(path)])
+    assert rc == 1
+    assert "qnet: error:" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_repeat_runs_are_byte_identical(capsys):
     for argv in (
         ("walk", "--toy", "p3", "--times", "0:5:9"),

@@ -347,6 +347,23 @@ def test_js_distance_metric_axioms():
         assert dab <= js_distance(a, c) + js_distance(c, b) + 1e-12
 
 
+UPPER = [[0.5, 0.9], [0.0, 0.5]]  # unit trace, not Hermitian
+
+
+@pytest.mark.parametrize("call", [
+    lambda: vn_entropy([[np.nan, 0.0], [0.0, 1.0]]),
+    lambda: vn_entropy(np.eye(3)),
+    lambda: vn_entropy(UPPER),
+    lambda: kl_divergence(np.eye(2) / 2, UPPER),
+    lambda: js_divergence(UPPER, np.eye(2) / 2),
+    lambda: log_likelihood(np.eye(2) / 2, UPPER),
+], ids=["vn-nan", "vn-trace-3", "vn-not-hermitian", "kl-not-hermitian",
+        "js-not-hermitian", "log-likelihood-not-hermitian"])
+def test_plain_array_that_is_no_state_is_refused(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # model fitting
 
