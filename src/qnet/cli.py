@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 bad flags or bad input data, 2 numerical failure,
 3 I/O failure. Output is deterministic for a fixed seed and flag set. Each
-subcommand returns its payload and main writes it; only communities --method
-magnetic and percolate draw random numbers, so only they read --seed or QNET_SEED.
+subcommand builds its payload here, from the fields of the library's result,
+and main writes it; no other module knows the JSON layout. Only communities
+--method magnetic and percolate draw random numbers, so only they read --seed
+or QNET_SEED. A flag that the chosen mode never reads is refused, exit 1,
+before the graph is loaded.
 
 Every payload is built from plain Python values where it is made, and every
 float written goes through one formatter, the JSON encoder's repr: JSON is
@@ -296,6 +299,8 @@ def _hamiltonian(g: Graph, generator: str, symmetrize: bool) -> np.ndarray:
 
 
 def _cmd_walk(args) -> dict:
+    if args.matrix_out and args.times is None:
+        raise UsageError("--matrix-out needs --times: the long-time average has no series")
     g = _load_graph(args.toy, args.input, args.directed)
     h = _hamiltonian(g, args.generator, args.symmetrize)
     if args.uniform:
@@ -321,6 +326,8 @@ def _cmd_walk(args) -> dict:
 
 
 def _cmd_rank(args) -> dict:
+    if args.alpha is not None and args.variant != "interpolated":
+        raise UsageError("--alpha needs --variant interpolated")
     g = _load_graph(args.toy, args.input, args.directed)
     if args.variant in ("classical", "adiabatic", "szegedy"):
         gm = google_matrix(g, damping=args.damping)
@@ -337,8 +344,13 @@ def _cmd_rank(args) -> dict:
                                    jump_form=args.jump)
     else:  # qsw
         result = qsw_activity(g, damping=args.damping, jump_form=args.jump)
-    payload = result.as_dict()
-    payload["damping"] = args.damping
+    payload = {"damping": args.damping, "scores": result.scores.tolist(),
+               "variant": result.variant}
+    for key in ("variance", "ground_eigenvalue", "alpha", "converged", "iterations",
+                "degenerate"):
+        value = getattr(result, key)
+        if value is not None:
+            payload[key] = np.asarray(value).tolist()
     return payload
 
 
@@ -369,15 +381,27 @@ def _cmd_compare(args) -> dict:
     return {"kl_bits": "inf" if kl == math.inf else kl}
 
 
+def _partition_keys(part) -> dict:
+    """The payload keys of every partition, agglomerative or magnetic."""
+    return {"communities": [list(c) for c in part.communities], "method": part.method,
+            "tie": part.tie}
+
+
 def _cmd_communities(args) -> dict:
     if args.method == "magnetic" and args.matrix_out:
         raise UsageError("--matrix-out needs --method agglomerate: "
                          "the magnetic method builds no closeness matrix")
+    if args.method == "agglomerate" and args.theta is not None:
+        raise UsageError("--theta needs --method magnetic")
+    if args.t is not None and (args.method == "magnetic"
+                               or args.measure not in ("short-time", "long-time")):
+        raise UsageError("--t needs --method agglomerate with --measure short-time or long-time")
     g = _load_graph(args.toy, args.input, args.directed)
     if args.method == "magnetic":
         if args.theta is None:
             raise UsageError("--theta is required for the magnetic method")
-        return magnetic_partition(g, theta=args.theta, k=args.k, seed=_seed(args)).as_dict()
+        return _partition_keys(magnetic_partition(g, theta=args.theta, k=args.k,
+                                                  seed=_seed(args)))
     h = _hamiltonian(g, args.generator, args.symmetrize)
     if args.measure == "short-time":
         c = closeness_short_time_transport(h, t=args.t)
@@ -390,8 +414,10 @@ def _cmd_communities(args) -> dict:
     if args.matrix_out:
         _write_matrix(args.matrix_out, c.matrix)
     part = agglomerate(c)
-    payload = part.as_dict()
+    payload = _partition_keys(part)
     payload["measure"] = c.measure
+    payload["quality"] = part.quality
+    payload["merges"] = [{"a": a, "b": b, "closeness": v} for a, b, v in part.merges]
     if c.time is not None:
         payload["time"] = c.time
     return payload
@@ -420,6 +446,12 @@ def _write_trials(path: str, curve) -> None:
                           for idx, (rec, fraction) in enumerate(zip(stats.records, fractions)))
 
 
+def _stats_keys(stats) -> dict:
+    """The payload keys of one bond probability's lattice statistics."""
+    return {"ci": stats.spanning_ci, "largest_fraction_mean": stats.largest_fraction_mean,
+            "p": stats.p, "spanning_prob": stats.spanning_prob}
+
+
 def _cmd_percolate(args) -> dict:
     modes = [args.p is not None, args.scan is not None,
              args.link_p is not None, args.emergence is not None]
@@ -434,29 +466,32 @@ def _cmd_percolate(args) -> dict:
             raise UsageError(f"--n-values needs whole node counts, got {args.n_values!r}")
         n_values = [int(v) for v in n_values]
         c_values = _parse_grid(args.c_values, "--c-values")
-        return subgraph_emergence(
-            args.emergence, z=args.z, n_values=n_values, c_values=c_values,
-            trials=args.trials, seed=seed,
-        ).as_dict()
+        res = subgraph_emergence(args.emergence, z=args.z, n_values=n_values,
+                                 c_values=c_values, trials=args.trials, seed=seed)
+        return {"c_values": list(res.c_values), "fractions": res.fractions.tolist(),
+                "n_values": list(res.n_values), "regime": res.regime,
+                "sharpness": res.sharpness.tolist(), "target": res.target, "z": res.z,
+                "z_critical": res.z_critical}
     width, height = _parse_lattice(args.lattice)
     if args.p is not None:
         stats = bond_percolation(width, height, args.p, trials=args.trials, seed=seed)
         if args.trials_out:
             _write_trials(args.trials_out, [stats])
-        return stats.as_dict()
+        return _stats_keys(stats)
     if args.scan is not None:
         grid = _parse_grid(args.scan, "--scan")
         curve = bond_percolation_curve(width, height, grid, trials=args.trials, seed=seed)
         if args.trials_out:
             _write_trials(args.trials_out, curve)
         return {
-            "points": [s.as_dict() for s in curve],
+            "points": [_stats_keys(s) for s in curve],
             "crossing": estimate_spanning_crossing(curve),
         }
     res = cep_lattice(width, height, args.link_p, trials=args.trials, seed=seed)
     if args.trials_out:
         _write_trials(args.trials_out, [res.stats])
-    return res.as_dict()
+    return {**_stats_keys(res.stats), "conversion_probability": res.conversion_probability,
+            "link_p": res.link_p, "percolates": res.percolates}
 
 
 def _cmd_layers(args) -> dict:

@@ -219,20 +219,6 @@ class Partition:
     best_level: int | None = None
     tie: bool = False
 
-    def as_dict(self) -> dict:
-        out: dict = {
-            "method": self.method,
-            "communities": [list(c) for c in self.communities],
-        }
-        if self.quality is not None:
-            out["quality"] = float(self.quality)
-        if self.merges is not None:
-            out["merges"] = [
-                {"a": a, "b": b, "closeness": v} for a, b, v in self.merges
-            ]
-        out["tie"] = bool(self.tie)
-        return out
-
 
 def _relabel(owner: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
     """Labels and member tuples for a per-node cluster key, communities

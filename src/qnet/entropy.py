@@ -29,10 +29,9 @@ class DensityMatrix:
     log_eigenvalues: np.ndarray | None = None  # (n,) exact ln eigenvalues (propagator)
 
 
-def make_density(matrix: np.ndarray, construction: str = "external",
-                 tau: float | None = None) -> DensityMatrix:
+def make_density(matrix: np.ndarray) -> DensityMatrix:
     m = np.asarray(matrix)
-    return DensityMatrix(m, construction, *_density_spectrum(m), tau)
+    return DensityMatrix(m, "external", *_density_spectrum(m))
 
 
 def _state(rho) -> DensityMatrix:

@@ -292,18 +292,6 @@ class EmergenceResult:
     fractions: np.ndarray        # (len(n_values), len(c_values))
     sharpness: np.ndarray        # per size: fraction at c_max minus at c_min
 
-    def as_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "z": self.z,
-            "z_critical": self.z_critical,
-            "regime": self.regime,
-            "n_values": list(self.n_values),
-            "c_values": [float(c) for c in self.c_values],
-            "fractions": [[float(x) for x in row] for row in self.fractions],
-            "sharpness": [float(x) for x in self.sharpness],
-        }
-
 
 def subgraph_emergence(
     target: str | Graph,
@@ -394,14 +382,6 @@ class ClusterStats:
     largest_fraction_mean: float
     histogram: dict[int, int]    # cluster size -> count, aggregated over trials
     records: tuple[TrialRecord, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "spanning_prob": self.spanning_prob,
-            "largest_fraction_mean": self.largest_fraction_mean,
-            "ci": self.spanning_ci,
-        }
 
 
 def _label_lattices(uh: np.ndarray, uv: np.ndarray, ps: np.ndarray):
@@ -536,15 +516,6 @@ class CepResult:
     conversion_probability: float
     stats: ClusterStats
     percolates: bool
-
-    def as_dict(self) -> dict:
-        out = self.stats.as_dict()
-        out.update({
-            "link_p": self.link_p,
-            "conversion_probability": self.conversion_probability,
-            "percolates": self.percolates,
-        })
-        return out
 
 
 def cep_lattice(

@@ -43,22 +43,6 @@ class RankingResult:
     ground_vectors: np.ndarray | None = None
     series: np.ndarray | None = field(default=None, repr=False)
 
-    def as_dict(self) -> dict:
-        out: dict = {"variant": self.variant, "scores": [float(x) for x in self.scores]}
-        if self.variance is not None:
-            out["variance"] = [float(x) for x in self.variance]
-        if self.ground_eigenvalue is not None:
-            out["ground_eigenvalue"] = float(self.ground_eigenvalue)
-        if self.alpha is not None:
-            out["alpha"] = float(self.alpha)
-        if self.converged is not None:
-            out["converged"] = bool(self.converged)
-        if self.iterations is not None:
-            out["iterations"] = int(self.iterations)
-        if self.degenerate is not None:
-            out["degenerate"] = bool(self.degenerate)
-        return out
-
 
 def _as_transition(gm: GoogleMatrix | np.ndarray) -> np.ndarray:
     mat = gm.matrix if isinstance(gm, GoogleMatrix) else np.asarray(gm, dtype=float)

@@ -256,17 +256,84 @@ def test_walk_start_outside_the_graph_exits_1(capsys):
      "--matrix-out"],
     ["percolate", "--emergence", "triangle", "--n-values", "32", "--c-values", "0.5,3.0",
      "--trials", "20", "--trials-out"],
-], ids=["magnetic-matrix-out", "emergence-trials-out"])
+    ["walk", "--toy", "k2", "--matrix-out"],
+], ids=["magnetic-matrix-out", "emergence-trials-out", "long-time-walk-matrix-out"])
 def test_output_flag_a_mode_cannot_fill_is_refused(capsys, monkeypatch, tmp_path, argv):
     def never(*args, **kwargs):
         raise AssertionError("computed before the flags were checked")
     monkeypatch.setattr(cli, "magnetic_partition", never)
     monkeypatch.setattr(cli, "subgraph_emergence", never)
+    monkeypatch.setattr(cli, "long_time_average", never)
     path = tmp_path / "out.csv"
     rc = main([*argv, str(path)])
     assert rc == 1
     assert "qnet: error:" in capsys.readouterr().err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "--variant", "classical", "--alpha", "0.5"],
+    ["rank", "--variant", "adiabatic", "--alpha", "0.5"],
+    ["rank", "--variant", "szegedy", "--alpha", "0.5"],
+    ["rank", "--variant", "qsw", "--alpha", "0.5"],
+    ["communities", "--method", "agglomerate", "--theta", "0.7854"],
+    ["communities", "--measure", "fidelity", "--t", "2.0"],
+    ["communities", "--measure", "link-failure", "--t", "2.0"],
+    ["communities", "--method", "magnetic", "--theta", "0.7854", "--t", "2.0"],
+], ids=lambda a: "-".join(x.lstrip("-") for x in a[1:]))
+def test_input_flag_a_mode_never_reads_is_refused(capsys, monkeypatch, tmp_path, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("graph loaded before the flags were checked")
+    monkeypatch.setattr(cli, "_load_graph", never)
+    out = tmp_path / "out.json"
+    rc = main([*argv, "--toy", "barbell7", "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qnet: error:") and f"{argv[-2]} needs" in err
+    assert not out.exists()
+
+
+_CHAIN = ["rank", "--toy", "chain3-directed"]
+_STATS_KEYS = {"ci", "largest_fraction_mean", "p", "spanning_prob"}
+_PARTITION_KEYS = {"communities", "method", "tie"}
+PAYLOAD_KEYS = {
+    "rank-classical": (_CHAIN, {"damping", "iterations", "scores", "variant"}),
+    "rank-adiabatic": ([*_CHAIN, "--variant", "adiabatic"],
+                       {"damping", "degenerate", "ground_eigenvalue", "scores", "variant"}),
+    "rank-szegedy": ([*_CHAIN, "--variant", "szegedy", "--steps", "16"],
+                     {"damping", "scores", "variance", "variant"}),
+    "rank-interpolated": ([*_CHAIN, "--variant", "interpolated", "--alpha", "0.5"],
+                          {"alpha", "converged", "damping", "degenerate", "scores", "variant"}),
+    "rank-qsw": ([*_CHAIN, "--variant", "qsw"],
+                 {"converged", "damping", "degenerate", "scores", "variant"}),
+    "rank-qsw-dephasing": ([*_CHAIN, "--variant", "qsw", "--jump", "dephasing"],
+                           {"converged", "damping", "scores", "variant"}),
+    "agglomerate-t": (["communities", "--toy", "barbell7", "--t", "2.0"],
+                      _PARTITION_KEYS | {"measure", "merges", "quality", "time"}),
+    "agglomerate": (["communities", "--toy", "barbell7"],
+                    _PARTITION_KEYS | {"measure", "merges", "quality"}),
+    "magnetic": (["communities", "--toy", "barbell7", "--method", "magnetic",
+                  "--theta", "0.7854"], _PARTITION_KEYS),
+    "percolate-p": (["percolate", "--lattice", "8x8", "--p", "0.5", "--trials", "4"],
+                    _STATS_KEYS),
+    "percolate-scan": (["percolate", "--lattice", "8x8", "--scan", "0.4,0.6", "--trials", "4"],
+                       {"crossing", "points"}),
+    "percolate-link-p": (["percolate", "--lattice", "8x8", "--link-p", "0.7", "--trials", "4"],
+                         _STATS_KEYS | {"conversion_probability", "link_p", "percolates"}),
+    "percolate-emergence": (["percolate", "--emergence", "triangle", "--n-values", "16",
+                             "--trials", "4"],
+                            {"c_values", "fractions", "n_values", "regime", "sharpness",
+                             "target", "z", "z_critical"}),
+}
+
+
+@pytest.mark.parametrize("kind", PAYLOAD_KEYS)
+def test_payload_top_level_keys(capsys, kind):
+    argv, keys = PAYLOAD_KEYS[kind]
+    payload = run_json(capsys, *argv)
+    assert set(payload) == keys
+    if "points" in payload:
+        assert all(set(point) == _STATS_KEYS for point in payload["points"])
 
 
 def test_repeat_runs_are_byte_identical(capsys):

@@ -484,5 +484,3 @@ def test_cep_above_threshold_spans():
 def test_cep_accepts_bare_probability():
     res = cep_lattice(6, 6, 0.55, trials=10, seed=10)
     assert res.link_p == pytest.approx(0.55)
-    d = res.as_dict()
-    assert set(d) >= {"p", "spanning_prob", "link_p", "conversion_probability", "percolates"}
