@@ -12,7 +12,6 @@ from .errors import (
     SymmetryError,
 )
 from .graphs import (
-    BipartiteResult,
     Edge,
     Graph,
     GoogleMatrix,
@@ -21,11 +20,7 @@ from .graphs import (
     build_graph,
     build_operators,
     connected_components,
-    fiedler_map,
     google_matrix,
-    graph_from_json,
-    graph_to_json,
-    is_bipartite,
     is_connected,
     load_edge_list,
     stochastic_eigenmodes,
@@ -90,7 +85,6 @@ from .percolation import (
     ClusterStats,
     EmergenceResult,
     LinkState,
-    QubitState,
     bond_percolation,
     bond_percolation_curve,
     cep_lattice,

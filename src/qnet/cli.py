@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import Iterator
 
 import numpy as np
@@ -56,13 +57,7 @@ from .errors import (
     IntegrationInstabilityError,
     SymmetryError,
 )
-from .graphs import (
-    Graph,
-    adjacency_matrix,
-    build_operators,
-    google_matrix,
-    load_edge_list,
-)
+from .graphs import Graph, build_operators, google_matrix, load_edge_list
 from .percolation import (
     bond_percolation,
     bond_percolation_curve,
@@ -278,20 +273,12 @@ def _parse_grid(text: str, name: str) -> list[float]:
 
 
 def _hamiltonian(g: Graph, generator: str, symmetrize: bool) -> np.ndarray:
-    if generator == "adjacency":
-        a = adjacency_matrix(g)
-        if g.directed:
-            if not symmetrize:
-                raise SymmetryError(
-                    "directed graph: pass --symmetrize to walk on (A + A^H)/2"
-                )
-            a = 0.5 * (a + a.conj().T)
-        return a
+    if g.directed and not symmetrize:
+        raise SymmetryError("directed graph: pass --symmetrize to use (A + A^H)/2")
     policy = "error" if generator == "quantum-laplacian" else "exclude"
     bundle = build_operators(g, symmetrize=symmetrize, isolated_policy=policy)
-    if generator == "laplacian":
-        return bundle.laplacian
-    return bundle.quantum_generator
+    return {"adjacency": bundle.adjacency, "laplacian": bundle.laplacian,
+            "quantum-laplacian": bundle.quantum_generator}[generator]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +293,7 @@ def _cmd_walk(args) -> dict:
     if args.uniform:
         initial, initial_tag = uniform_superposition(h.shape[0]), "uniform"
     else:
-        initial = initial_tag = args.start
+        initial = initial_tag = args.start or 0
     payload: dict = {
         "generator": args.generator,
         "initial": initial_tag,
@@ -453,10 +440,6 @@ def _stats_keys(stats) -> dict:
 
 
 def _cmd_percolate(args) -> dict:
-    modes = [args.p is not None, args.scan is not None,
-             args.link_p is not None, args.emergence is not None]
-    if sum(modes) != 1:
-        raise UsageError("pick exactly one of --p, --scan, --link-p, --emergence")
     if args.emergence is not None and args.trials_out:
         raise UsageError("--trials-out needs a lattice mode: --emergence keeps no per-trial records")
     seed = _seed(args)
@@ -541,9 +524,10 @@ def build_parser() -> argparse.ArgumentParser:
                       default="adjacency")
     walk.add_argument("--symmetrize", action="store_true",
                       help="symmetrize a directed graph before building generators")
-    walk.add_argument("--start", type=int, default=0, help="start node (default 0)")
-    walk.add_argument("--uniform", action="store_true",
-                      help="start from the uniform superposition instead of a node")
+    start = walk.add_mutually_exclusive_group()
+    start.add_argument("--start", type=int, help="start node (default 0)")
+    start.add_argument("--uniform", action="store_true",
+                       help="start from the uniform superposition instead of a node")
     walk.add_argument("--times", metavar="T0:T1:COUNT",
                       help="evaluate the occupation series on this grid")
     walk.add_argument("--matrix-out", metavar="FILE",
@@ -600,12 +584,13 @@ def build_parser() -> argparse.ArgumentParser:
     perc = sub.add_parser("percolate", help="bond percolation and subgraph emergence")
     common(perc, edges=False, seed=True)
     perc.add_argument("--lattice", default="64x64", metavar="WxH")
-    perc.add_argument("--p", type=_finite_float, default=None, help="bond probability")
-    perc.add_argument("--scan", metavar="GRID",
+    mode = perc.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--p", type=_finite_float, help="bond probability")
+    mode.add_argument("--scan", metavar="GRID",
                       help="bond-probability grid (comma list or start:stop:count)")
-    perc.add_argument("--link-p", type=_finite_float, default=None,
+    mode.add_argument("--link-p", type=_finite_float,
                       help="link-state parameter p; percolate at its conversion probability")
-    perc.add_argument("--emergence", metavar="TARGET",
+    mode.add_argument("--emergence", metavar="TARGET",
                       help="subgraph-emergence mode (edge, path3, triangle, square, clique4, clique5)")
     perc.add_argument("--z", type=_finite_float, default=1.0, help="density exponent, p = c N^-z")
     perc.add_argument("--n-values", default="64,128,256", metavar="LIST")
@@ -643,22 +628,29 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-        _emit(_DISPATCH[args.command](args), args.output)
-        return 0
-    # LinAlgError subclasses ValueError, so it must be caught first
-    except (np.linalg.LinAlgError, IntegrationInstabilityError, ConvergenceError,
-            DistributionError) as exc:
-        print(f"qnet: numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, GraphFormatError, SymmetryError,
-            DisconnectedGraphError, ValueError) as exc:
-        print(f"qnet: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"qnet: i/o failure: {exc}", file=sys.stderr)
-        return 3
+    """Run one command line. Each distinct warning the run raised, as the
+    warning filters admit it, goes to stderr as one 'qnet: warning:' line,
+    ahead of the error line of a failed run."""
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args = _parser().parse_args(argv)
+            _emit(_DISPATCH[args.command](args), args.output)
+            rc = 0
+        # LinAlgError subclasses ValueError, so it must be caught first
+        except (np.linalg.LinAlgError, IntegrationInstabilityError, ConvergenceError,
+                DistributionError) as exc:
+            rc, error = 2, f"numerical failure: {exc}"
+        except (UsageError, GraphFormatError, SymmetryError,
+                DisconnectedGraphError, ValueError) as exc:
+            rc, error = 1, f"error: {exc}"
+        except OSError as exc:
+            rc, error = 3, f"i/o failure: {exc}"
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"qnet: warning: {message}", file=sys.stderr)
+    if error is not None:
+        print(f"qnet: {error}", file=sys.stderr)
+    return rc
 
 
 if __name__ == "__main__":

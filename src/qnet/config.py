@@ -40,7 +40,6 @@ class Tolerances:
     level_tie_atol: float = 1e-12       # a second level this close flags a best-level tie
     zero_response_atol: float = 1e-14   # link-failure responses below this count as none
     # entanglement percolation
-    qubit_norm_atol: float = 1e-12      # |(|a|^2 + |b|^2) - 1| of a two-amplitude pure state
     critical_ratio_atol: float = 1e-12  # |z - z_c| below this is the critical regime
 
 

@@ -1,6 +1,8 @@
-"""Graph type, parsers, and the operator bundle (adjacency, Laplacians, google matrix).
+"""Graph type, the edge-list format, the operator bundle (adjacency,
+Laplacians, google matrix), and connected components.
 
-Conventions:
+The edge list (load_edge_list, to_edge_list) is the one text format of a
+graph. Conventions:
   * A graph stores its edges as four columns: src, dst, weight, phase.
     Graph.edges, the same edges as Edge tuples, is built from them on first use.
   * Adjacency rows are sources: A[u, v] = w for a directed edge u -> v.
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import operator
 import re
@@ -264,30 +265,6 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_to_json(g: Graph) -> dict:
-    return {
-        "nodes": g.n,
-        "directed": g.directed,
-        "edges": [
-            {"src": e.src, "dst": e.dst, "w": e.weight, "phase": e.phase}
-            for e in g.edges
-        ],
-    }
-
-
-def graph_from_json(obj: dict | str) -> Graph:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    try:
-        n = obj["nodes"]
-        directed = bool(obj.get("directed", False))
-        edges = [(e["src"], e["dst"], e.get("w", 1.0), e.get("phase", 0.0))
-                 for e in obj["edges"]]
-    except (KeyError, TypeError) as exc:
-        raise GraphFormatError(f"bad graph json: {exc}") from None
-    return build_graph(n, edges, directed=directed)
-
-
 # ---------------------------------------------------------------------------
 # dense operators
 
@@ -318,10 +295,6 @@ class OperatorBundle:
     stochastic_generator: np.ndarray  # Lap @ D^-1, columns sum to zero
     quantum_generator: np.ndarray    # D^-1/2 Lap D^-1/2, Hermitian
     isolated: tuple[int, ...]        # nodes excluded from the D^-1 generators
-
-    @property
-    def degree_matrix(self) -> np.ndarray:
-        return np.diag(self.strength)
 
 
 def build_operators(
@@ -420,35 +393,28 @@ def google_matrix(g: Graph, damping: float = 0.85) -> GoogleMatrix:
 # structure checks
 
 
-def _search(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int], list[int]]:
-    """Breadth-first forest of n nodes joined by undirected pairs, each tree
-    started at the smallest node not yet reached: every node's root, parent
-    (-1 at a root) and depth."""
+def _components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Components of n nodes joined by undirected pairs, each sorted, ordered
+    by their smallest member: the trees of a breadth-first forest, each
+    started at the smallest node not yet reached."""
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for a, b in pairs:
         nbrs[a].append(b)
         nbrs[b].append(a)
-    root, parent, depth = [-1] * n, [-1] * n, [0] * n
+    seen = [False] * n
+    comps = []
     for start in range(n):
-        if root[start] != -1:
+        if seen[start]:
             continue
-        root[start] = start
+        seen[start] = True
         queue = [start]
         for u in queue:  # grows while it is read: breadth-first order
             for v in nbrs[u]:
-                if root[v] == -1:
-                    root[v], parent[v], depth[v] = start, u, depth[u] + 1
+                if not seen[v]:
+                    seen[v] = True
                     queue.append(v)
-    return root, parent, depth
-
-
-def _components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Components of n nodes joined by undirected pairs, each sorted, ordered
-    by their smallest member."""
-    comps: dict[int, list[int]] = {}
-    for v, r in enumerate(_search(n, pairs)[0]):
-        comps.setdefault(r, []).append(v)
-    return list(comps.values())
+        comps.append(sorted(queue))
+    return comps
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -458,47 +424,3 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(connected_components(g)) == 1
-
-
-@dataclass(frozen=True)
-class BipartiteResult:
-    bipartite: bool
-    coloring: np.ndarray | None      # (n,) of {0,1} when bipartite
-    odd_cycle: tuple[int, ...] | None  # witness cycle otherwise
-
-
-def is_bipartite(g: Graph) -> BipartiteResult:
-    """Two-color the undirected view by the parity of breadth-first depth,
-    ignoring self-loops. The graph is not bipartite when a link joins two
-    nodes of equal parity; the witness is then the odd cycle that the first
-    such link, in edge order, closes through the search tree."""
-    pairs = list(zip(g.src.tolist(), g.dst.tolist()))
-    _, parent, depth = _search(g.n, pairs)
-    for u, v in pairs:
-        if u != v and depth[u] % 2 == depth[v] % 2:
-            return BipartiteResult(False, None, _odd_cycle(u, v, parent))
-    return BipartiteResult(True, np.array(depth, dtype=int) % 2, None)
-
-
-def _odd_cycle(u: int, v: int, parent: list[int]) -> tuple[int, ...]:
-    """Reconstruct the cycle through the conflict edge (u, v)."""
-    path_u, path_v = [u], [v]
-    seen = {u: 0}
-    x = u
-    while parent[x] != -1:
-        x = parent[x]
-        seen[x] = len(path_u)
-        path_u.append(x)
-    x = v
-    while x not in seen:
-        x = parent[x]
-        path_v.append(x)
-    meet = seen[x]
-    cycle = path_u[:meet + 1] + list(reversed(path_v[:-1]))
-    return tuple(cycle)
-
-
-def fiedler_map(lap: np.ndarray) -> np.ndarray:
-    """Map any Laplacian-like operator L to the PSD L^T L with the same kernel."""
-    lap = np.asarray(lap)
-    return lap.T.conj() @ lap

@@ -53,23 +53,6 @@ _IN_PLANE[1] = [[0, 1, 0], [1, 1, 1], [0, 1, 0]]
 
 
 @dataclass(frozen=True)
-class QubitState:
-    """Two-amplitude pure state; amplitudes must be normalized."""
-
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self):
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > DEFAULT_TOLS.qubit_norm_atol:
-            raise ValueError(f"amplitudes are not normalized: |a|^2+|b|^2 = {norm!r}")
-
-    @property
-    def probabilities(self) -> tuple[float, float]:
-        return abs(self.alpha) ** 2, abs(self.beta) ** 2
-
-
-@dataclass(frozen=True)
 class LinkState:
     """Partially entangled pair state parameterized by p in [0, 1]:
     amplitudes (sqrt(2-p), sqrt(p))/sqrt(2) on the |00>, |11> components."""
@@ -282,8 +265,6 @@ def _first_containing(tg: _Target, u: np.ndarray, iu: np.ndarray, ju: np.ndarray
 @dataclass(frozen=True)
 class EmergenceResult:
     target: str
-    target_nodes: int
-    target_links: int
     z: float
     z_critical: float            # nodes/links of the target
     regime: str                  # supercritical | critical | subcritical
@@ -349,8 +330,6 @@ def subgraph_emergence(
     sharpness = fractions[:, -1] - fractions[:, 0]
     return EmergenceResult(
         target=name,
-        target_nodes=tg.n,
-        target_links=len(tg.edges),
         z=float(z),
         z_critical=float(z_crit),
         regime=regime,

@@ -1,11 +1,16 @@
 """Node ranking: power iteration, ground-state ranking, edge-space walks,
 and dissipative interpolation between the unitary and classical limits.
 
-The two-register (Szegedy) walk keeps its state as an n x n register array,
-so one reflect-and-swap step costs O(n^2); graphs of up to 2048 nodes rank,
-the limit MAX_SZEGEDY_ENTRIES sets on the register array and the step
-series. szegedy_step_matrix writes that same step densely on the n^2 edge
-space, for unitarity checks on graphs of up to 64 nodes.
+The ground-state ranking reads the kernel of rank_hamiltonian, the positive
+semidefinite (I - G)^T (I - G) of a column-stochastic G, which is the
+stationary distribution.
+
+The two-register (Szegedy) walk ranks by the occupations of its second
+register, the one Paparo and Martin-Delgado measure. It keeps its state as an
+n x n register array, so one reflect-and-swap step costs O(n^2); graphs of up
+to 2048 nodes rank, the limit MAX_SZEGEDY_ENTRIES sets on the register array
+and the step series. szegedy_step_matrix writes that same step densely on the
+n^2 edge space, for unitarity checks on graphs of up to 64 nodes.
 
 The dissipative rankings are steady states of a master equation, solved in
 closed form on the eigendecomposition of the symmetrized Hamiltonian rather
@@ -40,7 +45,6 @@ class RankingResult:
     converged: bool | None = None
     iterations: int | None = None
     degenerate: bool | None = None
-    ground_vectors: np.ndarray | None = None
     series: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -84,15 +88,14 @@ def adiabatic_rank(gm: GoogleMatrix | np.ndarray) -> RankingResult:
     """Ranking from the ground state of the PSD rank Hamiltonian.
 
     A degenerate ground space (ties in the stationary structure, e.g. damping
-    1 on a disconnected graph) is flagged and all ground vectors returned;
-    scores then come from the basis-independent ground-projector diagonal,
-    the squared row norms of the ground eigenvector block.
+    1 on a disconnected graph) is flagged; scores then come from the
+    basis-independent ground-projector diagonal, the squared row norms of the
+    ground eigenvector block.
     """
     h = rank_hamiltonian(gm)
     dec = hermitian_eig(h)
-    rank = dec.ground_degeneracy
     ground_energy = float(dec.group_values[0])
-    if rank > 1:
+    if dec.ground_degeneracy > 1:
         scores = np.sum(np.abs(dec.blocks[0]) ** 2, axis=1)
         scores /= scores.sum()
         return RankingResult(
@@ -100,7 +103,6 @@ def adiabatic_rank(gm: GoogleMatrix | np.ndarray) -> RankingResult:
             scores=scores,
             ground_eigenvalue=ground_energy,
             degenerate=True,
-            ground_vectors=dec.vectors[:, :rank],
         )
     v0 = np.real(dec.ground_vector)
     if v0.sum() < 0:
@@ -146,14 +148,14 @@ def szegedy_step_matrix(gm: GoogleMatrix | np.ndarray) -> np.ndarray:
 def szegedy_rank(
     gm: GoogleMatrix | np.ndarray,
     steps: int = 512,
-    measure_register: int = 2,
 ) -> RankingResult:
-    """Cumulative time-averaged register occupations of the two-register walk.
+    """Cumulative time-averaged occupations of the second register of the
+    two-register walk, the register Paparo and Martin-Delgado measure.
 
     One walk step is the two-reflection composition (swap . reflect applied
     twice), which keeps the register roles fixed between measurements; the
     walk starts in the uniform superposition of the prepared columns, the
-    chosen register is read after each of t = 1..steps walk steps, and the
+    second register is read after each of t = 1..steps walk steps, and the
     scores are the running mean with per-node variance of the step series.
 
     The state is kept as the n x n register array, so a step costs O(n^2)
@@ -163,8 +165,6 @@ def szegedy_rank(
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if measure_register not in (1, 2):
-        raise ValueError("measure_register must be 1 or 2")
     mat = _as_transition(gm)
     n = mat.shape[0]
     if n * n > MAX_SZEGEDY_ENTRIES:
@@ -180,8 +180,7 @@ def szegedy_rank(
     for t in range(steps):
         x = _szegedy_step(s, s2, _szegedy_step(s, s2, x))
         x = x / np.linalg.norm(x)
-        occ = x ** 2
-        series[t] = occ.sum(axis=0) if measure_register == 2 else occ.sum(axis=1)
+        series[t] = (x ** 2).sum(axis=0)
     scores = series.mean(axis=0)
     scores = scores / scores.sum()
     return RankingResult(

@@ -37,20 +37,18 @@ def szegedy_step_operator(gm: GoogleMatrix | np.ndarray):
 def szegedy_rank(
     gm: GoogleMatrix | np.ndarray,
     steps: int = 512,
-    measure_register: int = 2,
 ) -> RankingResult:
-    """Cumulative time-averaged register occupations of the two-register walk.
+    """Cumulative time-averaged second-register occupations of the
+    two-register walk.
 
     One walk step is the two-reflection composition (swap . reflect applied
     twice), which keeps the register roles fixed between measurements; the
     walk starts in the uniform superposition of the prepared columns, the
-    chosen register is read after each of t = 1..steps walk steps, and the
+    second register is read after each of t = 1..steps walk steps, and the
     scores are the running mean with per-node variance of the step series.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if measure_register not in (1, 2):
-        raise ValueError("measure_register must be 1 or 2")
     apply, n = szegedy_step_operator(gm)
     psi = szegedy_state_prep(gm).sum(axis=1) / np.sqrt(n)
     state = psi.astype(complex)
@@ -58,8 +56,7 @@ def szegedy_rank(
     for t in range(steps):
         state = apply(apply(state))
         state = state / np.linalg.norm(state)
-        occ = np.abs(state.reshape(n, n)) ** 2
-        series[t] = occ.sum(axis=0) if measure_register == 2 else occ.sum(axis=1)
+        series[t] = (np.abs(state.reshape(n, n)) ** 2).sum(axis=0)
     scores = series.mean(axis=0)
     scores = scores / scores.sum()
     return RankingResult(

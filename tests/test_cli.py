@@ -400,7 +400,6 @@ def test_non_finite_payload_is_refused_before_the_output_opens(capsys, tmp_path,
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.filterwarnings("ignore::qnet.SupportViolationWarning")
 def test_kl_past_the_reference_support_is_the_string_inf(capsys, tmp_path):
     path, links = tmp_path / "path.edges", tmp_path / "links.edges"
     path.write_text("0 1\n1 2\n2 3\n")
@@ -623,6 +622,44 @@ def test_bad_flag_is_usage_error(capsys):
     rc = main(["entropy", "--toy", "k2", "--input", "x.edges"])
     capsys.readouterr()
     assert rc == 1
+    # conflicting modes: argparse refuses them rather than dropping one
+    rc = main(["walk", "--toy", "k2", "--uniform", "--start", "1"])
+    assert rc == 1
+    assert "--start: not allowed with argument --uniform" in capsys.readouterr().err
+    rc = main(["percolate", "--lattice", "8x8", "--p", "0.5", "--scan", "0.4,0.6"])
+    assert rc == 1
+    assert "--scan: not allowed with argument --p" in capsys.readouterr().err
+    rc = main(["percolate", "--lattice", "8x8", "--trials", "2"])
+    assert rc == 1
+    assert "one of the arguments --p --scan --link-p --emergence is required" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("generator", ["adjacency", "laplacian", "quantum-laplacian"])
+def test_directed_graph_error_names_the_symmetrize_flag(capsys, generator):
+    rc = main(["walk", "--toy", "chain3-directed", "--generator", generator])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.startswith("qnet: error: directed graph:") and "--symmetrize" in err
+
+
+def test_library_warnings_are_one_qnet_line_each(capsys, tmp_path):
+    path, links = tmp_path / "path.edges", tmp_path / "links.edges"
+    path.write_text("0 1\n1 2\n2 3\n")
+    links.write_text("nodes 4\n0 1\n2 3\n")
+    runs = [
+        (["communities", "--toy", "barbell7", "--measure", "short-time", "--t", "0.3"],
+         "qnet: warning: short-time horizon t*max|H| = 0.300 exceeds 0.1; "
+         "values are no longer proportional to the couplings\n"),
+        (["compare", "--input", str(path), "--other", str(links), "--density", "rescaled",
+          "--measure", "kl"],
+         "qnet: warning: support violation: 1.667e-01 of the state lies outside "
+         "the reference support\n"),
+    ]
+    for argv, expected in runs:
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert err == expected and ".py:" not in err
 
 
 def test_directed_graph_without_symmetrize_rejected(capsys, tmp_path):

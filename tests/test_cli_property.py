@@ -125,7 +125,6 @@ def _non_finite(x, key=None):
 
 @pytest.mark.parametrize("command", ["walk", "rank", "entropy", "compare", "communities",
                                      "percolate", "layers"])
-@pytest.mark.filterwarnings("ignore:short-time horizon")
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_every_command_line_ends_in_a_documented_exit(edge_files, command, data):

@@ -14,8 +14,6 @@ from qnet import (
     adjacency_matrix,
     aggregate_layers,
     build_graph,
-    graph_from_json,
-    graph_to_json,
     load_edge_list,
     to_edge_list,
 )
@@ -130,7 +128,6 @@ def test_valid_edge_lists_match_reference_parser_and_round_trip(text, directed):
     assert got == outcome(reference.load_edge_list, text, directed=directed)
     g = load_edge_list(text, directed=directed)
     assert load_edge_list(to_edge_list(g)) == g
-    assert graph_from_json(graph_to_json(g)) == g
 
 
 @pytest.mark.parametrize("text", [

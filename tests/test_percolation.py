@@ -15,7 +15,6 @@ from networkx.algorithms import isomorphism
 
 from qnet import (
     LinkState,
-    QubitState,
     bond_percolation,
     bond_percolation_curve,
     build_graph,
@@ -36,14 +35,6 @@ import _percolation_reference as reference
 
 # ---------------------------------------------------------------------------
 # link states
-
-
-def test_qubit_state_normalization():
-    s = QubitState(alpha=np.sqrt(0.3), beta=np.sqrt(0.7) * 1j)
-    assert s.probabilities[0] == pytest.approx(0.3, abs=1e-12)
-    assert s.probabilities[1] == pytest.approx(0.7, abs=1e-12)
-    with pytest.raises(ValueError, match="normalized"):
-        QubitState(alpha=1.0, beta=1.0)
 
 
 def test_link_state_amplitudes_normalized():

@@ -97,6 +97,27 @@ def test_rank_hamiltonian_positive_semidefinite():
     assert np.linalg.eigvalsh(h)[0] >= -1e-12
 
 
+def test_rank_hamiltonian_squares_spectrum_and_keeps_kernel():
+    # lazy walk G = I - L/4 on the 3-path: I - G = L/4 with spectrum 0, 1/4, 3/4
+    lap = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+    h = rank_hamiltonian(np.eye(3) - lap / 4.0)
+    assert np.allclose(np.linalg.eigvalsh(h), [0.0, 1.0 / 16.0, 9.0 / 16.0], atol=1e-12)
+    uniform = np.ones(3) / np.sqrt(3)
+    assert np.abs(h @ uniform).max() <= 1e-12
+
+
+def test_rank_hamiltonian_positive_semidefinite_for_directed_generator():
+    rng = np.random.default_rng(26)
+    gm = google_matrix(random_directed_graph(rng, 8), 0.85)
+    h = rank_hamiltonian(gm)
+    w = np.linalg.eigvalsh(h)
+    # the squared singular values of I - G, one of them zero
+    sv = np.linalg.svd(np.eye(8) - gm.matrix, compute_uv=False)
+    assert np.allclose(w, np.sort(sv ** 2), atol=1e-12)
+    assert w[0] >= -1e-12 and w[1] > 1e-3
+    assert np.abs(h @ classical_pagerank(gm).scores).max() <= 1e-12
+
+
 def test_adiabatic_flags_degenerate_ground_space():
     r = adiabatic_rank(np.eye(3))
     assert r.degenerate

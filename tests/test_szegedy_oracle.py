@@ -25,14 +25,16 @@ ORACLE_ATOL = 1e-13
 STEP_ATOL = 1e-10
 
 
-@pytest.mark.parametrize("measure_register", [1, 2])
+# runs of one and two 32-step periods: the longer run checks that rounding
+# does not build up between the two walks over the renormalized steps
+@pytest.mark.parametrize("periods", [1, 2])
 @pytest.mark.parametrize("damping", [0.85, 0.5])
 @pytest.mark.parametrize("case", range(len(ORACLE_SIZES)))
-def test_szegedy_rank_matches_dense_reference(case, damping, measure_register):
+def test_szegedy_rank_matches_dense_reference(case, damping, periods):
     rng = np.random.default_rng(700 + case)
     gm = google_matrix(random_directed_graph(rng, ORACLE_SIZES[case]), damping)
-    got = szegedy_rank(gm, steps=32, measure_register=measure_register)
-    want = reference.szegedy_rank(gm, steps=32, measure_register=measure_register)
+    got = szegedy_rank(gm, steps=32 * periods)
+    want = reference.szegedy_rank(gm, steps=32 * periods)
     for field in ("scores", "variance", "series"):
         np.testing.assert_allclose(getattr(got, field), getattr(want, field),
                                    rtol=0.0, atol=ORACLE_ATOL, err_msg=field)

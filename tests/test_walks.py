@@ -127,7 +127,7 @@ def test_ground_state_occupations_follow_degrees():
         ops = build_operators(g)
         dec_ground = np.linalg.eigh(ops.quantum_generator)
         phi0 = dec_ground[1][:, 0]
-        deg = np.diag(ops.degree_matrix)
+        deg = ops.strength
         expect = deg / deg.sum()
         times = np.array([0.0, 1.3, 7.7])
         res = evolve(WalkSpec(generator=ops.quantum_generator, initial=phi0, times=times))
@@ -225,7 +225,7 @@ def test_ground_state_start_has_zero_quantumness():
     rng = np.random.default_rng(35)
     g = random_connected_graph(rng, 9)
     ops = build_operators(g)
-    deg = np.diag(ops.degree_matrix)
+    deg = ops.strength
     phi0 = np.sqrt(deg / deg.sum())
     assert quantumness(g, initial=phi0) <= 1e-12
 
