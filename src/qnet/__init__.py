@@ -61,6 +61,7 @@ from .entropy import (
     aggregate_layers,
     density_propagator,
     density_rescaled,
+    graph_entropy,
     js_distance,
     js_divergence,
     kl_divergence,

@@ -1,7 +1,8 @@
 """Command-line front end: load graphs, run any analysis, emit JSON or CSV.
 
 Exit codes: 0 success, 1 bad flags or bad input data, 2 numerical failure,
-3 I/O failure. Output is deterministic for a fixed seed and flag set. Each
+3 I/O failure; an input too large for the memory at hand (MemoryError) is bad
+input, exit 1. Output is deterministic for a fixed seed and flag set. Each
 subcommand builds its payload here, from the fields of the library's result,
 and main writes it; no other module knows the JSON layout. Only communities
 --method magnetic and percolate draw random numbers, so only they read --seed
@@ -44,10 +45,10 @@ from .entropy import (
     LayerStack,
     density_propagator,
     density_rescaled,
+    graph_entropy,
     js_divergence,
     kl_divergence,
     layer_cluster,
-    vn_entropy,
 )
 from .errors import (
     ConvergenceError,
@@ -315,6 +316,11 @@ def _cmd_walk(args) -> dict:
 def _cmd_rank(args) -> dict:
     if args.alpha is not None and args.variant != "interpolated":
         raise UsageError("--alpha needs --variant interpolated")
+    if args.steps is not None and args.variant != "szegedy":
+        raise UsageError("--steps needs --variant szegedy")
+    if args.jump is not None and args.variant not in ("interpolated", "qsw"):
+        raise UsageError("--jump needs --variant interpolated or qsw")
+    jump = args.jump or "transport"
     g = _load_graph(args.toy, args.input, args.directed)
     if args.variant in ("classical", "adiabatic", "szegedy"):
         gm = google_matrix(g, damping=args.damping)
@@ -323,14 +329,14 @@ def _cmd_rank(args) -> dict:
         elif args.variant == "adiabatic":
             result = adiabatic_rank(gm)
         else:
-            result = szegedy_rank(gm, steps=args.steps)
+            result = szegedy_rank(gm, steps=512 if args.steps is None else args.steps)
     elif args.variant == "interpolated":
         if args.alpha is None:
             raise UsageError("--alpha is required for the interpolated variant")
         result = interpolated_rank(g, alpha=args.alpha, damping=args.damping,
-                                   jump_form=args.jump)
+                                   jump_form=jump)
     else:  # qsw
-        result = qsw_activity(g, damping=args.damping, jump_form=args.jump)
+        result = qsw_activity(g, damping=args.damping, jump_form=jump)
     payload = {"damping": args.damping, "scores": result.scores.tolist(),
                "variant": result.variant}
     for key in ("variance", "ground_eigenvalue", "alpha", "converged", "iterations",
@@ -341,6 +347,13 @@ def _cmd_rank(args) -> dict:
     return payload
 
 
+def _tau(args) -> float:
+    """--tau, which only the propagator density reads; 1.0 when not given."""
+    if args.tau is not None and args.density != "propagator":
+        raise UsageError("--tau needs --density propagator")
+    return 1.0 if args.tau is None else args.tau
+
+
 def _density(g: Graph, kind: str, tau: float):
     if kind == "rescaled":
         return density_rescaled(g)
@@ -348,17 +361,19 @@ def _density(g: Graph, kind: str, tau: float):
 
 
 def _cmd_entropy(args) -> dict:
+    tau = _tau(args)
     g = _load_graph(args.toy, args.input, args.directed)
-    return {"entropy_bits": vn_entropy(_density(g, args.density, args.tau))}
+    return {"entropy_bits": graph_entropy(g, args.density, tau)}
 
 
 def _cmd_compare(args) -> dict:
+    tau = _tau(args)
     g = _load_graph(args.toy, args.input, args.directed)
     other = _load_graph(args.other_toy, args.other, args.directed)
     if g.n != other.n:
         raise UsageError(f"graphs differ in size: {g.n} vs {other.n}")
-    rho = _density(g, args.density, args.tau)
-    sigma = _density(other, args.density, args.tau)
+    rho = _density(g, args.density, tau)
+    sigma = _density(other, args.density, tau)
     if args.measure == "js":
         divergence = js_divergence(rho, sigma)
         # js_distance is this root; calling it would decompose the mixture again
@@ -542,15 +557,17 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--damping", type=_finite_float, default=0.85)
     rank.add_argument("--alpha", type=_finite_float, default=None,
                       help="dissipative weight in (0, 1] (interpolated variant)")
-    rank.add_argument("--steps", type=int, default=512, help="szegedy walk steps")
-    rank.add_argument("--jump", choices=["transport", "dephasing"], default="transport")
+    rank.add_argument("--steps", type=int, default=None,
+                      help="walk steps (szegedy variant, default 512)")
+    rank.add_argument("--jump", choices=["transport", "dephasing"], default=None,
+                      help="jump form (interpolated and qsw variants, default transport)")
 
     entropy = sub.add_parser("entropy", help="Von Neumann entropy of a graph state")
     _graph_args(entropy)
     common(entropy)
     entropy.add_argument("--density", choices=["rescaled", "propagator"], default="rescaled")
-    entropy.add_argument("--tau", type=_finite_float, default=1.0,
-                         help="propagator time (propagator density only)")
+    entropy.add_argument("--tau", type=_finite_float, default=None,
+                         help="propagator time (propagator density only, default 1.0)")
 
     compare = sub.add_parser("compare", help="divergences between two graph states")
     _graph_args(compare)
@@ -559,7 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(compare)
     compare.add_argument("--measure", choices=["js", "kl"], default="js")
     compare.add_argument("--density", choices=["rescaled", "propagator"], default="propagator")
-    compare.add_argument("--tau", type=_finite_float, default=1.0)
+    compare.add_argument("--tau", type=_finite_float, default=None,
+                         help="propagator time (propagator density only, default 1.0)")
 
     comm = sub.add_parser("communities", help="closeness matrices and partitions")
     _graph_args(comm)
@@ -646,6 +664,8 @@ def main(argv: list[str] | None = None) -> int:
             rc, error = 1, f"error: {exc}"
         except OSError as exc:
             rc, error = 3, f"i/o failure: {exc}"
+        except MemoryError as exc:  # an input too large for the memory at hand
+            rc, error = 1, (f"error: out of memory: {exc}" if str(exc) else "error: out of memory")
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"qnet: warning: {message}", file=sys.stderr)
     if error is not None:

@@ -30,6 +30,9 @@ class Tolerances:
     distribution_negative_atol: float = 1e-12
     # walk chirality
     chiral_bias_atol: float = 1e-9      # max|p_H - p_conj(H)| above this breaks time reversal
+    # two-register (Szegedy) walk: the coefficient walk runs while
+    # steps * eps / sqrt(1 - max|eig D|) stays at or below this
+    szegedy_rounding_atol: float = 3e-13
     # classical PageRank
     pagerank_l1_atol: float = 1e-13     # power iteration stops at this L1 change per step
     # dissipative-ranking steady state

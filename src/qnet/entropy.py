@@ -2,7 +2,10 @@
 
 A DensityMatrix keeps its spectrum. A plain array passed for a state is checked
 and decomposed by make_density; a JS mixture of two states is a state, and only
-its eigenvalues are computed."""
+its eigenvalues are computed. The entropy of a graph's own state, graph_entropy,
+reads only the eigenvalues of its Laplacian and forms neither eigenvectors nor
+the density matrix; it shares the propagator weights (_propagator_weights) and
+the entropy sum (_entropy_bits) with the states that keep their matrix."""
 from __future__ import annotations
 
 import warnings
@@ -14,7 +17,7 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .errors import GraphFormatError, SupportViolationWarning
 from .graphs import Graph, _graph, build_operators
-from .linalg import _density_spectrum, hermitian_eig
+from .linalg import _density_spectrum, hermitian_eig, hermitian_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -39,12 +42,18 @@ def _state(rho) -> DensityMatrix:
     return rho if isinstance(rho, DensityMatrix) else make_density(rho)
 
 
-def density_rescaled(g: Graph) -> DensityMatrix:
-    """Laplacian divided by its trace. Needs at least one edge."""
+def _rescaled_laplacian(g: Graph) -> tuple[np.ndarray, float]:
+    """The Laplacian of g and its trace, which the rescaled density divides by."""
     lap = build_operators(g).laplacian
     tr = float(np.trace(lap).real)
     if tr <= 0:
         raise GraphFormatError("rescaled-laplacian density needs a graph with edges")
+    return lap, tr
+
+
+def density_rescaled(g: Graph) -> DensityMatrix:
+    """Laplacian divided by its trace. Needs at least one edge."""
+    lap, tr = _rescaled_laplacian(g)
     dec = hermitian_eig(lap)
     return DensityMatrix(lap / tr, "rescaled-laplacian", dec.eigenvalues / tr, dec.vectors)
 
@@ -54,15 +63,22 @@ def _check_tau(tau: float) -> None:
         raise ValueError(f"tau must be finite and >= 0, got {tau}")
 
 
+def _propagator_weights(eigenvalues: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """The weights of exp(-tau L) / tr exp(-tau L) on the ascending eigenvalues of
+    L, and their exact natural logs, from exp(-tau (lambda - lambda_min)) so that
+    no finite tau underflows every weight."""
+    with np.errstate(over="ignore"):  # -inf marks a direction out of the support
+        logs = -tau * (eigenvalues - eigenvalues[0])
+    total = np.exp(logs).sum()
+    return np.exp(logs) / total, logs - np.log(total)
+
+
 def _propagator(lap: np.ndarray, tau: float) -> DensityMatrix:
-    """exp(-tau L) / tr exp(-tau L) from the spectrum of L, weighted by
-    exp(-tau (lambda - lambda_min)) so that no finite tau underflows every weight."""
+    """exp(-tau L) / tr exp(-tau L) from the spectrum of L."""
     _check_tau(tau)
     dec = hermitian_eig(lap)
-    with np.errstate(over="ignore"):  # -inf marks a direction out of the support
-        logs = -tau * (dec.eigenvalues - dec.eigenvalues[0])
-    total = np.exp(logs).sum()
-    w, v, logs = np.exp(logs) / total, dec.vectors, logs - np.log(total)
+    w, logs = _propagator_weights(dec.eigenvalues, tau)
+    v = dec.vectors
     return DensityMatrix((v * w) @ v.conj().T, "propagator", w, v, float(tau), logs)
 
 
@@ -71,11 +87,30 @@ def density_propagator(g: Graph, tau: float) -> DensityMatrix:
     return _propagator(build_operators(g).laplacian, tau)
 
 
-def vn_entropy(rho) -> float:
-    """Spectral entropy in bits; eigenvalues below the clip floor count as zero."""
-    w = _state(rho).eigenvalues
+def _entropy_bits(w: np.ndarray) -> float:
+    """-sum w log2 w over the weights w above the clip floor, which count as zero."""
     w = w[w > DEFAULT_TOLS.eig_clip_floor]
     return float(-(w * np.log2(w)).sum() + 0.0)
+
+
+def vn_entropy(rho) -> float:
+    """Spectral entropy in bits; eigenvalues below the clip floor count as zero."""
+    return _entropy_bits(_state(rho).eigenvalues)
+
+
+def graph_entropy(g: Graph, density: str = "rescaled", tau: float = 1.0) -> float:
+    """vn_entropy of density_rescaled(g) (density="rescaled") or of
+    density_propagator(g, tau) (density="propagator"), from one values-only
+    decomposition of the Laplacian: no eigenvector and no density matrix is
+    formed."""
+    if density == "rescaled":
+        lap, tr = _rescaled_laplacian(g)
+        return _entropy_bits(hermitian_eigenvalues(lap) / tr)
+    if density != "propagator":
+        raise ValueError(f"unknown density {density!r}")
+    lap = build_operators(g).laplacian
+    _check_tau(tau)
+    return _entropy_bits(_propagator_weights(hermitian_eigenvalues(lap), tau)[0])
 
 
 def _cross_entropy(r: np.ndarray, sigma: DensityMatrix) -> float:

@@ -15,7 +15,11 @@ Design notes:
     spectra (link failure) is grouped exactly as hermitian_eig groups one.
   * A function of an operator, like the network propagator exp(-tau L), is
     formed by its consumer from hermitian_eig's spectrum, which qnet.entropy
-    then keeps on the density matrix instead of decomposing it again.
+    then keeps on the density matrix instead of decomposing it again. A
+    consumer that reads only the spectrum, like the entropy of a graph's
+    state, takes hermitian_eigenvalues instead: the same checks and the same
+    real-or-complex choice of driver, but a values-only LAPACK call that forms
+    no eigenvector.
   * The infinite-time dephased sum sum_a square(V_a Y_a) has one kernel,
     _dephased, over a stack of decompositions: a walk's long-time occupations,
     the K = I transport sums and link failure's trimmed stacks all use it.
@@ -174,6 +178,15 @@ def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
         group_sizes=sizes,
         group_values=np.add.reduceat(w, starts) / sizes,
     )
+
+
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, under hermitian_eig's checks
+    and in real arithmetic when m has no phases, from one values-only LAPACK
+    call (numpy.linalg.eigvalsh)."""
+    m = np.asarray(m)
+    assert_hermitian(m)
+    return np.linalg.eigvalsh(_real_if_phase_free(m))
 
 
 def _abs2_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -6,11 +6,14 @@ semidefinite (I - G)^T (I - G) of a column-stochastic G, which is the
 stationary distribution.
 
 The two-register (Szegedy) walk ranks by the occupations of its second
-register, the one Paparo and Martin-Delgado measure. It keeps its state as an
-n x n register array, so one reflect-and-swap step costs O(n^2); graphs of up
-to 2048 nodes rank, the limit MAX_SZEGEDY_ENTRIES sets on the register array
-and the step series. szegedy_step_matrix writes that same step densely on the
-n^2 edge space, for unitarity checks on graphs of up to 64 nodes.
+register, the one Paparo and Martin-Delgado measure. Its state stays in the
+span of the prepared columns psi_i and their swaps phi_i, so where rounding
+allows it the walk runs on the 2n coefficients of that span, two matvecs with
+the discriminant D = sqrt(G o G^T) a step; elsewhere it keeps the n x n
+register array, one O(n^2) reflect-and-swap at a time. Graphs of up to 2048
+nodes rank, the limit MAX_SZEGEDY_ENTRIES sets on n^2 and on the step series.
+szegedy_step_matrix writes the register step densely on the n^2 edge space,
+for unitarity checks on graphs of up to 64 nodes.
 
 The dissipative rankings are steady states of a master equation, solved in
 closed form on the eigendecomposition of the symmetrized Hamiltonian rather
@@ -29,9 +32,10 @@ from .linalg import _kernel_transport, hermitian_eig
 
 # szegedy_step_matrix is (n^2)^2 entries, 128 MiB at this cap of n^2 = 4096
 SZEGEDY_EDGE_SPACE_CAP = 4096
-# The walk's register array (n * n entries) and its step series (steps * n
-# entries) are checked against this count before anything is allocated; a
-# 2048-node graph is the largest the walk takes.
+# n * n (the register array, or the discriminant of the coefficient walk) and
+# the step series (steps * n entries, which also bounds the coefficient
+# history of 2 * steps * n) are checked against this count before anything is
+# allocated; a 2048-node graph is the largest the walk takes.
 MAX_SZEGEDY_ENTRIES = 2**22
 
 
@@ -145,6 +149,62 @@ def szegedy_step_matrix(gm: GoogleMatrix | np.ndarray) -> np.ndarray:
     return step.reshape(n * n, n * n).T
 
 
+def _register_series(mat: np.ndarray, steps: int) -> np.ndarray:
+    """Register-2 occupations after each of 1..steps walk steps, from the n x n
+    register array, renormalized after every step."""
+    n = mat.shape[0]
+    s = np.sqrt(mat).T
+    s2 = 2.0 * s
+    x = s / np.sqrt(n)
+    series = np.empty((steps, n))
+    for t in range(steps):
+        x = _szegedy_step(s, s2, _szegedy_step(s, s2, x))
+        x = x / np.linalg.norm(x)
+        series[t] = (x ** 2).sum(axis=0)
+    return series
+
+
+def _coefficient_step(d2: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """One walk step on the coefficients of x = sum_i a_i psi_i + b_i phi_i,
+    with d2 = 2D: each reflect-and-swap maps (a, b) to (-b, a + 2Db), since
+    <psi_i|phi_j> = D_ij, so two of them give (-u, 2Du - b) with u = a + 2Db."""
+    u = a + d2 @ b
+    return -u, d2 @ u - b
+
+
+def _coefficient_series(mat: np.ndarray, d2: np.ndarray, steps: int) -> np.ndarray:
+    """Register-2 occupations after each of 1..steps walk steps, from the 2n
+    coefficients (a, b) of the state, stored for every step. The register-2
+    occupation of x is G a^2 + b o (2Da + b), whose sum is |x|^2, so each
+    step's row is divided by its sum; the rows for all steps take two GEMMs."""
+    n = mat.shape[0]
+    a_t, b_t = np.empty((steps, n)), np.empty((steps, n))
+    a, b = np.full(n, 1.0 / np.sqrt(n)), np.zeros(n)
+    for t in range(steps):
+        a, b = _coefficient_step(d2, a, b)
+        a_t[t], b_t[t] = a, b
+    cross = a_t @ d2
+    cross += b_t
+    cross *= b_t
+    a_t *= a_t
+    series = a_t @ mat.T
+    series += cross
+    series /= series.sum(axis=1, keepdims=True)
+    return series
+
+
+def _coefficients_admitted(d: np.ndarray, steps: int) -> bool:
+    """Whether the coefficient walk stays accurate on the discriminant d over
+    steps walk steps. An eigenvalue of d near +-1 makes the frame {psi, phi}
+    nearly degenerate, and each step's rounding then enters the coefficients
+    magnified by 1/sqrt(gap), gap = 1 - max|eig d|; the unitary walk carries
+    it along undamped. The walk is admitted while steps * eps / sqrt(gap)
+    stays within Tolerances.szegedy_rounding_atol."""
+    gap = 1.0 - np.abs(np.linalg.eigvalsh(d)).max()
+    return (steps * np.finfo(float).eps
+            <= DEFAULT_TOLS.szegedy_rounding_atol * np.sqrt(max(gap, 0.0)))
+
+
 def szegedy_rank(
     gm: GoogleMatrix | np.ndarray,
     steps: int = 512,
@@ -158,10 +218,14 @@ def szegedy_rank(
     second register is read after each of t = 1..steps walk steps, and the
     scores are the running mean with per-node variance of the step series.
 
-    The state is kept as the n x n register array, so a step costs O(n^2)
-    time and memory. The register array (n^2 entries) and the step series
-    (steps * n entries) are each checked against MAX_SZEGEDY_ENTRIES before
-    anything is allocated, which admits graphs of up to 2048 nodes.
+    The state stays in span{psi_i, phi_i}. Where the discriminant
+    D = sqrt(G o G^T) has the spectral gap that _coefficients_admitted asks
+    for, the walk keeps the state's 2n coefficients, two matvecs a step, and
+    their 2 * steps * n history; this is the path of gapped directed chains.
+    Elsewhere, as on every undirected toy graph at 512 steps, it keeps the
+    n x n register array, O(n^2) time and memory a step. n^2 and the step
+    series (steps * n entries) are each checked against MAX_SZEGEDY_ENTRIES
+    before anything is allocated, which admits graphs of up to 2048 nodes.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -173,14 +237,11 @@ def szegedy_rank(
     if steps * n > MAX_SZEGEDY_ENTRIES:
         raise ValueError(f"step series of {steps} steps x {n} nodes exceeds the limit "
                          f"of {MAX_SZEGEDY_ENTRIES} entries")
-    s = np.sqrt(mat).T
-    s2 = 2.0 * s
-    x = s / np.sqrt(n)
-    series = np.empty((steps, n))
-    for t in range(steps):
-        x = _szegedy_step(s, s2, _szegedy_step(s, s2, x))
-        x = x / np.linalg.norm(x)
-        series[t] = (x ** 2).sum(axis=0)
+    d = np.sqrt(mat * mat.T)
+    if _coefficients_admitted(d, steps):
+        series = _coefficient_series(mat, 2.0 * d, steps)
+    else:
+        series = _register_series(mat, steps)
     scores = series.mean(axis=0)
     scores = scores / scores.sum()
     return RankingResult(

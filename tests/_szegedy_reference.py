@@ -65,3 +65,21 @@ def szegedy_rank(
         variance=series.var(axis=0),
         series=series,
     )
+
+
+def long_double_series(gm: GoogleMatrix | np.ndarray, steps: int) -> np.ndarray:
+    """The register walk's step series in long double (np.longdouble): the
+    register array x[i, k] on |i>_1 |k>_2 from s[i, k] = sqrt(G_ki) of the
+    given float64 G, two reflect-and-swaps a step, renormalized every step.
+    Where long double carries more digits than float64 (x86 extended
+    precision), its own rounding sits far below a float64 walk's."""
+    s = np.sqrt(_as_transition(gm).astype(np.longdouble)).T
+    n = s.shape[0]
+    x = s / np.sqrt(np.longdouble(n))
+    series = np.empty((steps, n), dtype=np.longdouble)
+    for t in range(steps):
+        for _ in range(2):
+            x = (2 * s * (s * x).sum(axis=-1)[:, None] - x).T
+        x = x / np.sqrt((x * x).sum())
+        series[t] = (x * x).sum(axis=0)
+    return series

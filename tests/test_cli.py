@@ -12,8 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qnet import (IntegrationInstabilityError, bond_percolation, cli, communities, entropy,
-                  to_edge_list, vn_entropy, walks)
+from qnet import (IntegrationInstabilityError, bond_percolation, cli, communities,
+                  density_propagator, density_rescaled, entropy, load_edge_list, to_edge_list,
+                  toys, vn_entropy, walks)
 from qnet.cli import main
 
 from _helpers import random_connected_graph
@@ -280,6 +281,10 @@ def test_output_flag_a_mode_cannot_fill_is_refused(capsys, monkeypatch, tmp_path
     ["communities", "--measure", "fidelity", "--t", "2.0"],
     ["communities", "--measure", "link-failure", "--t", "2.0"],
     ["communities", "--method", "magnetic", "--theta", "0.7854", "--t", "2.0"],
+    ["rank", "--variant", "classical", "--steps", "7"],
+    ["rank", "--variant", "adiabatic", "--jump", "dephasing"],
+    ["entropy", "--density", "rescaled", "--tau", "3"],
+    ["compare", "--measure", "kl", "--density", "rescaled", "--tau", "3"],
 ], ids=lambda a: "-".join(x.lstrip("-") for x in a[1:]))
 def test_input_flag_a_mode_never_reads_is_refused(capsys, monkeypatch, tmp_path, argv):
     def never(*args, **kwargs):
@@ -291,6 +296,18 @@ def test_input_flag_a_mode_never_reads_is_refused(capsys, monkeypatch, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("qnet: error:") and f"{argv[-2]} needs" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("given, filled", [
+    (["rank", "--toy", "chain3-directed", "--variant", "szegedy"], ["--steps", "512"]),
+    (["rank", "--toy", "chain3-directed", "--variant", "qsw"], ["--jump", "transport"]),
+    (["rank", "--toy", "chain3-directed", "--variant", "interpolated", "--alpha", "0.5"],
+     ["--jump", "transport"]),
+    (["entropy", "--toy", "p3", "--density", "propagator"], ["--tau", "1.0"]),
+    (["compare", "--toy", "p3", "--other-toy", "triangle"], ["--tau", "1.0"]),
+], ids=["steps", "jump-qsw", "jump-interpolated", "entropy-tau", "compare-tau"])
+def test_an_omitted_flag_takes_its_default_where_the_mode_reads_it(capsys, given, filled):
+    assert run_cli(capsys, *given) == run_cli(capsys, *given, *filled)
 
 
 _CHAIN = ["rank", "--toy", "chain3-directed"]
@@ -387,7 +404,7 @@ def test_emit_matches_indented_json_dumps(capsys, payload):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_payload_is_refused_before_the_output_opens(capsys, tmp_path, monkeypatch,
                                                                  bad):
-    monkeypatch.setattr(cli, "vn_entropy", lambda rho: bad)
+    monkeypatch.setattr(cli, "graph_entropy", lambda g, density, tau: bad)
     out = tmp_path / "entropy.json"
     rc = main(["entropy", "--toy", "p3", "--output", str(out)])
     assert rc == 1
@@ -690,13 +707,50 @@ def test_unstable_integration_is_numerical_failure(capsys, monkeypatch):
 
 
 def test_linalg_failure_is_numerical_failure(capsys, monkeypatch):
-    def fail(rho):
+    def fail(g, density, tau):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    monkeypatch.setattr(cli, "vn_entropy", fail)
+    monkeypatch.setattr(cli, "graph_entropy", fail)
     rc = main(["entropy", "--toy", "triangle"])
     err = capsys.readouterr().err
     assert rc == 2
     assert "qnet: numerical failure:" in err
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 477. MiB for an array with shape (8000, 8000) and data type float64",
+    "",
+], ids=["numpy", "bare"])
+def test_memory_error_is_one_error_line(capsys, monkeypatch, message):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+    monkeypatch.setattr(entropy, "build_operators", exhausted)
+    rc = main(["entropy", "--toy", "p3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == f"qnet: error: out of memory{': ' + message if message else ''}\n"
+
+
+_PHASED_EDGES = "0 1 1.0 0.7\n1 2 1.0 -0.4\n0 2 1.0 1.1\n2 3 2.0\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--density", "propagator"],
+                                   ["--density", "propagator", "--tau", "0.3"]],
+                         ids=["rescaled", "propagator", "propagator-tau"])
+@pytest.mark.parametrize("graph", ["star-s4", "barbell7", "phased"])
+def test_entropy_forms_no_eigenvector(capsys, monkeypatch, tmp_path, graph, flags):
+    path = tmp_path / "phased.edges"
+    path.write_text(_PHASED_EDGES)
+    source = ["--input", str(path)] if graph == "phased" else ["--toy", graph]
+    g = load_edge_list(_PHASED_EDGES) if graph == "phased" else toys.toy_graph(graph)
+    tau = float(flags[-1]) if "--tau" in flags else 1.0
+    want = vn_entropy(density_propagator(g, tau) if flags else density_rescaled(g))
+
+    def never(*args, **kwargs):
+        raise AssertionError("an eigenvector was computed")
+    monkeypatch.setattr(np.linalg, "eigh", never)
+    assert run_json(capsys, "entropy", *source, *flags)["entropy_bits"] == pytest.approx(
+        want, rel=0.0, abs=1e-13)
 
 
 def test_drifted_walk_distribution_is_numerical_failure(capsys, monkeypatch):

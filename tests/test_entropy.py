@@ -21,6 +21,7 @@ from qnet import (
     density_propagator,
     density_rescaled,
     entropy,
+    graph_entropy,
     integrate_master_equation,
     js_distance,
     js_divergence,
@@ -225,6 +226,26 @@ def test_make_density_validation(validate):
 
 # ---------------------------------------------------------------------------
 # entropy and divergences
+
+
+@pytest.mark.parametrize("density, tau", [("rescaled", 1.0), ("propagator", 0.0),
+                                          ("propagator", 1.0), ("propagator", 1e19)])
+def test_graph_entropy_is_the_entropy_of_the_state(density, tau):
+    rng = np.random.default_rng(62)
+    for n in (2, 7, 40):
+        g = random_connected_graph(rng, n)
+        rho = density_rescaled(g) if density == "rescaled" else density_propagator(g, tau)
+        assert graph_entropy(g, density, tau) == pytest.approx(vn_entropy(rho), rel=0.0,
+                                                               abs=1e-12)
+
+
+def test_graph_entropy_checks_like_the_states():
+    with pytest.raises(GraphFormatError):
+        graph_entropy(build_graph(3, []))
+    with pytest.raises(ValueError, match="tau"):
+        graph_entropy(toys.path(3), "propagator", -1.0)
+    with pytest.raises(ValueError, match="unknown density"):
+        graph_entropy(toys.path(3), "mixed")
 
 
 def test_entropy_of_pure_state_is_zero():

@@ -15,7 +15,7 @@ from qnet import (
     lindblad_rhs,
     linalg,
 )
-from qnet.linalg import _group_starts
+from qnet.linalg import _group_starts, hermitian_eigenvalues
 
 from _helpers import random_density, random_hermitian
 
@@ -109,6 +109,25 @@ def test_phase_free_input_decomposes_in_real_arithmetic():
     complex_path = np.linalg.eigh(a + 0j)[1]
     assert np.abs(real.vectors @ real.vectors.T
                   - complex_path @ complex_path.conj().T).max() <= 1e-12
+
+
+def test_eigenvalues_alone_match_the_decomposition_under_its_checks(monkeypatch):
+    rng = np.random.default_rng(14)
+    a = np.abs(random_hermitian(rng, 9))
+    a = 0.5 * (a + a.T)
+    phased = random_hermitian(rng, 9)
+    for m in (a, a.astype(complex), phased):
+        assert np.abs(hermitian_eigenvalues(m) - hermitian_eig(m).eigenvalues).max() <= 1e-12
+    with pytest.raises(SymmetryError, match="not hermitian"):
+        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(SymmetryError, match="non-finite"):
+        hermitian_eigenvalues(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+    seen = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.dtype) or real(m))
+    hermitian_eigenvalues(a.astype(complex))   # complex dtype, zero imaginary part
+    hermitian_eigenvalues(phased)
+    assert seen == [np.dtype(float), np.dtype(complex)]
 
 
 def test_stacked_grouping_matches_hermitian_eig_per_matrix():

@@ -1,6 +1,9 @@
 """The register-array Szegedy step against the dense edge-space reference in
 _szegedy_reference: seeded random digraphs for the ranking, and property
-tests for the single step and for the dense step matrix at its cap."""
+tests for the single step and for the dense step matrix at its cap. Both
+paths of szegedy_rank, the coefficient walk and the register walk, against
+a long-double register walk, and the coefficient step against the register
+step on the span of the prepared columns and their swaps."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnet import google_matrix, szegedy_rank, szegedy_step_matrix
-from qnet.ranking import _szegedy_step
+from qnet import google_matrix, ranking, szegedy_rank, szegedy_step_matrix, toys
+from qnet.ranking import _coefficient_step, _szegedy_step
 
 from _helpers import random_directed_graph
 import _szegedy_reference as reference
@@ -23,6 +26,25 @@ ORACLE_ATOL = 1e-13
 
 # one step against the dense unitary, entry by entry and in norm
 STEP_ATOL = 1e-10
+
+# every path over 512 steps against the long-double register walk
+LONG_DOUBLE_ATOL = 1e-13
+
+# (graph, damping) of the long-double comparison: the undirected toys, whose
+# discriminant has eigenvalues within 1e-3 of 1, and the directed 2-cycle, at
+# eigenvalue 1, take the register walk; the 3-chain and the larger seeded
+# digraphs are gapped enough for the coefficient walk
+LONG_DOUBLE_CASES = {
+    "barbell7-0.85": (lambda: toys.toy_graph("barbell7"), 0.85),
+    "barbell7-0.99": (lambda: toys.toy_graph("barbell7"), 0.99),
+    "lattice-8x8-0.85": (lambda: toys.toy_graph("lattice-8x8"), 0.85),
+    "lattice-8x8-0.99": (lambda: toys.toy_graph("lattice-8x8"), 0.99),
+    "cycle2-0.85": (lambda: toys.directed_cycle(2), 0.85),
+    "chain3-0.85": (lambda: toys.toy_graph("chain3-directed"), 0.85),
+    **{f"digraph{n}-{seed}": (lambda n=n, seed=seed: random_directed_graph(
+        np.random.default_rng(seed), n), 0.85)
+       for seed, n in ((1, 3), (2, 5), (3, 8), (4, 16), (5, 24), (6, 48))},
+}
 
 
 # runs of one and two 32-step periods: the longer run checks that rounding
@@ -69,3 +91,53 @@ def test_step_on_a_stack_is_bitwise_the_step_on_each_array():
     got = _szegedy_step(s, 2.0 * s, stack)
     for b in range(len(stack)):
         assert got[b].tobytes() == _szegedy_step(s, 2.0 * s, stack[b]).tobytes()
+
+
+@pytest.mark.parametrize("case", LONG_DOUBLE_CASES)
+def test_both_walks_match_the_long_double_walk_over_512_steps(case):
+    build, damping = LONG_DOUBLE_CASES[case]
+    gm = google_matrix(build(), damping)
+    want = reference.long_double_series(gm, 512)
+    got = szegedy_rank(gm, steps=512)
+    assert np.abs(got.series - want).max() <= LONG_DOUBLE_ATOL
+    scores = want.mean(axis=0)
+    assert np.abs(got.scores - scores / scores.sum()).max() <= LONG_DOUBLE_ATOL
+
+
+def _register_array(s, a, b):
+    """x = sum_i a_i psi_i + b_i phi_i as a register array: x[i, k] = a_i s[i, k] + b_k s[k, i]."""
+    return a[:, None] * s + (b[:, None] * s).T
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       damping=st.floats(0.05, 1.0))
+def test_coefficient_step_is_the_register_step_on_the_span(n, seed, damping):
+    rng = np.random.default_rng(seed)
+    mat = google_matrix(random_directed_graph(rng, n), damping).matrix
+    s, d = np.sqrt(mat).T, np.sqrt(mat * mat.T)
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    want = _szegedy_step(s, 2.0 * s, _szegedy_step(s, 2.0 * s, _register_array(s, a, b)))
+    assert np.abs(_register_array(s, *_coefficient_step(2.0 * d, a, b)) - want).max() <= STEP_ATOL
+
+
+def _never(*args):
+    raise AssertionError("the other walk ran")
+
+
+@pytest.mark.parametrize("damping", [0.85, 0.99])
+def test_gapped_directed_chain_takes_the_coefficient_walk(monkeypatch, damping):
+    gm = google_matrix(toys.toy_graph("chain3-directed"), damping)
+    want = szegedy_rank(gm, steps=512)
+    monkeypatch.setattr(ranking, "_register_series", _never)
+    assert np.array_equal(szegedy_rank(gm, steps=512).series, want.series)
+
+
+@pytest.mark.parametrize("name", ["k2", "p3", "triangle", "star-s4", "barbell7",
+                                  "lattice-8x8", "cycle2"])
+def test_undirected_toys_and_the_two_cycle_take_the_register_walk(monkeypatch, name):
+    g = toys.directed_cycle(2) if name == "cycle2" else toys.toy_graph(name)
+    gm = google_matrix(g, 0.85)
+    want = szegedy_rank(gm, steps=512)
+    monkeypatch.setattr(ranking, "_coefficient_series", _never)
+    assert np.array_equal(szegedy_rank(gm, steps=512).series, want.series)
