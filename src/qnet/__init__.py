@@ -34,10 +34,8 @@ from .linalg import (
     lindblad_rhs,
 )
 from .walks import (
-    ChiralTransportReport,
     OccupationResult,
     WalkSpec,
-    chiral_transport_report,
     evolve,
     long_time_average,
     quantumness,
@@ -55,10 +53,8 @@ from .ranking import (
 )
 from .entropy import (
     DensityMatrix,
-    ErdosRenyiModel,
     LayerClustering,
     LayerStack,
-    aggregate_layers,
     density_propagator,
     density_rescaled,
     graph_entropy,
@@ -66,7 +62,6 @@ from .entropy import (
     js_divergence,
     kl_divergence,
     layer_cluster,
-    log_likelihood,
     make_density,
     vn_entropy,
 )
@@ -91,7 +86,6 @@ from .percolation import (
     cep_lattice,
     contains_subgraph,
     estimate_spanning_crossing,
-    sample_quantum_random_graph,
     singlet_conversion_probability,
     subgraph_emergence,
 )

@@ -398,19 +398,23 @@ def _cmd_communities(args) -> dict:
     if args.t is not None and (args.method == "magnetic"
                                or args.measure not in ("short-time", "long-time")):
         raise UsageError("--t needs --method agglomerate with --measure short-time or long-time")
+    if args.policy is not None and (args.method == "magnetic" or args.measure != "fidelity"):
+        raise UsageError("--policy needs --method agglomerate with --measure fidelity")
+    if args.k is not None and args.method != "magnetic":
+        raise UsageError("--k needs --method magnetic")
     g = _load_graph(args.toy, args.input, args.directed)
     if args.method == "magnetic":
         if args.theta is None:
             raise UsageError("--theta is required for the magnetic method")
-        return _partition_keys(magnetic_partition(g, theta=args.theta, k=args.k,
-                                                  seed=_seed(args)))
+        k = 2 if args.k is None else args.k
+        return _partition_keys(magnetic_partition(g, theta=args.theta, k=k, seed=_seed(args)))
     h = _hamiltonian(g, args.generator, args.symmetrize)
     if args.measure == "short-time":
         c = closeness_short_time_transport(h, t=args.t)
     elif args.measure == "long-time":
         c = closeness_long_time_transport(h, t=args.t)
     elif args.measure == "fidelity":
-        c = closeness_fidelity(h, policy=args.policy)
+        c = closeness_fidelity(h, policy=args.policy or "superposition")
     else:
         c = closeness_link_failure(h)
     if args.matrix_out:
@@ -457,20 +461,30 @@ def _stats_keys(stats) -> dict:
 def _cmd_percolate(args) -> dict:
     if args.emergence is not None and args.trials_out:
         raise UsageError("--trials-out needs a lattice mode: --emergence keeps no per-trial records")
+    if args.emergence is not None and args.lattice is not None:
+        raise UsageError("--lattice needs a lattice mode: --p, --scan or --link-p")
+    if args.emergence is None:
+        for flag, value in (("--z", args.z), ("--n-values", args.n_values),
+                            ("--c-values", args.c_values)):
+            if value is not None:
+                raise UsageError(f"{flag} needs --emergence")
     seed = _seed(args)
     if args.emergence is not None:
-        n_values = _parse_grid(args.n_values, "--n-values")
+        text = "64,128,256" if args.n_values is None else args.n_values
+        n_values = _parse_grid(text, "--n-values")
         if not all(v.is_integer() for v in n_values):
-            raise UsageError(f"--n-values needs whole node counts, got {args.n_values!r}")
+            raise UsageError(f"--n-values needs whole node counts, got {text!r}")
         n_values = [int(v) for v in n_values]
-        c_values = _parse_grid(args.c_values, "--c-values")
-        res = subgraph_emergence(args.emergence, z=args.z, n_values=n_values,
-                                 c_values=c_values, trials=args.trials, seed=seed)
+        c_values = _parse_grid("0.5,3.0" if args.c_values is None else args.c_values,
+                               "--c-values")
+        res = subgraph_emergence(args.emergence, z=1.0 if args.z is None else args.z,
+                                 n_values=n_values, c_values=c_values, trials=args.trials,
+                                 seed=seed)
         return {"c_values": list(res.c_values), "fractions": res.fractions.tolist(),
                 "n_values": list(res.n_values), "regime": res.regime,
                 "sharpness": res.sharpness.tolist(), "target": res.target, "z": res.z,
                 "z_critical": res.z_critical}
-    width, height = _parse_lattice(args.lattice)
+    width, height = _parse_lattice("64x64" if args.lattice is None else args.lattice)
     if args.p is not None:
         stats = bond_percolation(width, height, args.p, trials=args.trials, seed=seed)
         if args.trials_out:
@@ -592,16 +606,18 @@ def build_parser() -> argparse.ArgumentParser:
     comm.add_argument("--symmetrize", action="store_true")
     comm.add_argument("--t", type=_finite_float, default=None,
                       help="transport horizon (default: measure-specific)")
-    comm.add_argument("--policy", choices=["superposition", "mixed"], default="superposition",
-                      help="pair initial state for the fidelity measure")
+    comm.add_argument("--policy", choices=["superposition", "mixed"], default=None,
+                      help="pair initial state (fidelity measure, default superposition)")
     comm.add_argument("--theta", type=_finite_float, default=None,
                       help="direction phase in (0, pi) (magnetic method)")
-    comm.add_argument("--k", type=int, default=2, help="community count (magnetic method)")
+    comm.add_argument("--k", type=int, default=None,
+                      help="community count (magnetic method, default 2)")
     comm.add_argument("--matrix-out", metavar="FILE", help="write the closeness matrix as CSV")
 
     perc = sub.add_parser("percolate", help="bond percolation and subgraph emergence")
     common(perc, edges=False, seed=True)
-    perc.add_argument("--lattice", default="64x64", metavar="WxH")
+    perc.add_argument("--lattice", default=None, metavar="WxH",
+                      help="lattice size (lattice modes, default 64x64)")
     mode = perc.add_mutually_exclusive_group(required=True)
     mode.add_argument("--p", type=_finite_float, help="bond probability")
     mode.add_argument("--scan", metavar="GRID",
@@ -610,9 +626,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="link-state parameter p; percolate at its conversion probability")
     mode.add_argument("--emergence", metavar="TARGET",
                       help="subgraph-emergence mode (edge, path3, triangle, square, clique4, clique5)")
-    perc.add_argument("--z", type=_finite_float, default=1.0, help="density exponent, p = c N^-z")
-    perc.add_argument("--n-values", default="64,128,256", metavar="LIST")
-    perc.add_argument("--c-values", default="0.5,3.0", metavar="LIST")
+    perc.add_argument("--z", type=_finite_float, default=None,
+                      help="density exponent, p = c N^-z (emergence, default 1.0)")
+    perc.add_argument("--n-values", default=None, metavar="LIST",
+                      help="graph sizes (emergence, default 64,128,256)")
+    perc.add_argument("--c-values", default=None, metavar="LIST",
+                      help="density prefactors (emergence, default 0.5,3.0)")
     perc.add_argument("--trials", type=int, default=100)
     perc.add_argument("--trials-out", metavar="FILE", help="write per-trial records as CSV")
 

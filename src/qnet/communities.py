@@ -14,12 +14,12 @@ phase-free Hamiltonian is decomposed in real arithmetic throughout.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .graphs import Graph, _components, adjacency_matrix
+from .graphs import Graph, adjacency_matrix
 from .linalg import (
     _dephased,
     _group_starts,
@@ -41,18 +41,16 @@ class ClosenessMatrix:
     matrix: np.ndarray
     measure: str
     time: float | None = None
-    notes: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
 
-def _finalize(c: np.ndarray, measure: str, time: float | None = None,
-              notes: dict | None = None) -> ClosenessMatrix:
+def _finalize(c: np.ndarray, measure: str, time: float | None = None) -> ClosenessMatrix:
     c = 0.5 * (c + c.T)
     np.fill_diagonal(c, 0.0)
-    return ClosenessMatrix(matrix=c, measure=measure, time=time, notes=notes or {})
+    return ClosenessMatrix(matrix=c, measure=measure, time=time)
 
 
 def _window_closeness(h: np.ndarray, t, measure: str) -> ClosenessMatrix:
@@ -162,8 +160,6 @@ def closeness_link_failure(h: np.ndarray) -> ClosenessMatrix:
     every compared failure and score affinity 1 exactly.
 
     affinity(u, v) = 1 / (1 + rms difference of the compared responses).
-    Nodes whose occupations never respond to any removal are listed in
-    notes["zero_response_nodes"]; component structure is noted as well.
     """
     h = np.asarray(h)
     n = h.shape[0]
@@ -196,12 +192,7 @@ def closeness_link_failure(h: np.ndarray) -> ClosenessMatrix:
         count = compared.sum(axis=1)
         d = np.sqrt((diff ** 2).sum(axis=1) / np.maximum(count, 1))
         c[u, u + 1:] = c[u + 1:, u] = 1.0 / (1.0 + d)
-    zero = np.flatnonzero(np.abs(responses).max(axis=1) < DEFAULT_TOLS.zero_response_atol).tolist()
-    notes: dict = {"zero_response_nodes": zero}
-    comps = _components(n, zip(rows.tolist(), cols.tolist()))
-    if len(comps) > 1:
-        notes["components"] = comps
-    return _finalize(c, "link-failure", notes=notes)
+    return _finalize(c, "link-failure")
 
 
 # ---------------------------------------------------------------------------

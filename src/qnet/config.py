@@ -28,8 +28,6 @@ class Tolerances:
     # probability distributions and stochastic matrices
     distribution_sum_atol: float = 1e-9
     distribution_negative_atol: float = 1e-12
-    # walk chirality
-    chiral_bias_atol: float = 1e-9      # max|p_H - p_conj(H)| above this breaks time reversal
     # two-register (Szegedy) walk: the coefficient walk runs while
     # steps * eps / sqrt(1 - max|eig D|) stays at or below this
     szegedy_rounding_atol: float = 3e-13
@@ -41,7 +39,6 @@ class Tolerances:
     merge_pick_atol: float = 1e-15      # pairs this close to the best linkage count as the best
     merge_tie_atol: float = 1e-12       # a second pair this close flags a dendrogram tie
     level_tie_atol: float = 1e-12       # a second level this close flags a best-level tie
-    zero_response_atol: float = 1e-14   # link-failure responses below this count as none
     # entanglement percolation
     critical_ratio_atol: float = 1e-12  # |z - z_c| below this is the critical regime
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .config import DEFAULT_TOLS
 from .errors import GraphFormatError, SupportViolationWarning
-from .graphs import Graph, _graph, build_operators
+from .graphs import Graph, build_operators
 from .linalg import _density_spectrum, hermitian_eig, hermitian_eigenvalues
 
 
@@ -165,58 +164,6 @@ def js_distance(rho, sigma) -> float:
 
 
 # ---------------------------------------------------------------------------
-# model likelihood
-
-
-@dataclass(frozen=True)
-class ErdosRenyiModel:
-    """Independent-edge model summarized by its expected Laplacian."""
-
-    p: float
-    tau: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:  # NaN fails both comparisons
-            raise ValueError(f"edge probability p must lie in [0, 1], got {self.p}")
-
-    def expected_laplacian(self, n: int) -> np.ndarray:
-        return self.p * ((n - 1) * np.eye(n) - (np.ones((n, n)) - np.eye(n)))
-
-    def density(self, n: int) -> DensityMatrix:
-        """The propagator state of expected_laplacian(n) = p (n I - J) in closed
-        form (De Domenico & Biamonte, PRX 6, 041062, 2016), with no
-        eigendecomposition: eigenvalue 0 on the uniform vector and p n, n - 1
-        times, on its complement. The eigenvectors are the columns of the
-        Householder reflection that swaps e_0 and -(1, ..., 1)/sqrt(n)."""
-        _check_tau(self.tau)
-        with np.errstate(over="ignore"):  # -inf marks a direction out of the support
-            gap = -self.tau * (self.p * n)
-        log_z = np.log1p((n - 1) * np.exp(gap))
-        logs = np.full(n, gap - log_z)
-        logs[0] = -log_z
-        w = np.exp(logs)
-        u = np.full(n, 1.0 / np.sqrt(n))
-        u[0] += 1.0  # e_0 + 1/sqrt(n), whose squared norm is 2 u[0]
-        matrix = np.full((n, n), (w[0] - w[-1]) / n) + w[-1] * np.eye(n)
-        return DensityMatrix(matrix, "propagator", w, np.eye(n) - np.outer(u, u) / u[0],
-                             float(self.tau), logs)
-
-
-def log_likelihood(rho, model) -> float:
-    """tr[rho log2 sigma] in bits (negative cross entropy).
-
-    model is either a parametric family (anything with a density(n) method,
-    like ErdosRenyiModel) or an explicit reference state; with the observed
-    state itself as the reference this equals -vn_entropy(rho). Returns -inf
-    with a SupportViolationWarning if the reference has lost support where
-    the observed state lives.
-    """
-    r = _state(rho).matrix
-    return _cross_entropy(r, model.density(r.shape[0]) if hasattr(model, "density")
-                          else _state(model))
-
-
-# ---------------------------------------------------------------------------
 # multiplex layers
 
 
@@ -258,22 +205,3 @@ def layer_cluster(stack: LayerStack, tau: float = 1.0) -> LayerClustering:
     order = tuple(int(i) for i in hierarchy.leaves_list(z))
     return LayerClustering(labels=stack.labels, distance_matrix=dist,
                            merges=merges, order=order)
-
-
-def aggregate_layers(layers: Sequence[Graph]) -> Graph:
-    """Edge-weight-sum aggregation of same-node-set layers (phase-free)."""
-    if not layers:
-        raise ValueError("nothing to aggregate")
-    n = layers[0].n
-    if any(g.n != n for g in layers):
-        raise ValueError("layers must share the node set")
-    if any(g.directed for g in layers) or any(g.has_phases() for g in layers):
-        raise ValueError("aggregation is defined for undirected phase-free layers")
-    lo = np.concatenate([np.minimum(g.src, g.dst) for g in layers])
-    hi = np.concatenate([np.maximum(g.src, g.dst) for g in layers])
-    # each pair's weights summed from 0.0 in layer order, pairs in (lo, hi) order
-    pairs, which = np.unique(lo * n + hi, return_inverse=True)
-    weight = np.bincount(which, np.concatenate([g.weight for g in layers]), len(pairs))
-    src, dst = divmod(pairs, n)
-    return _graph(n, src.tolist(), dst.tolist(), weight.tolist(), [0.0] * len(pairs),
-                  directed=False)

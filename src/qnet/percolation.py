@@ -1,5 +1,5 @@
-"""Entanglement links, quantum random graphs, subgraph emergence, and
-bond percolation on lattices.
+"""Entanglement links, subgraph emergence in random graphs, and bond
+percolation on lattices.
 
 Monte Carlo conventions: every trial draws from its own seeded substream, and
 sweeps over a probability grid reuse each trial's uniforms (common random
@@ -13,9 +13,8 @@ Both Monte Carlo loops run on array kernels:
   or a chunk of one trial's copies, stack into one 3-d image up to a site
   budget, and one compiled ``scipy.ndimage.label`` call with in-plane
   neighbours labels them (the Hoshen-Kopelman problem). A copy spans when a
-  label of its left column is also a label of its right column; cluster
-  sizes come from ``np.bincount`` on the site labels, and the size
-  histogram is keyed by (p, size) over every call.
+  label of its left column is also a label of its right column, and the
+  largest cluster comes from ``np.bincount`` on the site labels.
 - Subgraph emergence draws a trial's uniforms once and keeps the pairs with
   u below the largest p as index arrays. It computes the trial's
   first-appearance threshold directly: links enter in increasing-u order
@@ -35,7 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .graphs import Graph, _check_node_count, _graph
+from .graphs import Graph
 
 # Lattices are checked against this site count before anything is allocated;
 # a 2048 x 2048 lattice is the largest square one.
@@ -76,32 +75,6 @@ def singlet_conversion_probability(link: LinkState) -> float:
     """Optimal probability of converting the link into a maximally entangled
     pair: twice the smaller Schmidt coefficient, which is exactly p."""
     return 2.0 * min(link.schmidt_coefficients)
-
-
-def _conversion_p(link: LinkState | float) -> float:
-    if isinstance(link, LinkState):
-        return singlet_conversion_probability(link)
-    link = float(link)
-    if not 0.0 <= link <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {link}")
-    return link
-
-
-def sample_quantum_random_graph(
-    n: int,
-    link: LinkState | float,
-    seed: int | np.random.Generator = 0,
-) -> Graph:
-    """Measure a network of identical partial links: every pair keeps its edge
-    with the link's conversion probability, yielding a classical G(n, p)."""
-    p = _conversion_p(link)
-    _check_node_count(n)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, 1)
-    keep = rng.random(len(iu)) < p
-    m = int(keep.sum())
-    return _graph(n, iu[keep].tolist(), ju[keep].tolist(), [1.0] * m, [0.0] * m,
-                  directed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +332,6 @@ class ClusterStats:
     spanning_prob: float
     spanning_ci: float           # 95% normal-approximation half width
     largest_fraction_mean: float
-    histogram: dict[int, int]    # cluster size -> count, aggregated over trials
     records: tuple[TrialRecord, ...]
 
 
@@ -369,7 +341,7 @@ def _label_lattices(uh: np.ndarray, uv: np.ndarray, ps: np.ndarray):
     (trials, height - 1, width)) at every p in ps, labelled by one
     ``ndimage.label`` call on the stacked refined bond images, copy
     trial * len(ps) + p index. Returns per copy: spanning (bool) and the
-    largest cluster size; and per cluster: its p index and its size."""
+    largest cluster size."""
     from scipy import ndimage
 
     trials, height, width = len(uh), uv.shape[1] + 1, uh.shape[2] + 1
@@ -386,13 +358,9 @@ def _label_lattices(uh: np.ndarray, uv: np.ndarray, ps: np.ndarray):
     on_left = np.zeros(count + 1, dtype=bool)
     on_left[sites[:, :, 0]] = True
     spanning = on_left[sites[:, :, -1]].any(axis=1)
-    # every cluster holds a site and lies in one copy
-    copy_of = np.empty(count + 1, dtype=np.intp)
-    copy_of[sites] = np.arange(copies)[:, np.newaxis, np.newaxis]
-    copy_of, sizes = copy_of[1:], np.bincount(sites.ravel(), minlength=count + 1)[1:]
-    largest = np.zeros(copies, dtype=np.intp)
-    np.maximum.at(largest, copy_of, sizes)
-    return spanning, largest, copy_of % len(ps), sizes
+    # every site is on, so each copy's largest cluster is the largest size of its sites
+    sizes = np.bincount(sites.ravel(), minlength=count + 1)
+    return spanning, sizes[sites].reshape(copies, -1).max(axis=1)
 
 
 def bond_percolation_curve(
@@ -422,7 +390,6 @@ def bond_percolation_curve(
     trial_step, p_step = (per_call // len(ps), len(ps)) if per_call >= len(ps) else (1, per_call)
     spans = np.zeros((len(ps), trials), dtype=bool)
     largest = np.zeros((len(ps), trials), dtype=np.intp)
-    hist_keys, hist_counts = [], []
     streams = np.random.SeedSequence(seed).spawn(trials)
     for t0 in range(0, trials, trial_step):
         t1 = min(t0 + trial_step, trials)
@@ -434,31 +401,19 @@ def bond_percolation_curve(
             rng.random(out=uv[k])
         for lo in range(0, len(ps), p_step):
             hi = min(lo + p_step, len(ps))
-            span, big, pidx, sizes = _label_lattices(uh, uv, grid[lo:hi])
+            span, big = _label_lattices(uh, uv, grid[lo:hi])
             spans[lo:hi, t0:t1] = span.reshape(t1 - t0, hi - lo).T
             largest[lo:hi, t0:t1] = big.reshape(t1 - t0, hi - lo).T
-            key, count = np.unique((pidx + lo) * (n + 1) + sizes, return_counts=True)
-            hist_keys.append(key)
-            hist_counts.append(count)
-    # the size histogram of every p, summed over the calls
-    keys, inverse = np.unique(np.concatenate(hist_keys), return_inverse=True)
-    totals = np.zeros(len(keys), dtype=np.intp)
-    np.add.at(totals, inverse, np.concatenate(hist_counts))
-    hist_p, hist_size = np.divmod(keys, n + 1)
-    bounds = np.searchsorted(hist_p, np.arange(len(ps) + 1)).tolist()
-
     out = []
     for pi, p in enumerate(ps):
         fractions = [size / n for size in largest[pi].tolist()]
         prob = float(spans[pi].mean())
         ci = 1.96 * float(np.sqrt(prob * (1.0 - prob) / trials))
-        lo, hi = bounds[pi], bounds[pi + 1]
         out.append(ClusterStats(
             p=p, width=width, height=height, trials=trials,
             spanning_prob=prob,
             spanning_ci=ci,
             largest_fraction_mean=float(np.mean(fractions)),
-            histogram=dict(zip(hist_size[lo:hi].tolist(), totals[lo:hi].tolist())),
             records=tuple(TrialRecord(s, f)
                           for s, f in zip(spans[pi].tolist(), fractions)),
         ))

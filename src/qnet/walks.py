@@ -1,4 +1,4 @@
-"""Continuous-time walk evolution, long-time averages, and chirality probes.
+"""Continuous-time walk evolution, long-time averages, and quantumness.
 
 A start is used through its spectrum (p, Phi): a node or a vector is one
 column, a density matrix its eigenvectors. Long-time averages use the closed
@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .errors import DisconnectedGraphError, DistributionError
-from .graphs import Graph, adjacency_matrix, build_operators, is_connected
+from .graphs import Graph, build_operators, is_connected
 from .linalg import (EigenDecomposition, _above_rank_cut, _abs2_matmul, _dephased,
                      _density_spectrum, hermitian_eig)
 
@@ -154,35 +154,3 @@ def quantumness(g: Graph, initial="uniform-pure") -> float:
     p, phi = _initial_state(initial, g.n)
     overlap = float(p @ np.abs(phi.conj().T @ phi0) ** 2)
     return float(max(0.0, 1.0 - overlap))
-
-
-@dataclass(frozen=True)
-class ChiralTransportReport:
-    times: np.ndarray
-    forward: np.ndarray         # p_{source->target}(t) under H
-    time_reversed: np.ndarray   # same transport under conj(H)
-    max_bias: float
-    symmetry_broken: bool
-
-
-def chiral_transport_report(
-    g: Graph,
-    source: int,
-    target: int,
-    times: np.ndarray,
-) -> ChiralTransportReport:
-    """Compare site transport under H against its time-reversed counterpart;
-    time-reversal symmetry counts as broken when the largest difference
-    exceeds Tolerances.chiral_bias_atol."""
-    h = adjacency_matrix(g)
-    times = np.asarray(times, dtype=float)
-    fwd = evolve(WalkSpec(h, source, times)).series[:, target]
-    rev = evolve(WalkSpec(h.conj(), source, times)).series[:, target]
-    bias = float(np.abs(fwd - rev).max())
-    return ChiralTransportReport(
-        times=times,
-        forward=fwd,
-        time_reversed=rev,
-        max_bias=bias,
-        symmetry_broken=bias > DEFAULT_TOLS.chiral_bias_atol,
-    )

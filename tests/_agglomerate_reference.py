@@ -12,7 +12,6 @@ import heapq
 import numpy as np
 
 from qnet import ClosenessMatrix, Partition
-from qnet.graphs import _components
 from qnet.linalg import assert_hermitian
 from qnet.walks import WalkSpec, long_time_average, uniform_superposition
 
@@ -111,8 +110,8 @@ def agglomerate(closeness: ClosenessMatrix) -> Partition:
     )
 
 
-def closeness_link_failure(h: np.ndarray) -> tuple[np.ndarray, list[int], list]:
-    """(symmetrized affinity matrix, zero-response nodes, components)."""
+def closeness_link_failure(h: np.ndarray) -> np.ndarray:
+    """The symmetrized affinity matrix."""
     h = np.asarray(h, dtype=complex)
     n = h.shape[0]
     assert_hermitian(h)
@@ -139,7 +138,6 @@ def closeness_link_failure(h: np.ndarray) -> tuple[np.ndarray, list[int], list]:
             else:
                 d = 0.0
             c[u, v] = c[v, u] = 1.0 / (1.0 + d)
-    zero = [int(u) for u in range(n) if np.abs(responses[u]).max() < 1e-14]
     c = 0.5 * (c + c.T)
     np.fill_diagonal(c, 0.0)
-    return c, zero, _components(n, links)
+    return c

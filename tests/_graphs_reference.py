@@ -1,12 +1,12 @@
 """The graph layer as it stood before edges were stored as columns, kept
 verbatim as the oracle for the columnar parser, validator and adjacency
-scatter of qnet.graphs and for entropy.aggregate_layers: one Python object
-per edge, checked one edge and one line at a time."""
+scatter of qnet.graphs: one Python object per edge, checked one edge and one
+line at a time."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -161,21 +161,3 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
         if not g.directed:
             a[e.dst, e.src] += e.weight
     return a
-
-
-def aggregate_layers(layers: Sequence[Graph]) -> Graph:
-    """Edge-weight-sum aggregation of same-node-set layers (phase-free)."""
-    if not layers:
-        raise ValueError("nothing to aggregate")
-    n = layers[0].n
-    if any(g.n != n for g in layers):
-        raise ValueError("layers must share the node set")
-    if any(g.directed for g in layers) or any(g.has_phases() for g in layers):
-        raise ValueError("aggregation is defined for undirected phase-free layers")
-    weights: dict[tuple[int, int], float] = {}
-    for g in layers:
-        for e in g.edges:
-            key = (min(e.src, e.dst), max(e.src, e.dst))
-            weights[key] = weights.get(key, 0.0) + e.weight
-    edges = [(u, v, w, 0.0) for (u, v), w in sorted(weights.items())]
-    return build_graph(n, edges, directed=False)

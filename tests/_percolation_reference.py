@@ -15,7 +15,7 @@ from qnet.percolation import _NAMED_TARGETS
 
 
 def lattice_run(width: int, height: int, open_h: np.ndarray, open_v: np.ndarray):
-    """Union-find pass over the open bonds; returns (spanning, largest, hist)."""
+    """Union-find pass over the open bonds; returns (spanning, largest fraction)."""
     n = width * height
     parent = list(range(n))
     size = [1] * n
@@ -41,17 +41,13 @@ def lattice_run(width: int, height: int, open_h: np.ndarray, open_v: np.ndarray)
         union(int(idx), int(idx) + width)
     left_roots = {find(y * width) for y in range(height)}
     right_roots = {find(y * width + width - 1) for y in range(height)}
-    hist: dict[int, int] = {}
-    largest = 0
-    for r in {find(i) for i in range(n)}:
-        hist[size[r]] = hist.get(size[r], 0) + 1
-        largest = max(largest, size[r])
-    return not left_roots.isdisjoint(right_roots), largest / n, hist
+    largest = max(size[find(i)] for i in range(n))
+    return not left_roots.isdisjoint(right_roots), largest / n
 
 
 def bond_percolation_curve(width: int, height: int, p_values, trials: int, seed: int):
-    """Per p: (spanning_prob, largest_fraction_mean, histogram, records) with
-    records a list of (spanning, largest_fraction) per trial."""
+    """Per p: (spanning_prob, largest_fraction_mean, records) with records a
+    list of (spanning, largest_fraction) per trial."""
     nh, nv = (width - 1) * height, (height - 1) * width
     runs = []
     for ts in np.random.SeedSequence(seed).spawn(trials):
@@ -62,15 +58,10 @@ def bond_percolation_curve(width: int, height: int, p_values, trials: int, seed:
     out = []
     for pi in range(len(p_values)):
         rows = [trial[pi] for trial in runs]
-        hist: dict[int, int] = {}
-        for _, _, h in rows:
-            for k, v in h.items():
-                hist[k] = hist.get(k, 0) + v
         out.append((
             float(np.array([r[0] for r in rows], dtype=float).mean()),
             float(np.array([r[1] for r in rows]).mean()),
-            hist,
-            [(r[0], r[1]) for r in rows],
+            rows,
         ))
     return out
 

@@ -285,6 +285,12 @@ def test_output_flag_a_mode_cannot_fill_is_refused(capsys, monkeypatch, tmp_path
     ["rank", "--variant", "adiabatic", "--jump", "dephasing"],
     ["entropy", "--density", "rescaled", "--tau", "3"],
     ["compare", "--measure", "kl", "--density", "rescaled", "--tau", "3"],
+    ["communities", "--k", "3"],
+    ["communities", "--measure", "fidelity", "--k", "2"],
+    ["communities", "--policy", "superposition"],
+    ["communities", "--measure", "link-failure", "--policy", "mixed"],
+    ["communities", "--method", "magnetic", "--theta", "0.7854", "--measure", "fidelity",
+     "--policy", "mixed"],
 ], ids=lambda a: "-".join(x.lstrip("-") for x in a[1:]))
 def test_input_flag_a_mode_never_reads_is_refused(capsys, monkeypatch, tmp_path, argv):
     def never(*args, **kwargs):
@@ -298,6 +304,28 @@ def test_input_flag_a_mode_never_reads_is_refused(capsys, monkeypatch, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--emergence", "triangle", "--lattice", "8x8"],
+    ["--p", "0.5", "--z", "1.0"],
+    ["--scan", "0.4,0.6", "--n-values", "32"],
+    ["--link-p", "0.6", "--c-values", "1,2"],
+], ids=lambda a: "-".join(x.lstrip("-") for x in a[::2]))
+def test_percolate_flag_a_mode_never_reads_is_refused(capsys, monkeypatch, tmp_path, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("computed before the flags were checked")
+    for name in ("bond_percolation", "bond_percolation_curve", "cep_lattice",
+                 "subgraph_emergence"):
+        monkeypatch.setattr(cli, name, never)
+    out, trials = tmp_path / "out.json", tmp_path / "trials.csv"
+    # --emergence refuses --trials-out on its own, so only lattice modes get it
+    extra = [] if "--emergence" in argv else ["--trials-out", str(trials)]
+    rc = main(["percolate", *argv, "--trials", "5", "--output", str(out), *extra])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qnet: error:") and f"{argv[-2]} needs" in err
+    assert not out.exists() and not trials.exists()
+
+
 @pytest.mark.parametrize("given, filled", [
     (["rank", "--toy", "chain3-directed", "--variant", "szegedy"], ["--steps", "512"]),
     (["rank", "--toy", "chain3-directed", "--variant", "qsw"], ["--jump", "transport"]),
@@ -305,7 +333,16 @@ def test_input_flag_a_mode_never_reads_is_refused(capsys, monkeypatch, tmp_path,
      ["--jump", "transport"]),
     (["entropy", "--toy", "p3", "--density", "propagator"], ["--tau", "1.0"]),
     (["compare", "--toy", "p3", "--other-toy", "triangle"], ["--tau", "1.0"]),
-], ids=["steps", "jump-qsw", "jump-interpolated", "entropy-tau", "compare-tau"])
+    (["communities", "--toy", "barbell7", "--method", "magnetic", "--theta", "0.7854"],
+     ["--k", "2"]),
+    (["communities", "--toy", "barbell7", "--measure", "fidelity"],
+     ["--policy", "superposition"]),
+    (["percolate", "--p", "0.5", "--trials", "3"], ["--lattice", "64x64"]),
+    (["percolate", "--emergence", "triangle", "--trials", "3"], ["--z", "1.0"]),
+    (["percolate", "--emergence", "triangle", "--trials", "3"], ["--n-values", "64,128,256"]),
+    (["percolate", "--emergence", "triangle", "--trials", "3"], ["--c-values", "0.5,3.0"]),
+], ids=["steps", "jump-qsw", "jump-interpolated", "entropy-tau", "compare-tau", "k", "policy",
+        "lattice", "z", "n-values", "c-values"])
 def test_an_omitted_flag_takes_its_default_where_the_mode_reads_it(capsys, given, filled):
     assert run_cli(capsys, *given) == run_cli(capsys, *given, *filled)
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from qnet import (
     GraphFormatError,
     adjacency_matrix,
-    aggregate_layers,
     build_graph,
     load_edge_list,
     to_edge_list,
@@ -194,18 +193,3 @@ def test_undirected_self_loop_puts_twice_its_weight_on_the_diagonal(phase):
     a = adjacency_matrix(g)
     assert a.tobytes() == reference.adjacency_matrix(g).tobytes()
     assert a[1, 1] == pytest.approx(3.0 * np.cos(phase), abs=1e-15)
-
-
-@FUZZ
-@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), layers=st.integers(1, 4))
-def test_aggregate_layers_matches_reference(n, seed, layers):
-    rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, 1)
-    stack = []
-    for _ in range(layers):
-        keep = rng.permutation(np.flatnonzero(rng.random(len(iu)) < 0.6))
-        stack.append(build_graph(n, [(int(ju[k]), int(iu[k]), float(rng.uniform(0, 3)))
-                                     if rng.random() < 0.5 else (int(iu[k]), int(ju[k]))
-                                     for k in keep]))
-    want = reference.aggregate_layers(stack)
-    assert aggregate_layers(stack).edges == want.edges

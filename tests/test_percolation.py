@@ -1,5 +1,5 @@
-"""Entanglement links, random-graph sampling, subgraph emergence thresholds,
-and lattice bond percolation."""
+"""Entanglement links, subgraph containment and emergence thresholds, and
+lattice bond percolation."""
 from __future__ import annotations
 
 import subprocess
@@ -21,13 +21,11 @@ from qnet import (
     cep_lattice,
     contains_subgraph,
     estimate_spanning_crossing,
-    sample_quantum_random_graph,
     singlet_conversion_probability,
     subgraph_emergence,
     toys,
 )
 from qnet import percolation
-from qnet.errors import GraphFormatError
 from qnet.percolation import ClusterStats
 
 import _percolation_reference as reference
@@ -57,51 +55,14 @@ def test_conversion_probability_equals_p():
 
 
 # ---------------------------------------------------------------------------
-# quantum random graphs
-
-
-def test_sampling_edge_cases():
-    g0 = sample_quantum_random_graph(10, LinkState(0.0), seed=3)
-    assert g0.edge_count == 0
-    g1 = sample_quantum_random_graph(10, LinkState(1.0), seed=3)
-    assert g1.edge_count == 45
-
-
-def test_sampling_mean_edge_count():
-    n, p, trials = 64, 0.1, 500
-    expect = p * n * (n - 1) / 2
-    rng = np.random.default_rng(72)
-    counts = [sample_quantum_random_graph(n, p, seed=rng).edge_count
-              for _ in range(trials)]
-    sigma_mean = np.sqrt(expect * (1 - p)) / np.sqrt(trials)
-    assert abs(np.mean(counts) - expect) <= 3.0 * sigma_mean
-
-
-def test_sampling_is_seed_deterministic():
-    a = sample_quantum_random_graph(12, 0.3, seed=9)
-    b = sample_quantum_random_graph(12, 0.3, seed=9)
-    assert a.edges == b.edges
-
-
-def test_sampling_validates_probability():
-    with pytest.raises(ValueError, match="probability"):
-        sample_quantum_random_graph(5, 1.7)
-
-
-@pytest.mark.parametrize("n,match", [(30_000, "exceeds the limit"), (-1, "must be >= 0")])
-def test_sampling_rejects_node_count_before_allocation(n, match):
-    tracemalloc.start()
-    try:
-        with pytest.raises(GraphFormatError, match=match):
-            sample_quantum_random_graph(n, 0.5, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-
-
-# ---------------------------------------------------------------------------
 # subgraph containment
+
+
+def _random_host(rng, n, p):
+    """G(n, p): every pair of nodes linked with probability p."""
+    iu, ju = np.triu_indices(n, 1)
+    keep = rng.random(len(iu)) < p
+    return build_graph(n, list(zip(iu[keep].tolist(), ju[keep].tolist())))
 
 
 def test_containment_basics():
@@ -118,7 +79,7 @@ def test_triangle_fast_path_matches_generic_matcher():
     rng = np.random.default_rng(73)
     for _ in range(30):
         n = int(rng.integers(4, 16))
-        g = sample_quantum_random_graph(n, float(rng.uniform(0.05, 0.5)), seed=rng)
+        g = _random_host(rng, n, float(rng.uniform(0.05, 0.5)))
         fast = contains_subgraph(g, "triangle")
         host = nx.Graph([(e.src, e.dst) for e in g.edges])
         pattern = nx.Graph([(0, 1), (1, 2), (0, 2)])
@@ -292,7 +253,7 @@ def test_containment_equals_reference_on_random_graphs():
     rng = np.random.default_rng(74)
     for _ in range(40):
         n = int(rng.integers(4, 14))
-        g = sample_quantum_random_graph(n, float(rng.uniform(0.05, 0.6)), seed=rng)
+        g = _random_host(rng, n, float(rng.uniform(0.05, 0.6)))
         for target in ("edge", "path3", "triangle", "square", "clique4"):
             assert contains_subgraph(g, target) == reference.contains_subgraph(g, target)
 
@@ -317,12 +278,6 @@ def test_extreme_bond_probabilities():
     assert empty.largest_fraction_mean == pytest.approx(1.0 / 64.0, abs=1e-12)
 
 
-def test_histogram_accounts_for_every_site():
-    stats = bond_percolation(6, 5, 0.4, trials=7, seed=2)
-    total_sites = sum(size * count for size, count in stats.histogram.items())
-    assert total_sites == 6 * 5 * 7
-
-
 def test_spanning_monotone_in_p_with_shared_randomness():
     ps = [0.2, 0.35, 0.5, 0.65, 0.8]
     curve = bond_percolation_curve(10, 10, ps, trials=40, seed=3)
@@ -335,7 +290,6 @@ def test_curve_is_seed_deterministic():
     a = bond_percolation_curve(8, 8, [0.5], trials=20, seed=4)[0]
     b = bond_percolation_curve(8, 8, [0.5], trials=20, seed=4)[0]
     assert a.spanning_prob == b.spanning_prob
-    assert a.histogram == b.histogram
     assert [r.spanning for r in a.records] == [r.spanning for r in b.records]
 
 
@@ -348,9 +302,8 @@ def test_batched_kernel_matches_reference_union_find():
 def _assert_matches_reference(curve, width, height, ps, trials, seed):
     expected = reference.bond_percolation_curve(width, height, ps, trials, seed)
     assert [s.p for s in curve] == [float(p) for p in ps]
-    for stats, (prob, largest_mean, hist, records) in zip(curve, expected):
+    for stats, (prob, largest_mean, records) in zip(curve, expected):
         assert [(r.spanning, r.largest_fraction) for r in stats.records] == records
-        assert stats.histogram == hist
         assert stats.spanning_prob == prob
         assert stats.largest_fraction_mean == largest_mean
 
@@ -409,11 +362,10 @@ def test_largest_lattice_memory():
     assert side * side == percolation.MAX_LATTICE_SITES
     tracemalloc.start()
     try:
-        stats = bond_percolation(side, side, 0.5, trials=1, seed=0)
+        bond_percolation(side, side, 0.5, trials=1, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sum(size * count for size, count in stats.histogram.items()) == side * side
     assert peak < 256 << 20
 
 
@@ -442,8 +394,7 @@ def test_lattice_validation():
 def test_crossing_estimate_interpolates():
     def fake(p, prob):
         return ClusterStats(p=p, width=8, height=8, trials=10, spanning_prob=prob,
-                            spanning_ci=0.1, largest_fraction_mean=0.5,
-                            histogram={}, records=())
+                            spanning_ci=0.1, largest_fraction_mean=0.5, records=())
 
     curve = [fake(0.3, 0.1), fake(0.5, 0.4), fake(0.7, 0.7)]
     # linear interpolation between 0.5 and 0.7 hits one half at 0.5667

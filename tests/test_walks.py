@@ -16,7 +16,6 @@ from qnet import (
     adjacency_matrix,
     build_graph,
     build_operators,
-    chiral_transport_report,
     evolve,
     long_time_average,
     quantumness,
@@ -264,30 +263,31 @@ def test_quantumness_bounds_random():
 # chirality
 
 
+def _chiral_bias(g, source, target, times):
+    """Largest difference, over the times, between the source -> target
+    transport under H and under its time reverse conj(H)."""
+    h = adjacency_matrix(g)
+    fwd, rev = (evolve(WalkSpec(op, source, times)).series[:, target] for op in (h, h.conj()))
+    return float(np.abs(fwd - rev).max())
+
+
 def test_bipartite_phases_do_not_bias_transport():
     rng = np.random.default_rng(37)
     times = np.linspace(0.0, 6.0, 25)
     for _ in range(6):
         g = random_bipartite_phased(rng, int(rng.integers(4, 12)))
-        rep = chiral_transport_report(g, 0, g.n - 1, times)
-        assert rep.max_bias <= 1e-9
-        assert not rep.symmetry_broken
+        assert _chiral_bias(g, 0, g.n - 1, times) <= 1e-9
 
 
 def test_zero_phases_do_not_bias_transport():
     times = np.linspace(0.0, 6.0, 25)
-    rep = chiral_transport_report(toys.cycle(5), 0, 2, times)
-    assert rep.max_bias <= 1e-12
-    assert not rep.symmetry_broken
+    assert _chiral_bias(toys.cycle(5), 0, 2, times) <= 1e-12
 
 
 def test_triangle_with_quarter_phase_breaks_symmetry():
     g = build_graph(3, [(0, 1, 1.0, np.pi / 2), (1, 2), (0, 2)])
     times = np.linspace(0.0, 6.0, 61)
-    rep = chiral_transport_report(g, 0, 2, times)
-    assert rep.symmetry_broken
-    assert rep.max_bias == pytest.approx(TRIANGLE_CHIRAL_BIAS, abs=1e-10)
-    assert rep.forward.shape == rep.time_reversed.shape == times.shape
+    assert _chiral_bias(g, 0, 2, times) == pytest.approx(TRIANGLE_CHIRAL_BIAS, abs=1e-10)
 
 
 def test_odd_cycles_with_phases_usually_bias():
@@ -295,8 +295,7 @@ def test_odd_cycles_with_phases_usually_bias():
     hits = 0
     for _ in range(6):
         g = random_nonbipartite_phased(rng, int(rng.integers(3, 10)))
-        rep = chiral_transport_report(g, 0, g.n - 1, np.linspace(0.0, 8.0, 33))
-        hits += rep.max_bias > 1e-3
+        hits += _chiral_bias(g, 0, g.n - 1, np.linspace(0.0, 8.0, 33)) > 1e-3
     assert hits >= 1
 
 
