@@ -10,13 +10,14 @@ or QNET_SEED. A flag that the chosen mode never reads is refused, exit 1,
 before the graph is loaded.
 
 Every payload is built from plain Python values where it is made, and every
-float written goes through one formatter, the JSON encoder's repr: JSON is
-json.dumps(payload, indent=2, sort_keys=True) byte for byte, and a CSV cell
-is the same text, so it reads back as the same double. A matrix is formatted
-a block of rows at a time, and each block's CSV rows are written as soon as
-it is formatted. A walk formats each probability once for both its JSON and
-its --matrix-out CSV, and keeps one copy of that text, as its JSON rows. The
-only non-finite value written is kl_bits "inf"; any other is refused, exit 1.
+float is written as its repr text: JSON is json.dumps(payload, indent=2,
+sort_keys=True) byte for byte, and a CSV cell is the same text, so it reads
+back as the same double. Float arrays (matrices, walk series, trial records)
+are formatted by one formatter, _float_text, which takes orjson's shortest
+digits in repr's layout; scalars and short lists go through the JSON encoder.
+A matrix is formatted a block of rows at a time, and each block's CSV rows
+are written as soon as it is formatted. The only non-finite value written is
+kl_bits "inf"; any other is refused, exit 1.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ import warnings
 from typing import Iterator
 
 import numpy as np
+import orjson
 
 from . import toys
 from .communities import (
@@ -109,51 +111,48 @@ def _seed(args) -> int:
         raise UsageError(f"QNET_SEED must be an integer, got {raw!r}")
 
 
-# Cells per C-encoder call in _float_blocks: big enough that the call overhead
-# vanishes, small enough that one block's text and cell strings stay well under
-# a MB, which bounds what a CSV writer holds beyond its output.
+# Cells per orjson call in _float_blocks: big enough that the call overhead
+# vanishes, small enough that one block's text stays well under a MB, which
+# bounds what a CSV writer holds beyond its output.
 _BLOCK_CELLS = 2**13
+_NUMPY = orjson.OPT_SERIALIZE_NUMPY
 
 
 class _Rows(list):
     """A row table: each JSON array row as the comma-joined float text of its
-    cells in one or more pieces, as _series_columns makes it. _emit writes its
-    rows without formatting a number again."""
+    cells, as _series_columns makes it. _emit writes its rows without
+    formatting a number again."""
 
 
-def _dumps(x) -> str:
-    return json.dumps(x, separators=(",", ":"))
+def _float_text(block) -> str:
+    """json.dumps(block.tolist(), separators=(",", ":")) of a finite float
+    array, from one orjson call; ValueError for a non-finite entry. orjson
+    writes the same shortest round-trip digits as repr, and in the same
+    layout for 0 and 1e-4 <= |x| < 1e16; outside that range (0.000032, 1e16
+    where repr writes 3.2e-05, 1e+16) a cell is written as null and replaced
+    by its repr."""
+    a = np.ascontiguousarray(block, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("cannot write a non-finite number")
+    size = np.abs(a)
+    odd = ((size < 1e-4) & (a != 0.0)) | (size >= 1e16)
+    if not odd.any():
+        return orjson.dumps(a, option=_NUMPY).decode()
+    cells = map(repr, a[odd].tolist())
+    parts = orjson.dumps(np.where(odd, np.nan, a), option=_NUMPY).decode().split("null")
+    return "".join(part + cell for part, cell in zip(parts, cells)) + parts[-1]
 
 
 def _float_blocks(matrix) -> Iterator[list[str]]:
     """The rows of a finite 2-D float matrix, one block of rows at a time, each
-    row as one comma-joined string of the C JSON encoder's float text (repr).
-    A non-finite entry raises ValueError here, before the first block. Every
-    float is formatted once, by one encoder call per block. A matrix bitwise
-    equal to its transpose formats each row from its diagonal on and takes the
-    cells left of it from the columns of the blocks above."""
+    row as one comma-joined string of repr text. A non-finite entry raises
+    ValueError here, before the first block."""
     m = np.asarray(matrix, dtype=float)
     if not np.isfinite(m).all():
         raise ValueError("cannot write a matrix with non-finite entries")
-    mirror = m.shape[0] == m.shape[1] and np.array_equal(m.view(np.uint64), m.T.view(np.uint64))
     step = max(1, _BLOCK_CELLS // max(1, m.shape[1]))
-
-    def blocks():
-        pieces: list[list[str]] = [[] for _ in range(m.shape[1])]  # column text of the rows done
-        for start in range(0, m.shape[0], step):
-            stop = min(start + step, m.shape[0])
-            text = _dumps([m[i, i:].tolist() for i in range(start, stop)] if mirror
-                          else m[start:stop].tolist())[2:-2].split("],[")
-            if mirror:  # pieces begins at column start; the block's own columns end here
-                cells = [row.split(",") for row in text]
-                above, pieces = pieces[:len(cells)], pieces[len(cells):]
-                for piece, column in zip(pieces, zip(*(own[len(cells) - k:]
-                                                       for k, own in enumerate(cells)))):
-                    piece.append(",".join(column))
-                text = [",".join([*above[k], *(cells[h][k - h] for h in range(k)), row])
-                        for k, row in enumerate(text)]
-            yield text
-    return blocks()
+    return (_float_text(m[start:start + step])[2:-2].split("],[")
+            for start in range(0, m.shape[0], step))
 
 
 def _text(value) -> str:
@@ -173,8 +172,8 @@ def _chunks(rows: _Rows):
     at a time. A row's float text is reused; only its separators gain the line
     break and indent."""
     sep = "[\n    ["
-    for pieces in rows:
-        yield sep + "\n      " + ",".join(pieces).replace(",", ",\n      ") + "\n    ]"
+    for row in rows:
+        yield sep + "\n      " + row.replace(",", ",\n      ") + "\n    ]"
         sep = ",\n    ["
     yield "\n  ]"
 
@@ -210,18 +209,11 @@ def _write_matrix(path: str, matrix) -> None:
 
 
 def _series_columns(series, path: str | None) -> _Rows:
-    """The columns of a finite 2-D float matrix as a row table, one text piece
-    a block of rows; with a path, each block's rows are also written there as
-    CSV lines as soon as they are formatted, so the text is held once."""
-    blocks = _float_blocks(series)
-    columns = _Rows([] for _ in range(np.shape(series)[1]))
-    with open(path, "w") if path else contextlib.nullcontext() as fh:
-        for rows in blocks:
-            if fh is not None:
-                fh.writelines(row + "\n" for row in rows)
-            for piece, column in zip(columns, zip(*(row.split(",") for row in rows))):
-                piece.append(",".join(column))
-    return columns
+    """The columns of a finite 2-D float matrix as a row table; with a path,
+    its rows are first written there as CSV by _write_matrix."""
+    if path:
+        _write_matrix(path, series)
+    return _Rows(row for rows in _float_blocks(np.asarray(series).T) for row in rows)
 
 
 def _load_graph(toy: str | None, path: str | None, directed: bool | None) -> Graph:
@@ -390,30 +382,36 @@ def _partition_keys(part) -> dict:
 
 
 def _cmd_communities(args) -> dict:
-    if args.method == "magnetic" and args.matrix_out:
+    magnetic = args.method == "magnetic"
+    measure = args.measure or "long-time"
+    if magnetic and args.matrix_out:
         raise UsageError("--matrix-out needs --method agglomerate: "
                          "the magnetic method builds no closeness matrix")
-    if args.method == "agglomerate" and args.theta is not None:
+    if not magnetic and args.theta is not None:
         raise UsageError("--theta needs --method magnetic")
-    if args.t is not None and (args.method == "magnetic"
-                               or args.measure not in ("short-time", "long-time")):
+    if args.t is not None and (magnetic or measure not in ("short-time", "long-time")):
         raise UsageError("--t needs --method agglomerate with --measure short-time or long-time")
-    if args.policy is not None and (args.method == "magnetic" or args.measure != "fidelity"):
+    if args.policy is not None and (magnetic or measure != "fidelity"):
         raise UsageError("--policy needs --method agglomerate with --measure fidelity")
-    if args.k is not None and args.method != "magnetic":
+    if args.k is not None and not magnetic:
         raise UsageError("--k needs --method magnetic")
+    if magnetic:
+        for flag, value in (("--measure", args.measure), ("--generator", args.generator),
+                            ("--symmetrize", args.symmetrize)):
+            if value is not None:
+                raise UsageError(f"{flag} needs --method agglomerate")
     g = _load_graph(args.toy, args.input, args.directed)
-    if args.method == "magnetic":
+    if magnetic:
         if args.theta is None:
             raise UsageError("--theta is required for the magnetic method")
         k = 2 if args.k is None else args.k
         return _partition_keys(magnetic_partition(g, theta=args.theta, k=k, seed=_seed(args)))
-    h = _hamiltonian(g, args.generator, args.symmetrize)
-    if args.measure == "short-time":
+    h = _hamiltonian(g, args.generator or "adjacency", bool(args.symmetrize))
+    if measure == "short-time":
         c = closeness_short_time_transport(h, t=args.t)
-    elif args.measure == "long-time":
+    elif measure == "long-time":
         c = closeness_long_time_transport(h, t=args.t)
-    elif args.measure == "fidelity":
+    elif measure == "fidelity":
         c = closeness_fidelity(h, policy=args.policy or "superposition")
     else:
         c = closeness_link_failure(h)
@@ -442,11 +440,11 @@ def _parse_lattice(text: str) -> tuple[int, int]:
 
 def _write_trials(path: str, curve) -> None:
     """Per-trial records as CSV, with each grid point's p formatted once and
-    every float in the JSON encoder's text."""
+    every float in repr text."""
     with open(path, "w") as fh:
         fh.write("p,trial,spanning,largest_fraction\n")
         for stats in curve:
-            p, *fractions = _dumps(
+            p, *fractions = _float_text(
                 [stats.p, *(rec.largest_fraction for rec in stats.records)])[1:-1].split(",")
             fh.writelines(f"{p},{idx},{int(rec.spanning)},{fraction}\n"
                           for idx, (rec, fraction) in enumerate(zip(stats.records, fractions)))
@@ -599,11 +597,12 @@ def build_parser() -> argparse.ArgumentParser:
     comm.add_argument("--method", choices=["agglomerate", "magnetic"], default="agglomerate")
     comm.add_argument("--measure",
                       choices=["short-time", "long-time", "fidelity", "link-failure"],
-                      default="long-time")
+                      default=None, help="closeness (agglomerate method, default long-time)")
     comm.add_argument("--generator",
                       choices=["adjacency", "laplacian", "quantum-laplacian"],
-                      default="adjacency")
-    comm.add_argument("--symmetrize", action="store_true")
+                      default=None, help="Hamiltonian (agglomerate method, default adjacency)")
+    comm.add_argument("--symmetrize", action="store_true", default=None,
+                      help="symmetrize a directed graph (agglomerate method)")
     comm.add_argument("--t", type=_finite_float, default=None,
                       help="transport horizon (default: measure-specific)")
     comm.add_argument("--policy", choices=["superposition", "mixed"], default=None,
@@ -672,6 +671,10 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             args = _parser().parse_args(argv)
+            if (getattr(args, "directed", None) and args.input is None
+                    and getattr(args, "other", None) is None):
+                raise UsageError("--directed needs an edge-list file: a toy graph's "
+                                 "direction is fixed")
             _emit(_DISPATCH[args.command](args), args.output)
             rc = 0
         # LinAlgError subclasses ValueError, so it must be caught first

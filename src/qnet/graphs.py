@@ -287,14 +287,32 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatorBundle:
-    """Adjacency, strengths, and the three derived generators of one graph."""
+    """Adjacency, strengths, and the three derived generators of one graph.
+    Each generator is an n x n matrix built on its first read, so a caller
+    pays only for the ones it reads."""
 
     adjacency: np.ndarray
     strength: np.ndarray             # (n,) row sums of |A|
-    laplacian: np.ndarray            # diag(strength) - A
-    stochastic_generator: np.ndarray  # Lap @ D^-1, columns sum to zero
-    quantum_generator: np.ndarray    # D^-1/2 Lap D^-1/2, Hermitian
     isolated: tuple[int, ...]        # nodes excluded from the D^-1 generators
+
+    @functools.cached_property
+    def laplacian(self) -> np.ndarray:
+        """diag(strength) - A."""
+        return np.diag(self.strength) - self.adjacency
+
+    @functools.cached_property
+    def stochastic_generator(self) -> np.ndarray:
+        """Lap @ D^-1, columns sum to zero."""
+        with np.errstate(divide="ignore"):
+            inv = np.where(self.strength > 0, 1.0 / self.strength, 0.0)
+        return self.laplacian * inv[np.newaxis, :]
+
+    @functools.cached_property
+    def quantum_generator(self) -> np.ndarray:
+        """D^-1/2 Lap D^-1/2, Hermitian."""
+        with np.errstate(divide="ignore"):
+            inv_sqrt = np.where(self.strength > 0, 1.0 / np.sqrt(self.strength), 0.0)
+        return self.laplacian * np.outer(inv_sqrt, inv_sqrt)
 
 
 def build_operators(
@@ -306,7 +324,8 @@ def build_operators(
 
     Directed input without symmetrize=True raises SymmetryError. Isolated
     nodes are excluded from the D^-1 generators under the default policy and
-    raise DisconnectedGraphError under isolated_policy="error".
+    raise DisconnectedGraphError under isolated_policy="error", here rather
+    than at a generator's first read.
     """
     if isolated_policy not in ("exclude", "error"):
         raise ValueError(f"unknown isolated_policy {isolated_policy!r}")
@@ -324,20 +343,7 @@ def build_operators(
         raise DisconnectedGraphError(
             f"isolated nodes {list(isolated)} have zero strength; D^-1 is undefined"
         )
-    lap = np.diag(strength) - a
-    with np.errstate(divide="ignore"):
-        inv = np.where(strength > 0, 1.0 / strength, 0.0)
-        inv_sqrt = np.where(strength > 0, 1.0 / np.sqrt(strength), 0.0)
-    l_s = lap * inv[np.newaxis, :]
-    l_q = lap * np.outer(inv_sqrt, inv_sqrt)
-    return OperatorBundle(
-        adjacency=a,
-        strength=strength,
-        laplacian=lap,
-        stochastic_generator=l_s,
-        quantum_generator=l_q,
-        isolated=isolated,
-    )
+    return OperatorBundle(adjacency=a, strength=strength, isolated=isolated)
 
 
 def stochastic_eigenmodes(bundle: OperatorBundle):

@@ -291,6 +291,15 @@ def test_output_flag_a_mode_cannot_fill_is_refused(capsys, monkeypatch, tmp_path
     ["communities", "--measure", "link-failure", "--policy", "mixed"],
     ["communities", "--method", "magnetic", "--theta", "0.7854", "--measure", "fidelity",
      "--policy", "mixed"],
+    ["communities", "--method", "magnetic", "--theta", "0.7854", "--measure", "fidelity"],
+    ["communities", "--method", "magnetic", "--theta", "0.7854", "--measure", "long-time"],
+    ["communities", "--method", "magnetic", "--theta", "0.7854", "--generator", "laplacian"],
+    ["communities", "--method", "magnetic", "--theta", "0.7854", "--symmetrize"],
+    ["walk", "--directed"],
+    ["rank", "--directed"],
+    ["entropy", "--directed"],
+    ["communities", "--directed"],
+    ["compare", "--other-toy", "barbell7", "--directed"],
 ], ids=lambda a: "-".join(x.lstrip("-") for x in a[1:]))
 def test_input_flag_a_mode_never_reads_is_refused(capsys, monkeypatch, tmp_path, argv):
     def never(*args, **kwargs):
@@ -300,7 +309,8 @@ def test_input_flag_a_mode_never_reads_is_refused(capsys, monkeypatch, tmp_path,
     rc = main([*argv, "--toy", "barbell7", "--output", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("qnet: error:") and f"{argv[-2]} needs" in err
+    flag = argv[-1] if argv[-1].startswith("--") else argv[-2]  # a switch takes no value
+    assert err.startswith("qnet: error:") and f"{flag} needs" in err
     assert not out.exists()
 
 
@@ -341,8 +351,11 @@ def test_percolate_flag_a_mode_never_reads_is_refused(capsys, monkeypatch, tmp_p
     (["percolate", "--emergence", "triangle", "--trials", "3"], ["--z", "1.0"]),
     (["percolate", "--emergence", "triangle", "--trials", "3"], ["--n-values", "64,128,256"]),
     (["percolate", "--emergence", "triangle", "--trials", "3"], ["--c-values", "0.5,3.0"]),
+    (["communities", "--toy", "barbell7"], ["--measure", "long-time"]),
+    (["communities", "--toy", "barbell7", "--measure", "fidelity"],
+     ["--generator", "adjacency"]),
 ], ids=["steps", "jump-qsw", "jump-interpolated", "entropy-tau", "compare-tau", "k", "policy",
-        "lattice", "z", "n-values", "c-values"])
+        "lattice", "z", "n-values", "c-values", "measure", "generator"])
 def test_an_omitted_flag_takes_its_default_where_the_mode_reads_it(capsys, given, filled):
     assert run_cli(capsys, *given) == run_cli(capsys, *given, *filled)
 
@@ -514,7 +527,7 @@ def test_walk_peak_memory_is_bounded_by_its_json_size(capsys, tmp_path, walk120_
 
 def test_walk_holds_one_copy_of_its_json_text(capsys, tmp_path, walk120_edges):
     # the CSV rows are written block by block and the JSON keeps each node's
-    # text pieces, so the peak is about one copy of the float text
+    # row text, so the peak is about one copy of the float text
     out, mat = tmp_path / "walk.json", tmp_path / "walk.csv"
     argv = ["walk", "--input", str(walk120_edges), "--times", "0:20:2001",
             "--output", str(out), "--matrix-out", str(mat)]
@@ -565,31 +578,73 @@ _SYM_300 = np.random.default_rng(36).random((300, 300))
 _SYM_300 = _SYM_300 + _SYM_300.T
 
 
-@pytest.mark.parametrize("matrix,mirrored", [
-    (_SYM, True),
-    (_one_ulp_off(_SYM), False),
-    (_signed_zero(_SYM), False),
-    (np.array([[0.1]]), True),
-    (np.array([[0.1, 2.0, 1e-300, -3.5e17]]), False),
-    (np.array([[0.1], [2.0], [1e-300], [-3.5e17]]), False),
-    (np.random.default_rng(35).random((700, 50)), False),
-    (_SYM_300, True),
+@pytest.mark.parametrize("matrix", [
+    _SYM,
+    _one_ulp_off(_SYM),
+    _signed_zero(_SYM),
+    np.array([[0.1]]),
+    np.array([[0.1, 2.0, 1e-300, -3.5e17]]),
+    np.array([[0.1], [2.0], [1e-300], [-3.5e17]]),
+    np.random.default_rng(35).random((700, 50)),
+    _SYM_300,
 ], ids=["symmetric", "one-ulp-off", "signed-zero", "1x1", "1xn", "nx1", "multi-block",
         "symmetric-multi-block"])
-def test_float_rows_are_repr_text_of_rows_and_columns(monkeypatch, matrix, mirrored):
-    formatted = []  # cells per C-encoder call
-    dumps = cli._dumps
-    monkeypatch.setattr(cli, "_dumps", lambda x: formatted.append(sum(map(len, x))) or dumps(x))
+def test_float_rows_are_repr_text_of_rows_and_columns(monkeypatch, tmp_path, matrix):
+    formatted = []  # cells per formatter call
+    float_text = cli._float_text
+    monkeypatch.setattr(cli, "_float_text", lambda x: formatted.append(x.size) or float_text(x))
     blocks = list(cli._float_blocks(matrix))
-    monkeypatch.setattr(cli, "_dumps", dumps)
     n, m = matrix.shape
     step = max(1, cli._BLOCK_CELLS // m)
     assert [len(rows) for rows in blocks] == [min(step, n - start) for start in range(0, n, step)]
     assert [row for rows in blocks for row in rows] == _repr_rows(matrix)
-    columns = cli._series_columns(matrix, None)
-    assert [",".join(pieces) for pieces in columns] == _repr_rows(matrix.T)
-    assert sum(formatted) == (n * (n + 1) // 2 if mirrored else n * m)
     assert len(formatted) == len(blocks)
+    columns = cli._series_columns(matrix, None)
+    assert list(columns) == _repr_rows(matrix.T)
+    path = tmp_path / "rows.csv"
+    cli._series_columns(matrix, str(path))
+    assert path.read_text().splitlines() == _repr_rows(matrix)
+    # each cell is formatted once per orientation written: rows, columns,
+    # then rows and columns again
+    assert sum(formatted) == 4 * n * m
+
+
+def _neighbours(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+_RNG = np.random.default_rng(38)
+_BITS = _RNG.integers(0, 2**64, 20000, dtype=np.uint64, endpoint=False).view(np.float64)
+_LOG_UNIFORM = (np.where(_RNG.random(20000) < 0.5, -1.0, 1.0)
+                * 10.0 ** _RNG.uniform(-330, 308, 20000))
+_EDGES = np.array([v for x in (1e-5, 1e-4, 1e16) for s in (1.0, -1.0)
+                   for v in _neighbours(s * x)]
+                  + [0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max])
+
+
+@pytest.mark.parametrize("block", [
+    _BITS[np.isfinite(_BITS)][:19600].reshape(-1, 7),
+    _LOG_UNIFORM.reshape(-1, 8),
+    _EDGES.reshape(1, -1),
+    _EDGES.reshape(-1, 1),
+    _EDGES.reshape(6, -1).T,
+    _LOG_UNIFORM.reshape(200, 100)[::3, 1::7],
+    np.zeros((0, 3)),
+    np.array([[1e-7]]),
+    np.array([[0.25]]),
+    _EDGES,
+], ids=["random-bits", "log-uniform", "edges-1xn", "edges-nx1", "edges-transposed",
+        "strided", "0x3", "1x1-small", "1x1", "1-d"])
+def test_float_text_is_compact_json_dumps_of_the_list(block):
+    # compared cell by cell: a failure names its first differing cell at once
+    got = cli._float_text(block)
+    assert got.split(",") == json.dumps(block.tolist(), separators=(",", ":")).split(",")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_float_text_refuses_a_non_finite_entry(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        cli._float_text(np.array([[0.5, bad]]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

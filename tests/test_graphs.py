@@ -183,6 +183,15 @@ def test_isolated_node_policies():
         build_operators(g, isolated_policy="error")
 
 
+def test_generators_are_built_on_their_first_read():
+    ops = build_operators(toys.path(3))
+    generators = {"laplacian", "stochastic_generator", "quantum_generator"}
+    assert not generators & set(vars(ops))
+    lap = ops.laplacian
+    assert ops.laplacian is lap
+    assert generators & set(vars(ops)) == {"laplacian"}
+
+
 def test_phased_adjacency_is_hermitian():
     rng = np.random.default_rng(24)
     g = build_graph(4, [(0, 1, 1.0, 0.7), (1, 2, 2.0, -1.1), (2, 3, 1.0, 2.2), (0, 3)])
