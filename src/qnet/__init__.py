@@ -19,9 +19,7 @@ from .graphs import (
     adjacency_matrix,
     build_graph,
     build_operators,
-    connected_components,
     google_matrix,
-    is_connected,
     load_edge_list,
     stochastic_eigenmodes,
     to_edge_list,

@@ -21,19 +21,17 @@ from .linalg import _density_spectrum, hermitian_eig, hermitian_eigenvalues
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A unit-trace PSD matrix, how it was built, and its spectrum (V * w) @ V^H."""
+    """A unit-trace PSD matrix and its spectrum (V * w) @ V^H."""
 
     matrix: np.ndarray
-    construction: str            # "rescaled-laplacian" | "propagator" | "external" | "mixture"
     eigenvalues: np.ndarray      # (n,) real, summing to 1
     vectors: np.ndarray | None   # (n, n), column k pairs with eigenvalues[k]; None for a JS mixture
-    tau: float | None = None
     log_eigenvalues: np.ndarray | None = None  # (n,) exact ln eigenvalues (propagator)
 
 
 def make_density(matrix: np.ndarray) -> DensityMatrix:
     m = np.asarray(matrix)
-    return DensityMatrix(m, "external", *_density_spectrum(m))
+    return DensityMatrix(m, *_density_spectrum(m))
 
 
 def _state(rho) -> DensityMatrix:
@@ -54,7 +52,7 @@ def density_rescaled(g: Graph) -> DensityMatrix:
     """Laplacian divided by its trace. Needs at least one edge."""
     lap, tr = _rescaled_laplacian(g)
     dec = hermitian_eig(lap)
-    return DensityMatrix(lap / tr, "rescaled-laplacian", dec.eigenvalues / tr, dec.vectors)
+    return DensityMatrix(lap / tr, dec.eigenvalues / tr, dec.vectors)
 
 
 def _check_tau(tau: float) -> None:
@@ -78,7 +76,7 @@ def _propagator(lap: np.ndarray, tau: float) -> DensityMatrix:
     dec = hermitian_eig(lap)
     w, logs = _propagator_weights(dec.eigenvalues, tau)
     v = dec.vectors
-    return DensityMatrix((v * w) @ v.conj().T, "propagator", w, v, float(tau), logs)
+    return DensityMatrix((v * w) @ v.conj().T, w, v, logs)
 
 
 def density_propagator(g: Graph, tau: float) -> DensityMatrix:
@@ -155,7 +153,7 @@ def js_divergence(rho, sigma) -> float:
     """S(mix) - [S(rho) + S(sigma)]/2 in bits, bounded by [0, 1]."""
     rho, sigma = _state(rho), _state(sigma)
     mix = 0.5 * (rho.matrix + sigma.matrix)
-    mixture = DensityMatrix(mix, "mixture", np.linalg.eigvalsh(mix), None)
+    mixture = DensityMatrix(mix, np.linalg.eigvalsh(mix), None)
     return max(0.0, vn_entropy(mixture) - 0.5 * (vn_entropy(rho) + vn_entropy(sigma)))
 
 

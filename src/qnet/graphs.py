@@ -1,5 +1,5 @@
-"""Graph type, the edge-list format, the operator bundle (adjacency,
-Laplacians, google matrix), and connected components.
+"""Graph type, the edge-list format, and the operator bundle (adjacency,
+Laplacians, google matrix).
 
 The edge list (load_edge_list, to_edge_list) is the one text format of a
 graph. Conventions:
@@ -80,8 +80,7 @@ def _first_failure(masks) -> tuple[int, int] | None:
     return int(bad[0]), next(c for c, mask in enumerate(masks) if mask[bad[0]])
 
 
-def _edge_masks(n: int, src, dst, weight, phase, directed: bool,
-                allow_self_loops: bool) -> tuple[np.ndarray, ...]:
+def _edge_masks(n: int, src, dst, weight, phase, directed: bool) -> tuple[np.ndarray, ...]:
     """The per-edge checks as boolean masks, in the order of _EDGE_ERRORS."""
     lo, hi = np.minimum(src, dst), np.maximum(src, dst)
     key = src * n + dst if directed else lo * n + hi
@@ -89,7 +88,7 @@ def _edge_masks(n: int, src, dst, weight, phase, directed: bool,
     repeat = np.zeros(len(key), dtype=bool)
     # equal keys sit together in input order; each after the first repeats it
     repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
-    return (~((lo >= 0) & (hi < n)), (lo == hi) & (not allow_self_loops),
+    return (~((lo >= 0) & (hi < n)), lo == hi,
             ~(np.isfinite(weight) & np.isfinite(phase)), weight < 0.0, repeat)
 
 
@@ -107,8 +106,7 @@ def _check_node_count(n: int) -> None:
         raise GraphFormatError(f"node count {n} exceeds the limit of {MAX_NODES} nodes")
 
 
-def _graph(n: int, src, dst, weight, phase, directed: bool,
-           allow_self_loops: bool = False, rows=None) -> Graph:
+def _graph(n: int, src, dst, weight, phase, directed: bool, rows=None) -> Graph:
     """Validate edge columns, sequences of Python numbers, and freeze them.
     An error names the first offending edge, with its values from rows when
     given, and the first check it fails."""
@@ -120,12 +118,12 @@ def _graph(n: int, src, dst, weight, phase, directed: bool,
             and max(src, default=-1) < n and max(dst, default=-1) < n
             and math.isfinite(sum(src) + sum(dst) + sum(weight) + sum(phase))
             and min(weight, default=0.0) >= 0
-            and (allow_self_loops or not any(map(operator.eq, src, dst)))
+            and not any(map(operator.eq, src, dst))
             and len(pairs := set(zip(src, dst))) == len(src)
             and (directed or pairs.isdisjoint(zip(dst, src)))):
         failure = _first_failure(_edge_masks(
             n, np.asarray(src), np.asarray(dst), np.asarray(weight, dtype=float),
-            np.asarray(phase, dtype=float), directed, allow_self_loops))
+            np.asarray(phase, dtype=float), directed))
         if failure is not None:
             k, check = failure
             u, v, w = rows[k][:3] if rows is not None else (src[k], dst[k], weight[k])
@@ -137,17 +135,11 @@ def _graph(n: int, src, dst, weight, phase, directed: bool,
     return Graph(int(n), *columns, directed=bool(directed))
 
 
-def build_graph(
-    n: int,
-    edges: Iterable[tuple],
-    directed: bool = False,
-    allow_self_loops: bool = False,
-) -> Graph:
-    """Validate and freeze a graph: ids in range, finite weights >= 0 and
-    phases, no duplicates."""
+def build_graph(n: int, edges: Iterable[tuple], directed: bool = False) -> Graph:
+    """Validate and freeze a graph: ids in range, no self-loops, finite
+    weights >= 0 and phases, no duplicates."""
     rows = list(itertools.starmap(Edge, edges))
-    return _graph(n, *(list(zip(*rows)) or [()] * 4), directed=directed,
-                  allow_self_loops=allow_self_loops, rows=rows)
+    return _graph(n, *(list(zip(*rows)) or [()] * 4), directed=directed, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +219,7 @@ def load_edge_list(text: str, directed: bool | None = None) -> Graph:
         # with n = max_id + 1 only a negative id is out of range; object
         # columns keep ids of any size exact
         masks = _edge_masks(max_id + 1, np.array(us, dtype=object), np.array(vs, dtype=object),
-                            np.array(ws), np.array(ps), True, True)
+                            np.array(ws), np.array(ps), True)
         failure = _first_failure((masks[0], masks[2], masks[3]))
     bad = parsed if failure is None else failure[0]
     if bad < len(rows):
@@ -272,8 +264,7 @@ def to_edge_list(g: Graph) -> str:
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense adjacency; complex dtype only when some edge carries a phase.
 
-    One scatter-add: an undirected edge also adds its conjugate at (dst,
-    src), so an undirected self-loop puts twice its weight on the diagonal.
+    One scatter-add: an undirected edge also adds its conjugate at (dst, src).
     """
     amp = g.weight * np.exp(1j * g.phase) if g.has_phases() else g.weight
     rows, cols, vals = g.src, g.dst, amp
@@ -393,40 +384,3 @@ def google_matrix(g: Graph, damping: float = 0.85) -> GoogleMatrix:
         m[:, list(dangling)] = 1.0 / g.n
     mat = damping * m + (1.0 - damping) / g.n
     return GoogleMatrix(matrix=mat, damping=float(damping), dangling=dangling)
-
-
-# ---------------------------------------------------------------------------
-# structure checks
-
-
-def _components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Components of n nodes joined by undirected pairs, each sorted, ordered
-    by their smallest member: the trees of a breadth-first forest, each
-    started at the smallest node not yet reached."""
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for a, b in pairs:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = [start]
-        for u in queue:  # grows while it is read: breadth-first order
-            for v in nbrs[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        comps.append(sorted(queue))
-    return comps
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Components of the undirected view, each sorted, in discovery order."""
-    return _components(g.n, zip(g.src.tolist(), g.dst.tolist()))
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1

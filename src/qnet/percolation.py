@@ -115,10 +115,7 @@ def _search_plans(links: frozenset[tuple[int, int]]) -> tuple[_Plan, ...]:
     automorphism orbit of the ordered links: two ordered links that an
     automorphism relates find the same copies. Each plan maps the remaining
     nodes with the most already-mapped neighbours first. Nodes with no link
-    play no part, and a target with a self-loop gets no plan, because the
-    host has no self-loops."""
-    if any(a == b for a, b in links):
-        return ()
+    play no part."""
     nodes = sorted({v for link in links for v in link})
     nbrs = {v: {w for link in links if v in link for w in link if w != v} for v in nodes}
     autos = []
@@ -216,11 +213,8 @@ def _first_link(tg: _Target, src: np.ndarray, dst: np.ndarray) -> int:
 
 
 def contains_subgraph(g: Graph, target: str | Graph) -> bool:
-    """Exact (non-induced) containment check for targets of up to 5 nodes;
-    self-loops of the host are ignored."""
-    tg = _target(target)
-    link = g.src != g.dst
-    return _first_link(tg, g.src[link], g.dst[link]) >= 0
+    """Exact (non-induced) containment check for targets of up to 5 nodes."""
+    return _first_link(_target(target), g.src, g.dst) >= 0
 
 
 def _first_containing(tg: _Target, u: np.ndarray, iu: np.ndarray, ju: np.ndarray,
@@ -326,8 +320,6 @@ class TrialRecord:
 @dataclass(frozen=True)
 class ClusterStats:
     p: float
-    width: int
-    height: int
     trials: int
     spanning_prob: float
     spanning_ci: float           # 95% normal-approximation half width
@@ -410,7 +402,7 @@ def bond_percolation_curve(
         prob = float(spans[pi].mean())
         ci = 1.96 * float(np.sqrt(prob * (1.0 - prob) / trials))
         out.append(ClusterStats(
-            p=p, width=width, height=height, trials=trials,
+            p=p, trials=trials,
             spanning_prob=prob,
             spanning_ci=ci,
             largest_fraction_mean=float(np.mean(fractions)),

@@ -37,6 +37,8 @@ SZEGEDY_EDGE_SPACE_CAP = 4096
 # history of 2 * steps * n) are checked against this count before anything is
 # allocated; a 2048-node graph is the largest the walk takes.
 MAX_SZEGEDY_ENTRIES = 2**22
+# power-iteration steps classical_pagerank takes before it gives up
+MAX_PAGERANK_ITERATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -63,13 +65,13 @@ def _as_transition(gm: GoogleMatrix | np.ndarray) -> np.ndarray:
     return mat
 
 
-def classical_pagerank(gm: GoogleMatrix | np.ndarray, max_iter: int = 10_000) -> RankingResult:
+def classical_pagerank(gm: GoogleMatrix | np.ndarray) -> RankingResult:
     """Stationary distribution by power iteration from the uniform start, stopped
     once one step changes it by at most Tolerances.pagerank_l1_atol (L1)."""
     mat = _as_transition(gm)
     n = mat.shape[0]
     p = np.full(n, 1.0 / n)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_PAGERANK_ITERATIONS + 1):
         nxt = mat @ p
         nxt /= nxt.sum()
         if np.abs(nxt - p).sum() <= DEFAULT_TOLS.pagerank_l1_atol:
@@ -77,7 +79,7 @@ def classical_pagerank(gm: GoogleMatrix | np.ndarray, max_iter: int = 10_000) ->
         p = nxt
     raise ConvergenceError(
         "power iteration did not reach L1 tolerance "
-        f"{DEFAULT_TOLS.pagerank_l1_atol:.1e} in {max_iter} steps"
+        f"{DEFAULT_TOLS.pagerank_l1_atol:.1e} in {MAX_PAGERANK_ITERATIONS} steps"
     )
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .errors import DisconnectedGraphError, DistributionError
-from .graphs import Graph, build_operators, is_connected
+from .graphs import Graph, build_operators
 from .linalg import (EigenDecomposition, _above_rank_cut, _abs2_matmul, _dephased,
                      _density_spectrum, hermitian_eig)
 
@@ -138,12 +138,14 @@ def quantumness(g: Graph, initial="uniform-pure") -> float:
 
     Zero iff the initial state already lies along the generator's ground
     state; vanishes for regular graphs started in the uniform superposition.
+    A graph whose ground state is degenerate is refused: one that is
+    disconnected, joined only through zero-weight links, or has an isolated node.
     """
-    if not is_connected(g):
+    dec = hermitian_eig(build_operators(g).quantum_generator)
+    if dec.ground_degeneracy > 1:
         raise DisconnectedGraphError(
             "quantumness needs a connected graph (ground state is degenerate)"
         )
-    dec = hermitian_eig(build_operators(g).quantum_generator)
     phi0 = dec.ground_vector
     if isinstance(initial, str):
         if initial not in ("uniform-pure", "maximally-mixed"):

@@ -52,7 +52,6 @@ def test_rescaled_pair_matrix_and_spectrum():
     d = density_rescaled(toys.pair())
     assert np.allclose(d.matrix, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-14)
     assert np.allclose(np.linalg.eigvalsh(d.matrix), [0.0, 1.0], atol=1e-14)
-    assert d.construction == "rescaled-laplacian"
 
 
 def test_rescaled_clique_spectrum_and_entropy():

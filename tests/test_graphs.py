@@ -1,11 +1,8 @@
-"""Graph parsing, operator construction, google matrices, and structure checks."""
+"""Graph parsing, operator construction, and google matrices."""
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qnet import (
     DisconnectedGraphError,
@@ -14,9 +11,7 @@ from qnet import (
     adjacency_matrix,
     build_graph,
     build_operators,
-    connected_components,
     google_matrix,
-    is_connected,
     load_edge_list,
     stochastic_eigenmodes,
     to_edge_list,
@@ -231,35 +226,3 @@ def test_google_matrix_validation():
         google_matrix(build_graph(0, []))
     with pytest.raises(ValueError, match="damping"):
         google_matrix(toys.pair(), damping=1.5)
-
-
-# ---------------------------------------------------------------------------
-# structure
-
-
-def test_connectivity_helpers():
-    g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
-    assert not is_connected(g)
-    assert connected_components(g) == [[0, 1, 2], [3, 4]]
-    assert is_connected(toys.cycle(5))
-
-
-@st.composite
-def structure_graphs(draw):
-    n = draw(st.integers(1, 12))
-    directed = draw(st.booleans())
-    pairs = [(i, j) for i in range(n) for j in range(n) if directed or i <= j]
-    links = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=16))
-    return build_graph(n, links, directed=directed, allow_self_loops=True)
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(g=structure_graphs())
-def test_structure_checks_match_networkx(g):
-    # isolated nodes, self-loops and directed input against the undirected view
-    links = list(zip(g.src.tolist(), g.dst.tolist()))
-    view = nx.Graph()
-    view.add_nodes_from(range(g.n))
-    view.add_edges_from(links)
-    assert connected_components(g) == sorted(sorted(c) for c in nx.connected_components(view))
-    assert is_connected(g) == nx.is_connected(view)

@@ -25,6 +25,7 @@ from qnet import (
     szegedy_step_matrix,
     toys,
 )
+from qnet import ranking
 from qnet.ranking import MAX_SZEGEDY_ENTRIES, _symmetrized_hamiltonian
 
 from _helpers import random_connected_graph, random_directed_graph
@@ -68,10 +69,11 @@ def test_classical_star_concentrates_on_hub():
     assert r.scores[0] > 0.5
 
 
-def test_classical_iteration_budget():
+def test_classical_iteration_budget(monkeypatch):
+    monkeypatch.setattr(ranking, "MAX_PAGERANK_ITERATIONS", 2)
     gm = google_matrix(toys.directed_chain(5), 0.85)
-    with pytest.raises(ConvergenceError):
-        classical_pagerank(gm, max_iter=2)
+    with pytest.raises(ConvergenceError, match="in 2 steps"):
+        classical_pagerank(gm)
 
 
 # ---------------------------------------------------------------------------

@@ -246,9 +246,13 @@ def test_maximally_mixed_quantumness():
 
 
 def test_quantumness_requires_connected_graph():
-    g = build_graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(DisconnectedGraphError):
-        quantumness(g)
+    # two components, two linked only through a zero-weight edge, and an
+    # isolated node: each leaves the ground state degenerate
+    for g in (build_graph(4, [(0, 1), (2, 3)]),
+              build_graph(4, [(0, 1, 1.0), (1, 2, 0.0), (2, 3, 1.0)]),
+              build_graph(4, [(0, 1), (1, 2)])):
+        with pytest.raises(DisconnectedGraphError, match="ground state is degenerate"):
+            quantumness(g)
 
 
 def test_quantumness_bounds_random():
