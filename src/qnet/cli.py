@@ -9,15 +9,16 @@ and main writes it; no other module knows the JSON layout. Only communities
 or QNET_SEED. A flag that the chosen mode never reads is refused, exit 1,
 before the graph is loaded.
 
-Every payload is built from plain Python values where it is made, and every
-float is written as its repr text: JSON is json.dumps(payload, indent=2,
-sort_keys=True) byte for byte, and a CSV cell is the same text, so it reads
-back as the same double. Float arrays (matrices, walk series, trial records)
-are formatted by one formatter, _float_text, which takes orjson's shortest
-digits in repr's layout; scalars and short lists go through the JSON encoder.
-A matrix is formatted a block of rows at a time, and each block's CSV rows
-are written as soon as it is formatted. The only non-finite value written is
-kl_bits "inf"; any other is refused, exit 1.
+Every float is written as its repr text: JSON is json.dumps(payload,
+indent=2, sort_keys=True) byte for byte, and a CSV cell is the same text, so
+it reads back as the same double. A payload value is a numpy float array or a
+plain JSON value, and only the writer makes text. Float arrays (walk series,
+scores, matrices, trial columns) are formatted by one formatter, _float_text,
+which takes orjson's shortest digits in repr's layout; every other value is
+one json.dumps call. A 2-D array, in the JSON or a CSV file, is formatted a
+block of rows at a time, and each block is written as soon as it is
+formatted. The only non-finite value written is kl_bits "inf"; any other is
+refused, exit 1, before the output opens.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import math
 import os
 import sys
 import warnings
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 import orjson
@@ -118,12 +119,6 @@ _BLOCK_CELLS = 2**13
 _NUMPY = orjson.OPT_SERIALIZE_NUMPY
 
 
-class _Rows(list):
-    """A row table: each JSON array row as the comma-joined float text of its
-    cells, as _series_columns makes it. _emit writes its rows without
-    formatting a number again."""
-
-
 def _float_text(block) -> str:
     """json.dumps(block.tolist(), separators=(",", ":")) of a finite float
     array, from one orjson call; ValueError for a non-finite entry. orjson
@@ -155,45 +150,47 @@ def _float_blocks(matrix) -> Iterator[list[str]]:
             for start in range(0, m.shape[0], step))
 
 
-def _text(value) -> str:
-    """json.dumps(value, indent=2, sort_keys=True) of a top-level payload value,
-    indented two more spaces; ValueError if it holds a non-finite float. A
-    scalar or a flat list is one call of the C encoder, whose item separator
-    carries the line break and indent; an indent selects the Python encoder."""
-    items = value if isinstance(value, (list, tuple)) else ()
-    if isinstance(value, dict) or not {dict, list, tuple}.isdisjoint(map(type, items)):
-        return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  ")
-    text = json.dumps(value, separators=(",\n    ", ": "), allow_nan=False)
-    return f"[\n    {text[1:-1]}\n  ]" if items else text
-
-
-def _chunks(rows: _Rows):
-    """A top-level row table as json.dumps lays out its nested list, one row
-    at a time. A row's float text is reused; only its separators gain the line
-    break and indent."""
+def _chunks(blocks: Iterator[list[str]]) -> Iterator[str]:
+    """A top-level 2-D array as json.dumps lays out its nested list, from the
+    row text of _float_blocks, one row at a time; only the separators gain
+    the line break and indent."""
     sep = "[\n    ["
-    for row in rows:
-        yield sep + "\n      " + row.replace(",", ",\n      ") + "\n    ]"
-        sep = ",\n    ["
+    for rows in blocks:
+        for row in rows:
+            yield sep + "\n      " + row.replace(",", ",\n      ") + "\n    ]"
+            sep = ",\n    ["
     yield "\n  ]"
+
+
+def _text(value) -> Iterable[str]:
+    """json.dumps(value, indent=2, sort_keys=True) of a top-level payload value,
+    indented two more spaces, as chunks of text; ValueError here if it holds a
+    non-finite float. A payload array is a non-empty 1-D or 2-D float array,
+    and takes _float_text's cells: a 1-D one in one chunk, a 2-D one a block
+    of rows at a time as its chunks are read."""
+    if isinstance(value, np.ndarray):
+        if value.ndim == 2:
+            return _chunks(_float_blocks(value))
+        return ("[\n    " + _float_text(value)[1:-1].replace(",", ",\n    ") + "\n  ]",)
+    return (json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  "),)
 
 
 def _emit(payload: dict, output: str | None) -> None:
     """Write json.dumps(payload, indent=2, sort_keys=True) and a newline to
-    output or stdout one top-level value at a time, and a row table one row
-    at a time, so the whole document is never one string. Every other value is
-    formatted before the output opens: a non-finite one leaves no output."""
+    output or stdout one top-level value at a time, and a 2-D array one row at
+    a time, so the whole document is never one string. Every value is checked
+    before the output opens: a non-finite one leaves no output."""
     texts = {}
     for key, value in payload.items():
         try:
-            texts[key] = value if isinstance(value, _Rows) else _text(value)
+            texts[key] = _text(value)
         except ValueError:
             raise ValueError(f"cannot write {key!r}: it holds a non-finite number") from None
     with open(output, "w") if output is not None else contextlib.nullcontext(sys.stdout) as fh:
         sep = "{\n  "
-        for key, text in sorted(texts.items()):
+        for key, chunks in sorted(texts.items()):
             fh.write(f"{sep}{json.dumps(key)}: ")
-            fh.writelines(_chunks(text) if isinstance(text, _Rows) else (text,))
+            fh.writelines(chunks)
             sep = ",\n  "
         fh.write("\n}\n")
 
@@ -206,14 +203,6 @@ def _write_matrix(path: str, matrix) -> None:
     with open(path, "w") as fh:
         for rows in blocks:
             fh.writelines(row + "\n" for row in rows)
-
-
-def _series_columns(series, path: str | None) -> _Rows:
-    """The columns of a finite 2-D float matrix as a row table; with a path,
-    its rows are first written there as CSV by _write_matrix."""
-    if path:
-        _write_matrix(path, series)
-    return _Rows(row for rows in _float_blocks(np.asarray(series).T) for row in rows)
 
 
 def _load_graph(toy: str | None, path: str | None, directed: bool | None) -> Graph:
@@ -229,10 +218,9 @@ def _load_graph(toy: str | None, path: str | None, directed: bool | None) -> Gra
     return g
 
 
-def _graph_args(p: argparse.ArgumentParser, prefix: str = "") -> None:
-    dash = f"--{prefix}" if prefix else "--"
-    p.add_argument(f"{dash}input", metavar="FILE", help="edge-list file")
-    p.add_argument(f"{dash}toy", metavar="NAME",
+def _graph_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", metavar="FILE", help="edge-list file")
+    p.add_argument("--toy", metavar="NAME",
                    help=f"bundled toy graph ({', '.join(toys.toy_names())})")
 
 
@@ -297,11 +285,11 @@ def _cmd_walk(args) -> dict:
     else:
         grid = _parse_linspace(args.times, "--times")
         res = evolve(WalkSpec(generator=h, initial=initial, times=grid))
-        payload["times"] = res.times.tolist()
-        # [node][time] for the JSON; --matrix-out gets the [time][node] rows
-        payload["probabilities"] = _series_columns(res.series, args.matrix_out)
-        payload["variance"] = res.variance.tolist()
-    payload["average"] = res.long_time.tolist()
+        if args.matrix_out:
+            _write_matrix(args.matrix_out, res.series)
+        # [time][node] in the CSV, [node][time] in the JSON
+        payload.update(times=res.times, probabilities=res.series.T, variance=res.variance)
+    payload["average"] = res.long_time
     return payload
 
 
@@ -329,13 +317,12 @@ def _cmd_rank(args) -> dict:
                                    jump_form=jump)
     else:  # qsw
         result = qsw_activity(g, damping=args.damping, jump_form=jump)
-    payload = {"damping": args.damping, "scores": result.scores.tolist(),
-               "variant": result.variant}
+    payload = {"damping": args.damping, "scores": result.scores, "variant": result.variant}
     for key in ("variance", "ground_eigenvalue", "alpha", "converged", "iterations",
                 "degenerate"):
         value = getattr(result, key)
         if value is not None:
-            payload[key] = np.asarray(value).tolist()
+            payload[key] = value
     return payload
 
 
@@ -377,8 +364,7 @@ def _cmd_compare(args) -> dict:
 
 def _partition_keys(part) -> dict:
     """The payload keys of every partition, agglomerative or magnetic."""
-    return {"communities": [list(c) for c in part.communities], "method": part.method,
-            "tie": part.tie}
+    return {"communities": part.communities, "method": part.method, "tie": part.tie}
 
 
 def _cmd_communities(args) -> dict:
@@ -439,15 +425,16 @@ def _parse_lattice(text: str) -> tuple[int, int]:
 
 
 def _write_trials(path: str, curve) -> None:
-    """Per-trial records as CSV, with each grid point's p formatted once and
-    every float in repr text."""
+    """The per-trial columns as CSV, with each grid point's p formatted once
+    and every float in repr text."""
     with open(path, "w") as fh:
         fh.write("p,trial,spanning,largest_fraction\n")
         for stats in curve:
             p, *fractions = _float_text(
-                [stats.p, *(rec.largest_fraction for rec in stats.records)])[1:-1].split(",")
-            fh.writelines(f"{p},{idx},{int(rec.spanning)},{fraction}\n"
-                          for idx, (rec, fraction) in enumerate(zip(stats.records, fractions)))
+                np.append(stats.p, stats.largest_fraction))[1:-1].split(",")
+            fh.writelines(f"{p},{idx},{int(span)},{fraction}\n"
+                          for idx, (span, fraction)
+                          in enumerate(zip(stats.spanning.tolist(), fractions)))
 
 
 def _stats_keys(stats) -> dict:
@@ -478,10 +465,9 @@ def _cmd_percolate(args) -> dict:
         res = subgraph_emergence(args.emergence, z=1.0 if args.z is None else args.z,
                                  n_values=n_values, c_values=c_values, trials=args.trials,
                                  seed=seed)
-        return {"c_values": list(res.c_values), "fractions": res.fractions.tolist(),
-                "n_values": list(res.n_values), "regime": res.regime,
-                "sharpness": res.sharpness.tolist(), "target": res.target, "z": res.z,
-                "z_critical": res.z_critical}
+        return {"c_values": res.c_values, "fractions": res.fractions,
+                "n_values": res.n_values, "regime": res.regime, "sharpness": res.sharpness,
+                "target": res.target, "z": res.z, "z_critical": res.z_critical}
     width, height = _parse_lattice("64x64" if args.lattice is None else args.lattice)
     if args.p is not None:
         stats = bond_percolation(width, height, args.p, trials=args.trials, seed=seed)
@@ -517,11 +503,11 @@ def _cmd_layers(args) -> dict:
     if args.matrix_out:
         _write_matrix(args.matrix_out, clustering.distance_matrix)
     return {
-        "labels": list(clustering.labels),
+        "labels": clustering.labels,
         "merges": [
             {"a": a, "b": b, "distance": d} for a, b, d in clustering.merges
         ],
-        "order": list(clustering.order),
+        "order": clustering.order,
         "tau": args.tau,
     }
 

@@ -79,9 +79,16 @@ def _propagator(lap: np.ndarray, tau: float) -> DensityMatrix:
     return DensityMatrix((v * w) @ v.conj().T, w, v, logs)
 
 
+def _laplacian(g: Graph) -> np.ndarray:
+    """The Laplacian of g, which the propagator density exponentiates."""
+    if g.n == 0:
+        raise GraphFormatError("empty graph has no propagator density")
+    return build_operators(g).laplacian
+
+
 def density_propagator(g: Graph, tau: float) -> DensityMatrix:
     """exp(-tau * Laplacian) normalized by its trace; tau = 0 gives I/n."""
-    return _propagator(build_operators(g).laplacian, tau)
+    return _propagator(_laplacian(g), tau)
 
 
 def _entropy_bits(w: np.ndarray) -> float:
@@ -105,7 +112,7 @@ def graph_entropy(g: Graph, density: str = "rescaled", tau: float = 1.0) -> floa
         return _entropy_bits(hermitian_eigenvalues(lap) / tr)
     if density != "propagator":
         raise ValueError(f"unknown density {density!r}")
-    lap = build_operators(g).laplacian
+    lap = _laplacian(g)
     _check_tau(tau)
     return _entropy_bits(_propagator_weights(hermitian_eigenvalues(lap), tau)[0])
 

@@ -312,19 +312,14 @@ def subgraph_emergence(
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    spanning: bool
-    largest_fraction: float
-
-
-@dataclass(frozen=True)
 class ClusterStats:
     p: float
     trials: int
     spanning_prob: float
     spanning_ci: float           # 95% normal-approximation half width
     largest_fraction_mean: float
-    records: tuple[TrialRecord, ...]
+    spanning: np.ndarray         # (trials,) bool: whether each trial's lattice spans
+    largest_fraction: np.ndarray  # (trials,) each trial's largest cluster over its sites
 
 
 def _label_lattices(uh: np.ndarray, uv: np.ndarray, ps: np.ndarray):
@@ -396,18 +391,18 @@ def bond_percolation_curve(
             span, big = _label_lattices(uh, uv, grid[lo:hi])
             spans[lo:hi, t0:t1] = span.reshape(t1 - t0, hi - lo).T
             largest[lo:hi, t0:t1] = big.reshape(t1 - t0, hi - lo).T
+    fractions = largest / n
     out = []
     for pi, p in enumerate(ps):
-        fractions = [size / n for size in largest[pi].tolist()]
         prob = float(spans[pi].mean())
         ci = 1.96 * float(np.sqrt(prob * (1.0 - prob) / trials))
         out.append(ClusterStats(
             p=p, trials=trials,
             spanning_prob=prob,
             spanning_ci=ci,
-            largest_fraction_mean=float(np.mean(fractions)),
-            records=tuple(TrialRecord(s, f)
-                          for s, f in zip(spans[pi].tolist(), fractions)),
+            largest_fraction_mean=float(fractions[pi].mean()),
+            spanning=spans[pi],
+            largest_fraction=fractions[pi],
         ))
     return out
 

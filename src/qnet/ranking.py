@@ -56,8 +56,8 @@ class RankingResult:
 
 def _as_transition(gm: GoogleMatrix | np.ndarray) -> np.ndarray:
     mat = gm.matrix if isinstance(gm, GoogleMatrix) else np.asarray(gm, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"transition matrix must be square, got {mat.shape}")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+        raise ValueError(f"transition matrix must be square and non-empty, got {mat.shape}")
     col_sums = mat.sum(axis=0)
     if (np.abs(col_sums - 1.0).max() > DEFAULT_TOLS.distribution_sum_atol
             or mat.min() < -DEFAULT_TOLS.distribution_negative_atol):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .errors import DisconnectedGraphError, DistributionError
+from .errors import DisconnectedGraphError, DistributionError, GraphFormatError
 from .graphs import Graph, build_operators
 from .linalg import (EigenDecomposition, _above_rank_cut, _abs2_matmul, _dephased,
                      _density_spectrum, hermitian_eig)
@@ -141,6 +141,8 @@ def quantumness(g: Graph, initial="uniform-pure") -> float:
     A graph whose ground state is degenerate is refused: one that is
     disconnected, joined only through zero-weight links, or has an isolated node.
     """
+    if g.n == 0:
+        raise GraphFormatError("empty graph has no ground state")
     dec = hermitian_eig(build_operators(g).quantum_generator)
     if dec.ground_degeneracy > 1:
         raise DisconnectedGraphError(

@@ -196,11 +196,12 @@ def test_trials_out_csv(capsys, tmp_path):
     assert lines[0] == "p,trial,spanning,largest_fraction"
     assert len(lines) == 7
     stats = bond_percolation(10, 10, 0.45, trials=6, seed=0)
-    expected = [f"{stats.p!r},{k},{int(rec.spanning)},{rec.largest_fraction!r}"
-                for k, rec in enumerate(stats.records)]
+    expected = [f"{stats.p!r},{k},{int(span)},{fraction!r}" for k, (span, fraction)
+                in enumerate(zip(stats.spanning.tolist(), stats.largest_fraction.tolist()))]
     assert lines[1:] == expected
     back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    assert np.array_equal(back[:, 3], [rec.largest_fraction for rec in stats.records])
+    assert np.array_equal(back[:, 2], stats.spanning)
+    assert np.array_equal(back[:, 3], stats.largest_fraction)
 
 
 def test_seed_env_matches_flag(capsys, monkeypatch):
@@ -432,6 +433,8 @@ def _elementwise_plain(x):
 
 
 _WALK = np.random.default_rng(32).random((120, 2001))  # [node][time]
+# cells where orjson's layout differs from repr's (below 1e-4, from 1e16 up)
+_EXTREMES = np.array([3.2e-5, -1e-300, 5e-324, 0.0, -0.0, 0.5, 1e16, -3.5e17, 1.7e308, 9.99e-5])
 
 
 @pytest.mark.parametrize("payload", [
@@ -441,12 +444,16 @@ _WALK = np.random.default_rng(32).random((120, 2001))  # [node][time]
      "scalars": [3, -7, 2**70], "x": 1.0, "y": True, "z": None},
     {"pairs": [(1, 2.5), ("a", None)], "pair": (True, 0.1), "flat": [(), "b"]},
     {"\u00e9t\u00e9": "\u03c8 \u2192 \u03c6", "\u6f22": ["\u00fc", "\n\"\\", "\U0001f600"], "ascii": "plain"},
-    {"probabilities": cli._series_columns(_WALK.T, None),
-     "times": np.linspace(0.0, 20.0, 2001).tolist(), "n": 120},
-], ids=["nested", "empty", "mixed", "tuples", "non-ascii", "walk-2001x120"])
+    # 30 blocks of 4 rows
+    {"probabilities": _WALK, "times": np.linspace(0.0, 20.0, 2001), "n": 120},
+    {"extremes": _EXTREMES, "one": np.array([0.25]), "x": 1.0},
+    {"row": _EXTREMES.reshape(1, -1), "column": _EXTREMES.reshape(-1, 1),
+     "cell": np.array([[1e-7]])},
+], ids=["nested", "empty", "mixed", "tuples", "non-ascii", "walk-2001x120", "1-d-extremes",
+        "1xn-nx1"])
 def test_emit_matches_indented_json_dumps(capsys, payload):
     cli._emit(payload, None)
-    plain = {k: _WALK.tolist() if isinstance(v, cli._Rows) else v for k, v in payload.items()}
+    plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()}
     expected = json.dumps(plain, indent=2, sort_keys=True) + "\n"
     assert capsys.readouterr().out.encode() == expected.encode()
 
@@ -465,6 +472,17 @@ def test_non_finite_payload_is_refused_before_the_output_opens(capsys, tmp_path,
     with pytest.raises(ValueError, match="non-finite"):
         cli._emit({"label": "ok", "rows": [[bad, 1.0]]}, None)
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("shape", [(5,), (3, 4)], ids=["1-d", "2-d"])
+def test_non_finite_array_is_refused_before_the_output_opens(tmp_path, bad, shape):
+    array = np.ones(shape)
+    array.flat[-1] = bad
+    out = tmp_path / "payload.json"
+    with pytest.raises(ValueError, match="cannot write 'values': it holds a non-finite"):
+        cli._emit({"label": "ok", "values": array}, str(out))
+    assert not out.exists()
 
 
 def test_kl_past_the_reference_support_is_the_string_inf(capsys, tmp_path):
@@ -599,14 +617,14 @@ def test_float_rows_are_repr_text_of_rows_and_columns(monkeypatch, tmp_path, mat
     assert [len(rows) for rows in blocks] == [min(step, n - start) for start in range(0, n, step)]
     assert [row for rows in blocks for row in rows] == _repr_rows(matrix)
     assert len(formatted) == len(blocks)
-    columns = cli._series_columns(matrix, None)
-    assert list(columns) == _repr_rows(matrix.T)
+    columns = [row for rows in cli._float_blocks(matrix.T) for row in rows]
+    assert columns == _repr_rows(matrix.T)
     path = tmp_path / "rows.csv"
-    cli._series_columns(matrix, str(path))
+    cli._write_matrix(str(path), matrix)
     assert path.read_text().splitlines() == _repr_rows(matrix)
     # each cell is formatted once per orientation written: rows, columns,
-    # then rows and columns again
-    assert sum(formatted) == 4 * n * m
+    # then rows again
+    assert sum(formatted) == 3 * n * m
 
 
 def _neighbours(x):

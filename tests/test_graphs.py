@@ -8,12 +8,18 @@ from qnet import (
     DisconnectedGraphError,
     GraphFormatError,
     SymmetryError,
+    adiabatic_rank,
     adjacency_matrix,
     build_graph,
     build_operators,
+    classical_pagerank,
+    density_propagator,
     google_matrix,
+    graph_entropy,
     load_edge_list,
+    quantumness,
     stochastic_eigenmodes,
+    szegedy_rank,
     to_edge_list,
     toys,
 )
@@ -226,3 +232,17 @@ def test_google_matrix_validation():
         google_matrix(build_graph(0, []))
     with pytest.raises(ValueError, match="damping"):
         google_matrix(toys.pair(), damping=1.5)
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: quantumness(build_graph(0, [])), GraphFormatError, "empty graph"),
+    (lambda: density_propagator(build_graph(0, []), 1.0), GraphFormatError, "empty graph"),
+    (lambda: graph_entropy(build_graph(0, []), "propagator"), GraphFormatError, "empty graph"),
+    (lambda: classical_pagerank(np.zeros((0, 0))), ValueError, "non-empty"),
+    (lambda: adiabatic_rank(np.zeros((0, 0))), ValueError, "non-empty"),
+    (lambda: szegedy_rank(np.zeros((0, 0))), ValueError, "non-empty"),
+], ids=["quantumness", "density_propagator", "graph_entropy", "classical_pagerank",
+        "adiabatic_rank", "szegedy_rank"])
+def test_empty_input_is_refused_at_entry(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

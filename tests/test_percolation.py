@@ -273,7 +273,7 @@ def test_curve_is_seed_deterministic():
     a = bond_percolation_curve(8, 8, [0.5], trials=20, seed=4)[0]
     b = bond_percolation_curve(8, 8, [0.5], trials=20, seed=4)[0]
     assert a.spanning_prob == b.spanning_prob
-    assert [r.spanning for r in a.records] == [r.spanning for r in b.records]
+    assert np.array_equal(a.spanning, b.spanning)
 
 
 def test_batched_kernel_matches_reference_union_find():
@@ -286,7 +286,7 @@ def _assert_matches_reference(curve, width, height, ps, trials, seed):
     expected = reference.bond_percolation_curve(width, height, ps, trials, seed)
     assert [s.p for s in curve] == [float(p) for p in ps]
     for stats, (prob, largest_mean, records) in zip(curve, expected):
-        assert [(r.spanning, r.largest_fraction) for r in stats.records] == records
+        assert list(zip(stats.spanning.tolist(), stats.largest_fraction.tolist())) == records
         assert stats.spanning_prob == prob
         assert stats.largest_fraction_mean == largest_mean
 
@@ -377,7 +377,8 @@ def test_lattice_validation():
 def test_crossing_estimate_interpolates():
     def fake(p, prob):
         return ClusterStats(p=p, trials=10, spanning_prob=prob,
-                            spanning_ci=0.1, largest_fraction_mean=0.5, records=())
+                            spanning_ci=0.1, largest_fraction_mean=0.5,
+                            spanning=np.array([], dtype=bool), largest_fraction=np.array([]))
 
     curve = [fake(0.3, 0.1), fake(0.5, 0.4), fake(0.7, 0.7)]
     # linear interpolation between 0.5 and 0.7 hits one half at 0.5667
