@@ -127,15 +127,15 @@ def _float_text(block) -> str:
     where repr writes 3.2e-05, 1e+16) a cell is written as null and replaced
     by its repr."""
     a = np.ascontiguousarray(block, dtype=float)
-    if not np.isfinite(a).all():
-        raise ValueError("cannot write a non-finite number")
     size = np.abs(a)
-    odd = ((size < 1e-4) & (a != 0.0)) | (size >= 1e16)
+    odd = ((size < 1e-4) & (a != 0.0)) | ~(size < 1e16)  # nan and inf fail size < 1e16
     if not odd.any():
         return orjson.dumps(a, option=_NUMPY).decode()
-    cells = map(repr, a[odd].tolist())
+    cells = a[odd].tolist()
+    if not all(map(math.isfinite, cells)):
+        raise ValueError("cannot write a non-finite number")
     parts = orjson.dumps(np.where(odd, np.nan, a), option=_NUMPY).decode().split("null")
-    return "".join(part + cell for part, cell in zip(parts, cells)) + parts[-1]
+    return "".join(part + repr(cell) for part, cell in zip(parts, cells)) + parts[-1]
 
 
 def _float_blocks(matrix) -> Iterator[list[str]]:

@@ -53,10 +53,6 @@ class Graph:
         return tuple(map(Edge, self.src.tolist(), self.dst.tolist(),
                          self.weight.tolist(), self.phase.tolist()))
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.src)
-
     def has_phases(self) -> bool:
         return np.count_nonzero(self.phase) > 0
 

@@ -292,10 +292,6 @@ class Trajectory:
     def final(self) -> np.ndarray:
         return self.states[-1]
 
-    def populations(self) -> np.ndarray:
-        """Real diagonal occupations, shape (steps+1, n)."""
-        return np.real(np.einsum("tii->ti", self.states))
-
 
 def integrate_master_equation(
     rhs: Callable[[np.ndarray], np.ndarray],

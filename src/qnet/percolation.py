@@ -42,6 +42,9 @@ MAX_LATTICE_SITES = 2**22
 # Subgraph emergence draws n(n-1)/2 uniforms per trial; the largest n is
 # checked against this pair count before anything is allocated.
 MAX_EMERGENCE_PAIRS = 2**22
+# Trial counts are checked against this before the per-trial random streams
+# (a few hundred bytes each) are spawned.
+MAX_TRIALS = 2**20
 # Lattice copies labelled in one ndimage.label call hold at most this many
 # sites together (always at least one copy), which bounds the images of a call.
 _BATCH_SITES = 2**16
@@ -258,6 +261,8 @@ def subgraph_emergence(
         raise ValueError(f"z must be positive, got {z}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"{trials} trials exceed the limit of {MAX_TRIALS}")
     if not len(n_values):
         raise ValueError("n_values must not be empty")
     if any(n < 1 for n in n_values):
@@ -365,6 +370,8 @@ def bond_percolation_curve(
                          f"{MAX_LATTICE_SITES} sites")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"{trials} trials exceed the limit of {MAX_TRIALS}")
     ps = [float(p) for p in p_values]
     if not ps:
         raise ValueError("p_values must not be empty")

@@ -29,10 +29,6 @@ class Graph:
     edges: tuple[Edge, ...]
     directed: bool = False
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def has_phases(self) -> bool:
         return any(e.phase != 0.0 for e in self.edges)
 

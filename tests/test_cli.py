@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from qnet import (IntegrationInstabilityError, bond_percolation, cli, communities,
-                  density_propagator, density_rescaled, entropy, load_edge_list, to_edge_list,
-                  toys, vn_entropy, walks)
+                  density_propagator, density_rescaled, entropy, load_edge_list, percolation,
+                  to_edge_list, toys, vn_entropy, walks)
 from qnet.cli import main
 
 from _helpers import random_connected_graph
@@ -71,6 +71,8 @@ def test_walk_payload_schema(capsys):
     assert len(probs) == 2 and len(probs[0]) == 5
     assert probs[0][0] == pytest.approx(1.0, abs=1e-12)
     assert payload["average"][0] == pytest.approx(0.5, abs=1e-9)
+    average = run_json(capsys, "walk", "--toy", "barbell7")["average"]
+    assert abs(sum(average) - 1.0) <= 1e-12
 
 
 def test_rank_adiabatic_payload(capsys):
@@ -185,6 +187,12 @@ def test_output_file_and_matrix_out(capsys, tmp_path):
     rows = mat.read_text().strip().splitlines()
     assert len(rows) == 3
     assert len(rows[0].split(",")) == 2
+    closeness = tmp_path / "closeness.csv"
+    rc, _ = run_cli(capsys, "communities", "--toy", "lattice-8x8",
+                    "--matrix-out", str(closeness))
+    assert rc == 0
+    cells = [line.split(",") for line in closeness.read_text().splitlines()]
+    assert len(cells) == 64 and cells == [list(column) for column in zip(*cells)]
 
 
 def test_trials_out_csv(capsys, tmp_path):
@@ -202,6 +210,18 @@ def test_trials_out_csv(capsys, tmp_path):
     back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     assert np.array_equal(back[:, 2], stats.spanning)
     assert np.array_equal(back[:, 3], stats.largest_fraction)
+    # each scan point's statistics are the exact means of its trial columns
+    out = tmp_path / "scan.json"
+    rc, _ = run_cli(capsys, "percolate", "--lattice", "16x16", "--scan", "0.4,0.5,0.6",
+                    "--trials", "10", "--output", str(out), "--trials-out", str(path))
+    assert rc == 0
+    points = json.loads(out.read_text())["points"]
+    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    rows = [back[back[:, 0] == point["p"]] for point in points]
+    assert [len(r) for r in rows] == [10, 10, 10]
+    assert [np.mean(r[:, 2]) for r in rows] == [point["spanning_prob"] for point in points]
+    assert [np.mean(r[:, 3]) for r in rows] == [point["largest_fraction_mean"]
+                                                for point in points]
 
 
 def test_seed_env_matches_flag(capsys, monkeypatch):
@@ -519,6 +539,8 @@ def test_walk_matrix_out_is_the_json_text_transposed(capsys, tmp_path, walk120_e
     tokens = json.loads(text, parse_float=str)["probabilities"]  # [node][time] float text
     cells = [line.split(",") for line in mat.read_text().splitlines()]  # [time][node]
     assert cells == [list(column) for column in zip(*tokens)]
+    if toy is None:  # early occupations, where orjson's layout is not repr's
+        assert any(0.0 < abs(float(cell)) < 1e-4 for row in tokens for cell in row)
 
     g = cli._load_graph(toy, path, None)
     res = walks.evolve(walks.WalkSpec(generator=cli._hamiltonian(g, "adjacency", False),
@@ -712,6 +734,10 @@ def test_bad_edge_list_names_its_line(capsys, tmp_path, command):
     rc = main(command + ["--input", str(bad)])
     assert rc == 1
     assert "line 3: non-finite weight or phase" in capsys.readouterr().err
+    bad.write_text("0 1\n1 1\n")
+    rc = main(command + ["--input", str(bad)])
+    assert rc == 1
+    assert capsys.readouterr().err == "qnet: error: self-loop on node 1 (not enabled)\n"
     rc = main(command + ["--input", str(tmp_path / "missing.edges")])
     capsys.readouterr()
     assert rc == 3
@@ -915,6 +941,9 @@ def test_szegedy_rank_runs_past_the_dense_cap(capsys, tmp_path):
                        "--steps", "16")
     assert len(payload["scores"]) == n
     assert sum(payload["scores"]) == pytest.approx(1.0, abs=1e-12)
+    # the undirected toys take the register walk, which keeps the sum too
+    scores = run_json(capsys, "rank", "--toy", "barbell7", "--variant", "szegedy")["scores"]
+    assert abs(sum(scores) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("edge", ["0 1 nan", "0 1 inf", "0 1 1.0 nan", "0 1 1.0 -inf"])
@@ -993,6 +1022,54 @@ def test_cli_import_leaves_scipy_cluster_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+# every subcommand and mode, each run once in a fresh interpreter where the
+# test-only packages cannot be imported
+WITHOUT_TEST_EXTRAS = [
+    ["walk", "--toy", "barbell7"],
+    ["walk", "--toy", "barbell7", "--times", "0:10:11"],
+    *([*_CHAIN, "--variant", variant] for variant in ("classical", "adiabatic", "szegedy", "qsw")),
+    [*_CHAIN, "--variant", "interpolated", "--alpha", "0.5"],
+    ["rank", "--toy", "barbell7", "--variant", "szegedy"],
+    ["entropy", "--toy", "p3"],
+    ["entropy", "--toy", "p3", "--density", "propagator"],
+    ["compare", "--toy", "p3", "--other-toy", "triangle"],
+    ["compare", "--toy", "p3", "--other-toy", "triangle", "--measure", "kl"],
+    *(["communities", "--toy", "barbell7", "--measure", measure]
+      for measure in ("short-time", "long-time", "fidelity", "link-failure")),
+    ["communities", "--toy", "barbell7", "--method", "magnetic", "--theta", "0.7854"],
+    ["percolate", "--lattice", "16x16", "--scan", "0.4,0.5,0.6", "--trials", "10",
+     "--trials-out", "{trials}"],
+    ["percolate", "--lattice", "8x8", "--p", "0.5", "--trials", "4"],
+    ["percolate", "--lattice", "8x8", "--link-p", "0.7", "--trials", "4"],
+    *(["percolate", "--emergence", target, "--n-values", "16", "--trials", "4"]
+      for target in ("edge", "path3", "triangle", "square", "clique4", "clique5")),
+    ["layers", "--input", "{path}", "--input", "{links}"],
+]
+
+
+def test_every_mode_runs_without_the_test_extras(tmp_path):
+    # a runtime import of networkx, hypothesis or pytest on a CLI path fails
+    # here even where those packages are installed
+    files = {"path": tmp_path / "path.edges", "links": tmp_path / "links.edges",
+             "trials": tmp_path / "trials.csv"}
+    files["path"].write_text("0 1\n1 2\n2 3\n")
+    files["links"].write_text("nodes 4\n0 1\n2 3\n")
+    runs = [[a.format(**files) for a in argv] for argv in WITHOUT_TEST_EXTRAS]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "for name in ('networkx', 'hypothesis', 'pytest', '_pytest'):\n"
+        "    sys.modules[name] = None\n"
+        "from qnet.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        print(main(argv), argv, file=sys.__stdout__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"0 {argv}" for argv in runs], proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["walk", "--toy", "k2", "--times", "0:inf:3"],
     ["walk", "--toy", "k2", "--times", "nan:1:3"],
@@ -1020,6 +1097,26 @@ def test_empty_grid_is_usage_error(capsys, argv):
     assert rc == 1
     assert captured.out == ""
     assert "qnet: error:" in captured.err and "must not be empty" in captured.err
+
+
+@pytest.mark.parametrize("mode", [
+    ["--lattice", "8x8", "--p", "0.5"],
+    ["--lattice", "8x8", "--scan", "0.4,0.6"],
+    ["--lattice", "8x8", "--link-p", "0.7"],
+    ["--emergence", "triangle", "--n-values", "16"],
+], ids=lambda mode: mode[-2])
+def test_trials_past_the_limit_are_usage_error(capsys, mode):
+    tracemalloc.start()
+    try:
+        rc = main(["percolate", *mode, "--trials", str(percolation.MAX_TRIALS + 1)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"qnet: error: {percolation.MAX_TRIALS + 1} trials exceed the limit of "
+                   f"{percolation.MAX_TRIALS}\n")
+    assert peak < 1 << 20
 
 
 def test_oversized_time_grid_is_usage_error(capsys):

@@ -401,7 +401,7 @@ def test_entropy_comparison_harness_aggregate_versus_layers():
     rng = np.random.default_rng(57)
     for _ in range(5):
         layers = [_er_graph(rng, 12, 0.3), _er_graph(rng, 12, 0.3)]
-        if any(g.edge_count == 0 for g in layers):
+        if any(len(g.src) == 0 for g in layers):
             continue
         s_layers = np.mean([vn_entropy(density_propagator(g, 1.0)) for g in layers])
         assert 0.0 <= s_layers <= np.log2(12) + 1e-12

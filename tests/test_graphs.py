@@ -55,7 +55,7 @@ def test_parse_directives_and_comments():
     text = "# a comment\nnodes 4\ndirected\n0 1  # trailing comment\n2 3\n"
     g = load_edge_list(text)
     assert g.n == 4 and g.directed
-    assert g.edge_count == 2
+    assert len(g.src) == 2
 
 
 def test_directed_override_argument():
@@ -98,7 +98,7 @@ def test_build_graph_validation():
         build_graph(2, [(0, 1, -1.0)])
     # same pair is two distinct edges when directed
     g = build_graph(2, [(0, 1), (1, 0)], directed=True)
-    assert g.edge_count == 2
+    assert len(g.src) == 2
 
 
 NON_FINITE = [(float("nan"), 0.0), (float("inf"), 0.0), (1.0, float("nan")),

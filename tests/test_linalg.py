@@ -251,13 +251,3 @@ def test_non_psd_start_is_refused_before_any_step(t_final, monkeypatch):
         integrate_master_equation(lindblad_rhs(PAULI_X), np.diag([1.5, -0.5]), t_final, 0.1)
     assert not isinstance(info.value, IntegrationInstabilityError)
     assert steps == []
-
-
-def test_trajectory_populations_real():
-    rhs = lindblad_rhs(PAULI_X)
-    rho0 = np.diag([1.0, 0.0]).astype(complex)
-    traj = integrate_master_equation(rhs, rho0, 1.0, 0.01)
-    pops = traj.populations()
-    assert pops.shape == (len(traj.times), 2)
-    assert np.all(pops >= -1e-9)
-    assert np.allclose(pops.sum(axis=1), 1.0, atol=1e-10)

@@ -195,6 +195,7 @@ def test_emergence_validation():
     ({"c_values": [np.nan]}, "finite"),
     ({"c_values": [-1.0, 2.0]}, ">= 0"),
     ({"n_values": []}, "n_values must not be empty"),
+    ({"trials": percolation.MAX_TRIALS + 1}, "exceed the limit"),
 ])
 def test_emergence_rejects_bad_counts_and_densities(bad, match):
     kwargs = {"n_values": [16], "c_values": [0.5, 3.0], "trials": 4, **bad}
@@ -372,6 +373,8 @@ def test_lattice_validation():
         bond_percolation(4, 4, 1.5)
     with pytest.raises(ValueError, match="trials"):
         bond_percolation(4, 4, 0.5, trials=0)
+    with pytest.raises(ValueError, match="exceed the limit"):
+        bond_percolation(4, 4, 0.5, trials=percolation.MAX_TRIALS + 1)
 
 
 def test_crossing_estimate_interpolates():
