@@ -6,8 +6,9 @@ input, exit 1. Output is deterministic for a fixed seed and flag set. Each
 subcommand builds its payload here, from the fields of the library's result,
 and main writes it; no other module knows the JSON layout. Only communities
 --method magnetic and percolate draw random numbers, so only they read --seed
-or QNET_SEED. A flag that the chosen mode never reads is refused, exit 1,
-before the graph is loaded.
+or QNET_SEED. A flag that only some modes read is declared once, by
+_mode_flag; from that, main fills it when omitted and refuses it, exit 1, in a
+mode that never reads it, before the graph is loaded.
 
 Every float is written as its repr text: JSON is json.dumps(payload,
 indent=2, sort_keys=True) byte for byte, and a CSV cell is the same text, so
@@ -206,22 +207,56 @@ def _write_matrix(path: str, matrix) -> None:
 
 
 def _load_graph(toy: str | None, path: str | None, directed: bool | None) -> Graph:
-    if (toy is None) == (path is None):
-        raise UsageError("provide exactly one of --toy or --input")
+    """The toy graph if one is named, else the edge-list file at path."""
     if toy is not None:
         return toys.toy_graph(toy)
     with open(path) as fh:
         text = fh.read()
-    g = load_edge_list(text, directed=directed)
+    try:
+        g = load_edge_list(text, directed=directed)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None
     if g.n == 0:  # every analysis needs a node; the library parser admits n = 0
         raise GraphFormatError(f"{path}: edge list has no nodes")
     return g
 
 
 def _graph_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", metavar="FILE", help="edge-list file")
-    p.add_argument("--toy", metavar="NAME",
-                   help=f"bundled toy graph ({', '.join(toys.toy_names())})")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", metavar="FILE", help="edge-list file")
+    source.add_argument("--toy", metavar="NAME",
+                        help=f"bundled toy graph ({', '.join(toys.toy_names())})")
+
+
+def _mode_flag(p: argparse.ArgumentParser, flag: str, needs: str, reads, omitted=None,
+               **kwargs) -> None:
+    """Declare a flag that only some modes read. Given where reads(args) is
+    false, it is refused with '{flag} needs {needs}'; omitted, it takes the
+    value omitted. Its help names both, and _check_modes acts on them."""
+    action = p.add_argument(flag, default=None, **kwargs)
+    action.needs, action.reads, action.omitted = needs, reads, omitted
+    default = "" if omitted is None or action.nargs == 0 else f"; default {omitted}"
+    action.help = f"{action.help} (needs {needs}{default})"
+    p.set_defaults(mode_flags=[*(p.get_default("mode_flags") or ()), action])
+
+
+def _check_modes(args) -> None:
+    """Fill each omitted mode flag, then refuse, in declaration order, each
+    given one that the mode does not read (--t and --policy read --measure)."""
+    given = []
+    for action in args.mode_flags:
+        if getattr(args, action.dest) is None:
+            setattr(args, action.dest, action.omitted)
+        else:
+            given.append(action)
+    for action in given:
+        if not action.reads(args):
+            raise UsageError(f"{action.option_strings[0]} needs {action.needs}")
+
+
+def _when(dest: str, *values):
+    """A _mode_flag's mode test: the flag dest holds one of values."""
+    return lambda args: getattr(args, dest) in values
 
 
 def _parse_linspace(text: str, name: str) -> np.ndarray:
@@ -267,8 +302,6 @@ def _hamiltonian(g: Graph, generator: str, symmetrize: bool) -> np.ndarray:
 
 
 def _cmd_walk(args) -> dict:
-    if args.matrix_out and args.times is None:
-        raise UsageError("--matrix-out needs --times: the long-time average has no series")
     g = _load_graph(args.toy, args.input, args.directed)
     h = _hamiltonian(g, args.generator, args.symmetrize)
     if args.uniform:
@@ -294,13 +327,6 @@ def _cmd_walk(args) -> dict:
 
 
 def _cmd_rank(args) -> dict:
-    if args.alpha is not None and args.variant != "interpolated":
-        raise UsageError("--alpha needs --variant interpolated")
-    if args.steps is not None and args.variant != "szegedy":
-        raise UsageError("--steps needs --variant szegedy")
-    if args.jump is not None and args.variant not in ("interpolated", "qsw"):
-        raise UsageError("--jump needs --variant interpolated or qsw")
-    jump = args.jump or "transport"
     g = _load_graph(args.toy, args.input, args.directed)
     if args.variant in ("classical", "adiabatic", "szegedy"):
         gm = google_matrix(g, damping=args.damping)
@@ -309,14 +335,14 @@ def _cmd_rank(args) -> dict:
         elif args.variant == "adiabatic":
             result = adiabatic_rank(gm)
         else:
-            result = szegedy_rank(gm, steps=512 if args.steps is None else args.steps)
+            result = szegedy_rank(gm, steps=args.steps)
     elif args.variant == "interpolated":
         if args.alpha is None:
             raise UsageError("--alpha is required for the interpolated variant")
         result = interpolated_rank(g, alpha=args.alpha, damping=args.damping,
-                                   jump_form=jump)
+                                   jump_form=args.jump)
     else:  # qsw
-        result = qsw_activity(g, damping=args.damping, jump_form=jump)
+        result = qsw_activity(g, damping=args.damping, jump_form=args.jump)
     payload = {"damping": args.damping, "scores": result.scores, "variant": result.variant}
     for key in ("variance", "ground_eigenvalue", "alpha", "converged", "iterations",
                 "degenerate"):
@@ -326,13 +352,6 @@ def _cmd_rank(args) -> dict:
     return payload
 
 
-def _tau(args) -> float:
-    """--tau, which only the propagator density reads; 1.0 when not given."""
-    if args.tau is not None and args.density != "propagator":
-        raise UsageError("--tau needs --density propagator")
-    return 1.0 if args.tau is None else args.tau
-
-
 def _density(g: Graph, kind: str, tau: float):
     if kind == "rescaled":
         return density_rescaled(g)
@@ -340,19 +359,20 @@ def _density(g: Graph, kind: str, tau: float):
 
 
 def _cmd_entropy(args) -> dict:
-    tau = _tau(args)
     g = _load_graph(args.toy, args.input, args.directed)
-    return {"entropy_bits": graph_entropy(g, args.density, tau)}
+    return {"entropy_bits": graph_entropy(g, args.density, args.tau)}
 
 
 def _cmd_compare(args) -> dict:
-    tau = _tau(args)
+    # not argparse-required: a flag the mode never reads is named first
+    if args.other is None and args.other_toy is None:
+        raise UsageError("one of the arguments --other --other-toy is required")
     g = _load_graph(args.toy, args.input, args.directed)
     other = _load_graph(args.other_toy, args.other, args.directed)
     if g.n != other.n:
         raise UsageError(f"graphs differ in size: {g.n} vs {other.n}")
-    rho = _density(g, args.density, tau)
-    sigma = _density(other, args.density, tau)
+    rho = _density(g, args.density, args.tau)
+    sigma = _density(other, args.density, args.tau)
     if args.measure == "js":
         divergence = js_divergence(rho, sigma)
         # js_distance is this root; calling it would decompose the mixture again
@@ -368,37 +388,19 @@ def _partition_keys(part) -> dict:
 
 
 def _cmd_communities(args) -> dict:
-    magnetic = args.method == "magnetic"
-    measure = args.measure or "long-time"
-    if magnetic and args.matrix_out:
-        raise UsageError("--matrix-out needs --method agglomerate: "
-                         "the magnetic method builds no closeness matrix")
-    if not magnetic and args.theta is not None:
-        raise UsageError("--theta needs --method magnetic")
-    if args.t is not None and (magnetic or measure not in ("short-time", "long-time")):
-        raise UsageError("--t needs --method agglomerate with --measure short-time or long-time")
-    if args.policy is not None and (magnetic or measure != "fidelity"):
-        raise UsageError("--policy needs --method agglomerate with --measure fidelity")
-    if args.k is not None and not magnetic:
-        raise UsageError("--k needs --method magnetic")
-    if magnetic:
-        for flag, value in (("--measure", args.measure), ("--generator", args.generator),
-                            ("--symmetrize", args.symmetrize)):
-            if value is not None:
-                raise UsageError(f"{flag} needs --method agglomerate")
     g = _load_graph(args.toy, args.input, args.directed)
-    if magnetic:
+    if args.method == "magnetic":
         if args.theta is None:
             raise UsageError("--theta is required for the magnetic method")
-        k = 2 if args.k is None else args.k
-        return _partition_keys(magnetic_partition(g, theta=args.theta, k=k, seed=_seed(args)))
-    h = _hamiltonian(g, args.generator or "adjacency", bool(args.symmetrize))
-    if measure == "short-time":
+        return _partition_keys(magnetic_partition(g, theta=args.theta, k=args.k,
+                                                  seed=_seed(args)))
+    h = _hamiltonian(g, args.generator, args.symmetrize)
+    if args.measure == "short-time":
         c = closeness_short_time_transport(h, t=args.t)
-    elif measure == "long-time":
+    elif args.measure == "long-time":
         c = closeness_long_time_transport(h, t=args.t)
-    elif measure == "fidelity":
-        c = closeness_fidelity(h, policy=args.policy or "superposition")
+    elif args.measure == "fidelity":
+        c = closeness_fidelity(h, policy=args.policy)
     else:
         c = closeness_link_failure(h)
     if args.matrix_out:
@@ -444,31 +446,20 @@ def _stats_keys(stats) -> dict:
 
 
 def _cmd_percolate(args) -> dict:
-    if args.emergence is not None and args.trials_out:
-        raise UsageError("--trials-out needs a lattice mode: --emergence keeps no per-trial records")
-    if args.emergence is not None and args.lattice is not None:
-        raise UsageError("--lattice needs a lattice mode: --p, --scan or --link-p")
-    if args.emergence is None:
-        for flag, value in (("--z", args.z), ("--n-values", args.n_values),
-                            ("--c-values", args.c_values)):
-            if value is not None:
-                raise UsageError(f"{flag} needs --emergence")
     seed = _seed(args)
     if args.emergence is not None:
-        text = "64,128,256" if args.n_values is None else args.n_values
-        n_values = _parse_grid(text, "--n-values")
+        n_values = _parse_grid(args.n_values, "--n-values")
         if not all(v.is_integer() for v in n_values):
-            raise UsageError(f"--n-values needs whole node counts, got {text!r}")
+            raise UsageError(f"--n-values needs whole node counts, got {args.n_values!r}")
         n_values = [int(v) for v in n_values]
-        c_values = _parse_grid("0.5,3.0" if args.c_values is None else args.c_values,
-                               "--c-values")
-        res = subgraph_emergence(args.emergence, z=1.0 if args.z is None else args.z,
+        c_values = _parse_grid(args.c_values, "--c-values")
+        res = subgraph_emergence(args.emergence, z=args.z,
                                  n_values=n_values, c_values=c_values, trials=args.trials,
                                  seed=seed)
         return {"c_values": res.c_values, "fractions": res.fractions,
                 "n_values": res.n_values, "regime": res.regime, "sharpness": res.sharpness,
                 "target": res.target, "z": res.z, "z_critical": res.z_critical}
-    width, height = _parse_lattice("64x64" if args.lattice is None else args.lattice)
+    width, height = _parse_lattice(args.lattice)
     if args.p is not None:
         stats = bond_percolation(width, height, args.p, trials=args.trials, seed=seed)
         if args.trials_out:
@@ -520,15 +511,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, edges=True, seed=False):
-        """--output; --directed where an edge list is read; --seed where numbers are drawn."""
+    def common(p):
+        """--output, and --directed, which only an edge-list file can carry."""
         p.add_argument("--output", metavar="FILE", help="write JSON here instead of stdout")
-        if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="RNG seed (default: QNET_SEED env var, else 0)")
-        if edges:
-            p.add_argument("--directed", action="store_true", default=None,
-                           help="treat the edge list as directed")
+        _mode_flag(p, "--directed", "an edge-list file: a toy graph's direction is fixed",
+                   lambda a: a.input is not None or getattr(a, "other", None) is not None,
+                   action="store_true", help="treat the edge list as directed")
 
     walk = sub.add_parser("walk", help="continuous-time walk occupations")
     _graph_args(walk)
@@ -543,8 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="start from the uniform superposition instead of a node")
     walk.add_argument("--times", metavar="T0:T1:COUNT",
                       help="evaluate the occupation series on this grid")
-    walk.add_argument("--matrix-out", metavar="FILE",
-                      help="write the (time x node) series as CSV")
+    _mode_flag(walk, "--matrix-out", "--times: the long-time average has no series",
+               lambda a: a.times is not None, metavar="FILE",
+               help="write the (time x node) series as CSV")
 
     rank = sub.add_parser("rank", help="node rankings")
     _graph_args(rank)
@@ -553,56 +542,73 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=["classical", "adiabatic", "szegedy", "interpolated", "qsw"],
                       default="classical")
     rank.add_argument("--damping", type=_finite_float, default=0.85)
-    rank.add_argument("--alpha", type=_finite_float, default=None,
-                      help="dissipative weight in (0, 1] (interpolated variant)")
-    rank.add_argument("--steps", type=int, default=None,
-                      help="walk steps (szegedy variant, default 512)")
-    rank.add_argument("--jump", choices=["transport", "dephasing"], default=None,
-                      help="jump form (interpolated and qsw variants, default transport)")
+    _mode_flag(rank, "--alpha", "--variant interpolated", _when("variant", "interpolated"),
+               type=_finite_float, help="dissipative weight in (0, 1]")
+    _mode_flag(rank, "--steps", "--variant szegedy", _when("variant", "szegedy"), 512,
+               type=int, help="walk steps")
+    _mode_flag(rank, "--jump", "--variant interpolated or qsw",
+               _when("variant", "interpolated", "qsw"), "transport",
+               choices=["transport", "dephasing"], help="jump form")
+
+    def tau(p):
+        _mode_flag(p, "--tau", "--density propagator", _when("density", "propagator"), 1.0,
+                   type=_finite_float, help="propagator time")
 
     entropy = sub.add_parser("entropy", help="Von Neumann entropy of a graph state")
     _graph_args(entropy)
     common(entropy)
     entropy.add_argument("--density", choices=["rescaled", "propagator"], default="rescaled")
-    entropy.add_argument("--tau", type=_finite_float, default=None,
-                         help="propagator time (propagator density only, default 1.0)")
+    tau(entropy)
 
     compare = sub.add_parser("compare", help="divergences between two graph states")
     _graph_args(compare)
-    compare.add_argument("--other", metavar="FILE", help="second edge-list file")
-    compare.add_argument("--other-toy", metavar="NAME", help="second bundled toy graph")
+    other = compare.add_mutually_exclusive_group()
+    other.add_argument("--other", metavar="FILE", help="second edge-list file")
+    other.add_argument("--other-toy", metavar="NAME", help="second bundled toy graph")
     common(compare)
     compare.add_argument("--measure", choices=["js", "kl"], default="js")
     compare.add_argument("--density", choices=["rescaled", "propagator"], default="propagator")
-    compare.add_argument("--tau", type=_finite_float, default=None,
-                         help="propagator time (propagator density only, default 1.0)")
+    tau(compare)
 
+    # declared in the order their refusals are checked
     comm = sub.add_parser("communities", help="closeness matrices and partitions")
     _graph_args(comm)
-    common(comm, seed=True)
+    common(comm)
     comm.add_argument("--method", choices=["agglomerate", "magnetic"], default="agglomerate")
-    comm.add_argument("--measure",
-                      choices=["short-time", "long-time", "fidelity", "link-failure"],
-                      default=None, help="closeness (agglomerate method, default long-time)")
-    comm.add_argument("--generator",
-                      choices=["adjacency", "laplacian", "quantum-laplacian"],
-                      default=None, help="Hamiltonian (agglomerate method, default adjacency)")
-    comm.add_argument("--symmetrize", action="store_true", default=None,
-                      help="symmetrize a directed graph (agglomerate method)")
-    comm.add_argument("--t", type=_finite_float, default=None,
-                      help="transport horizon (default: measure-specific)")
-    comm.add_argument("--policy", choices=["superposition", "mixed"], default=None,
-                      help="pair initial state (fidelity measure, default superposition)")
-    comm.add_argument("--theta", type=_finite_float, default=None,
-                      help="direction phase in (0, pi) (magnetic method)")
-    comm.add_argument("--k", type=int, default=None,
-                      help="community count (magnetic method, default 2)")
-    comm.add_argument("--matrix-out", metavar="FILE", help="write the closeness matrix as CSV")
+    agglomerate, magnetic = _when("method", "agglomerate"), _when("method", "magnetic")
+    _mode_flag(comm, "--matrix-out",
+               "--method agglomerate: the magnetic method builds no closeness matrix",
+               agglomerate, metavar="FILE", help="write the closeness matrix as CSV")
+    _mode_flag(comm, "--theta", "--method magnetic", magnetic, type=_finite_float,
+               help="direction phase in (0, pi)")
+    _mode_flag(comm, "--t", "--method agglomerate with --measure short-time or long-time",
+               lambda a: agglomerate(a) and a.measure in ("short-time", "long-time"),
+               type=_finite_float, help="transport horizon, measure-specific when omitted")
+    _mode_flag(comm, "--policy", "--method agglomerate with --measure fidelity",
+               lambda a: agglomerate(a) and a.measure == "fidelity", "superposition",
+               choices=["superposition", "mixed"], help="pair initial state")
+    _mode_flag(comm, "--k", "--method magnetic", magnetic, 2, type=int,
+               help="community count")
+    _mode_flag(comm, "--measure", "--method agglomerate", agglomerate, "long-time",
+               choices=["short-time", "long-time", "fidelity", "link-failure"],
+               help="closeness")
+    _mode_flag(comm, "--generator", "--method agglomerate", agglomerate, "adjacency",
+               choices=["adjacency", "laplacian", "quantum-laplacian"], help="Hamiltonian")
+    _mode_flag(comm, "--symmetrize", "--method agglomerate", agglomerate, False,
+               action="store_true", help="symmetrize a directed graph")
+    _mode_flag(comm, "--seed", "--method magnetic", magnetic, type=int,
+               help="RNG seed, else the QNET_SEED env var, else 0")
 
+    # declared in the order their refusals are checked
     perc = sub.add_parser("percolate", help="bond percolation and subgraph emergence")
-    common(perc, edges=False, seed=True)
-    perc.add_argument("--lattice", default=None, metavar="WxH",
-                      help="lattice size (lattice modes, default 64x64)")
+    perc.add_argument("--output", metavar="FILE", help="write JSON here instead of stdout")
+    perc.add_argument("--seed", type=int, default=None,
+                      help="RNG seed, else the QNET_SEED env var, else 0")
+    lattice = _when("emergence", None)
+    _mode_flag(perc, "--trials-out", "a lattice mode: --emergence keeps no per-trial records",
+               lattice, metavar="FILE", help="write per-trial records as CSV")
+    _mode_flag(perc, "--lattice", "a lattice mode: --p, --scan or --link-p", lattice, "64x64",
+               metavar="WxH", help="lattice size")
     mode = perc.add_mutually_exclusive_group(required=True)
     mode.add_argument("--p", type=_finite_float, help="bond probability")
     mode.add_argument("--scan", metavar="GRID",
@@ -611,14 +617,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="link-state parameter p; percolate at its conversion probability")
     mode.add_argument("--emergence", metavar="TARGET",
                       help="subgraph-emergence mode (edge, path3, triangle, square, clique4, clique5)")
-    perc.add_argument("--z", type=_finite_float, default=None,
-                      help="density exponent, p = c N^-z (emergence, default 1.0)")
-    perc.add_argument("--n-values", default=None, metavar="LIST",
-                      help="graph sizes (emergence, default 64,128,256)")
-    perc.add_argument("--c-values", default=None, metavar="LIST",
-                      help="density prefactors (emergence, default 0.5,3.0)")
+    _mode_flag(perc, "--z", "--emergence", lambda a: not lattice(a), 1.0, type=_finite_float,
+               help="density exponent, p = c N^-z")
+    _mode_flag(perc, "--n-values", "--emergence", lambda a: not lattice(a), "64,128,256",
+               metavar="LIST", help="graph sizes")
+    _mode_flag(perc, "--c-values", "--emergence", lambda a: not lattice(a), "0.5,3.0",
+               metavar="LIST", help="density prefactors")
     perc.add_argument("--trials", type=int, default=100)
-    perc.add_argument("--trials-out", metavar="FILE", help="write per-trial records as CSV")
 
     layers = sub.add_parser("layers", help="cluster graph layers by state distance")
     layers.add_argument("--input", metavar="FILE", action="append",
@@ -657,10 +662,7 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             args = _parser().parse_args(argv)
-            if (getattr(args, "directed", None) and args.input is None
-                    and getattr(args, "other", None) is None):
-                raise UsageError("--directed needs an edge-list file: a toy graph's "
-                                 "direction is fixed")
+            _check_modes(args)
             _emit(_DISPATCH[args.command](args), args.output)
             rc = 0
         # LinAlgError subclasses ValueError, so it must be caught first

@@ -321,6 +321,7 @@ def test_output_flag_a_mode_cannot_fill_is_refused(capsys, monkeypatch, tmp_path
     ["entropy", "--directed"],
     ["communities", "--directed"],
     ["compare", "--other-toy", "barbell7", "--directed"],
+    ["communities", "--seed", "5"],
 ], ids=lambda a: "-".join(x.lstrip("-") for x in a[1:]))
 def test_input_flag_a_mode_never_reads_is_refused(capsys, monkeypatch, tmp_path, argv):
     def never(*args, **kwargs):
@@ -355,6 +356,53 @@ def test_percolate_flag_a_mode_never_reads_is_refused(capsys, monkeypatch, tmp_p
     err = capsys.readouterr().err
     assert err.startswith("qnet: error:") and f"{argv[-2]} needs" in err
     assert not out.exists() and not trials.exists()
+
+
+@pytest.mark.parametrize("argv, pair", [
+    (["walk"], ("--input", "--toy")),
+    (["rank"], ("--input", "--toy")),
+    (["entropy"], ("--input", "--toy")),
+    (["communities"], ("--input", "--toy")),
+    (["compare", "--other-toy", "p3"], ("--input", "--toy")),
+    (["compare", "--toy", "p3"], ("--other", "--other-toy")),
+], ids=["walk", "rank", "entropy", "communities", "compare", "compare-other"])
+@pytest.mark.parametrize("doubled", [False, True], ids=["missing", "doubled"])
+def test_a_graph_source_missing_or_doubled_is_refused(capsys, monkeypatch, argv, pair, doubled):
+    def never(*args, **kwargs):
+        raise AssertionError("graph loaded before its source was checked")
+    monkeypatch.setattr(cli, "_load_graph", never)
+    file_flag, toy_flag = pair
+    if doubled:
+        argv = [*argv, toy_flag, "p3", file_flag, "g.edges"]
+        message = f"argument {file_flag}: not allowed with argument {toy_flag}"
+    else:
+        message = f"one of the arguments {file_flag} {toy_flag} is required"
+    rc = main(argv)
+    assert (rc, *capsys.readouterr()) == (1, "", f"qnet: error: {message}\n")
+
+
+# the smallest command line of each subcommand that argparse accepts
+MINIMAL_ARGV = {"walk": ["--toy", "k2"], "rank": ["--toy", "k2"], "entropy": ["--toy", "k2"],
+                "compare": ["--toy", "k2", "--other-toy", "k2"],
+                "communities": ["--toy", "k2"], "percolate": ["--p", "0.5"], "layers": []}
+
+
+@pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+def test_help_names_each_mode_flag_its_mode_and_default(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per flag: no hyphen breaks a default
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    text = capsys.readouterr().out
+    declared = cli._parser().parse_args([command, *MINIMAL_ARGV[command]]).mode_flags
+    assert declared
+    for action in declared:
+        default = action.omitted not in (None, False)
+        suffix = f"; default {action.omitted}" if default else ""
+        assert f"(needs {action.needs}{suffix})" in text, action.option_strings
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
 
 
 @pytest.mark.parametrize("given, filled", [
@@ -725,20 +773,24 @@ def test_missing_file_is_io_failure(capsys):
     assert rc == 3
 
 
-@pytest.mark.parametrize("command", ["entropy", "layers"])
+@pytest.mark.parametrize("command", [
+    ["entropy", "--input"],
+    ["layers", "--input", "{good}", "--input"],
+    ["compare", "--input", "{good}", "--other"],
+], ids=lambda command: command[0])
 def test_bad_edge_list_names_its_line(capsys, tmp_path, command):
     good, bad = tmp_path / "good.edges", tmp_path / "bad.edges"
     good.write_text("0 1\n1 2\n")
     bad.write_text("nodes 3\n0 1\n1 2 nan\n")
-    command = [command] if command == "entropy" else [command, "--input", str(good)]
-    rc = main(command + ["--input", str(bad)])
+    command = [a.format(good=good) for a in command]
+    rc = main(command + [str(bad)])
     assert rc == 1
-    assert "line 3: non-finite weight or phase" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"qnet: error: {bad}: line 3: non-finite weight or phase\n"
     bad.write_text("0 1\n1 1\n")
-    rc = main(command + ["--input", str(bad)])
+    rc = main(command + [str(bad)])
     assert rc == 1
-    assert capsys.readouterr().err == "qnet: error: self-loop on node 1 (not enabled)\n"
-    rc = main(command + ["--input", str(tmp_path / "missing.edges")])
+    assert capsys.readouterr().err == f"qnet: error: {bad}: self-loop on node 1 (not enabled)\n"
+    rc = main(command + [str(tmp_path / "missing.edges")])
     capsys.readouterr()
     assert rc == 3
 
